@@ -8,14 +8,14 @@ floating-point comparison.
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      NonMonomialError, NotAVectorError, RangeError,
                      SignatureMismatchError, UnsupportedError)
-from .scalars import Scalar, scalar_add, scalar_inv, scalar_mul
+from .scalars import Scalar, scalar_inv
 from .ga import (Multivector, Signature, anticommutator, g3, g13, g_1n, g_nn,
                  gp, gp_chain, grade_project, reverse, sym_dot, wedge,
                  wedge_chain)
 from .witt_global import (CentralMatrix, DualityReport, GlobalWitt, MvMatrix,
                           SpectralBasis, check_duality_relations,
                           check_global_duality, make_global_witt,
-                          matrix_to_mv, mv_to_matrix, spectral_basis_nn)
+                          spectral_basis_nn)
 from .omega import (OmegaMatrix, OmegaVariant, bareiss_det, det_omega,
                     fast_apply, gram_check, omega)
 from .witt_local import (C8Table, FrameMap, LocalWitt, NegativeSearchReport,
@@ -37,14 +37,13 @@ from .verify import Check, VerifyReport, run_all, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scalar", "scalar_add", "scalar_mul", "scalar_inv",
+    "Scalar", "scalar_inv",
     "Signature", "Multivector", "g_nn", "g_1n", "g3", "g13",
     "gp", "wedge", "sym_dot", "reverse", "grade_project", "gp_chain",
     "wedge_chain", "anticommutator",
     "GlobalWitt", "make_global_witt", "DualityReport",
     "check_duality_relations", "check_global_duality",
     "SpectralBasis", "spectral_basis_nn", "MvMatrix", "CentralMatrix",
-    "mv_to_matrix", "matrix_to_mv",
     "OmegaMatrix", "OmegaVariant", "omega", "gram_check", "det_omega",
     "bareiss_det", "fast_apply",
     "LocalWitt", "make_local_witt", "check_local_relations", "ef_from_c",

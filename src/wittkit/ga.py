@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotAVectorError, RangeError, SignatureMismatchError
-from .scalars import Scalar
+from .scalars import Scalar, _is_int
 
 MAX_GENERATORS = 12
 
@@ -248,9 +248,6 @@ class Multivector:
     def is_vector(self) -> bool:
         return all(m.bit_count() == 1 for m in self.terms)
 
-    def is_scalar_elem(self) -> bool:
-        return all(m == 0 for m in self.terms)
-
     def scalar_part(self) -> Scalar:
         return self.terms.get(0, Scalar())
 
@@ -326,18 +323,24 @@ class Multivector:
     def from_json(cls, data, sig: Signature | None = None) -> "Multivector":
         if not isinstance(data, dict) or "signature" not in data or "terms" not in data:
             raise ValueError("multivector JSON needs 'signature' and 'terms'")
-        squares = tuple(data["signature"])
+        squares, raw_terms = data["signature"], data["terms"]
+        if not isinstance(squares, list) or not all(_is_int(s) for s in squares):
+            raise ValueError("multivector signature must be a list of integers")
+        if not isinstance(raw_terms, list):
+            raise ValueError("multivector terms must be a list")
+        squares = tuple(squares)
         if sig is None:
             sig = Signature(squares)
         elif sig.squares != squares:
             raise ValueError("multivector signature does not match target algebra")
         terms: dict[int, Scalar] = {}
-        for t in data["terms"]:
+        for t in raw_terms:
             if not isinstance(t, dict) or "blade" not in t or "coeff" not in t:
                 raise ValueError("term JSON needs 'blade' and 'coeff'")
             idx = t["blade"]
-            if (not isinstance(idx, list) or idx != sorted(set(idx))
-                    or any(not isinstance(i, int) or not 0 <= i < sig.m for i in idx)):
+            if (not isinstance(idx, list)
+                    or not all(_is_int(i) and 0 <= i < sig.m for i in idx)
+                    or idx != sorted(set(idx))):
                 raise ValueError("blade must list distinct ascending generator indices")
             mask = 0
             for i in idx:

@@ -189,22 +189,12 @@ class Scalar:
     def is_rational(self) -> bool:
         return all(k == (1, False) for k in self.terms)
 
-    def is_complex_rational(self) -> bool:
-        """True when no genuine radical appears (every term has d = 1)."""
-        return all(d == 1 for d, _ in self.terms)
-
     def as_fraction(self) -> Fraction:
         if not self.terms:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError("scalar is not a plain rational")
         return self.terms[(1, False)]
-
-    def complex_parts(self) -> tuple[Fraction, Fraction]:
-        """(real, imaginary) rational parts; requires d = 1 terms only."""
-        if not self.is_complex_rational():
-            raise ValueError("scalar has radical terms")
-        return self.terms.get((1, False), Fraction(0)), self.terms.get((1, True), Fraction(0))
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -213,6 +203,9 @@ class Scalar:
         return self.terms == other.terms
 
     def __hash__(self):
+        # equal to an int or Fraction exactly when rational: hash like it
+        if self.is_rational():
+            return hash(self.as_fraction())
         return hash(frozenset(self.terms.items()))
 
     # -- rendering and serialization ---------------------------------------
@@ -285,17 +278,32 @@ class Scalar:
             if not isinstance(entry, dict) or "d" not in entry:
                 raise ValueError("scalar term must be an object with a 'd' key")
             d = entry["d"]
-            if not isinstance(d, int) or not is_squarefree(d):
+            if not _is_int(d) or not is_squarefree(d):
                 raise ValueError(f"radicand {d!r} is not a squarefree positive integer")
             for part, imag in (("re", False), ("im", True)):
                 if part in entry:
-                    q = Fraction(entry[part])
+                    q = _exact(entry[part])
                     if q:
                         key = (d, imag)
                         if key in terms:
                             raise ValueError(f"duplicate term for d={d}")
                         terms[key] = q
         return cls(terms)
+
+
+def _is_int(x) -> bool:
+    """An int that JSON wrote as a number, not as true/false."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _exact(value) -> Fraction:
+    """An exact JSON coefficient: an int or a string such as "-3/4"."""
+    if not (_is_int(value) or isinstance(value, str)):
+        raise ValueError(f"coefficient {value!r} must be an integer or a string")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"coefficient {value!r} is not an exact rational") from None
 
 
 def _coerce(x):
@@ -311,15 +319,7 @@ ONE = Scalar.of(1)
 J = Scalar.j()
 
 
-# free-function aliases for call sites that avoid methods
-
-def scalar_add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def scalar_mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
+# free-function alias for call sites that avoid methods
 
 def scalar_inv(x: Scalar) -> Scalar:
     return x.inv()

@@ -23,6 +23,7 @@ from .dirac import (DiracRep, dirac_frame, dirac_idempotents,
                     new_border_form, new_rep_extra_matrices, new_duality_check,
                     pauli_impostor_check, pauli_spectral,
                     pseudoscalar_anticommutes)
+from .errors import RangeError
 from .ga import Multivector, g3, g13, gp, reverse
 from .omega import OmegaVariant, bareiss_det, det_omega, fast_apply, gram_check, omega
 from .scalars import Scalar
@@ -582,8 +583,10 @@ SUITES = {
 def run_suite(name: str, seed: int = 0, samples: int = 100) -> VerifyReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    if samples < 1:
+        raise RangeError(f"samples must be at least 1, got {samples}")
     return SUITES[name](seed=seed, samples=samples)
 
 
 def run_all(seed: int = 0, samples: int = 100) -> list[VerifyReport]:
-    return [fn(seed=seed, samples=samples) for fn in SUITES.values()]
+    return [run_suite(name, seed=seed, samples=samples) for name in SUITES]

@@ -8,10 +8,13 @@ b's (columns) yields a complete family of matrix units E[i][j], which turns
 the 4**n dimensional algebra into the full 2**n x 2**n matrix algebra over
 the rational-plus-j subfield.
 
-Coordinate extraction is a precomputed exact linear solve: the blade
-coefficient vectors of the E[i][j] form a square system over the rational
-complex numbers, factored once (sparse LU) and applied to any multivector,
-including ones with radical coefficients.
+Coordinates come from the trace: for matrix units the scalar part is the
+normalized trace, so the (i, j) coordinate of g is x_ij = n <E[j][i] g>_0
+(plus the central-blade part when the basis is taken over a central unit).
+Each basis certifies once that its family really is a complete set of
+matrix units before it converts anything; see
+SpectralBasis._build_extraction.  Inputs and basis entries may carry
+radicals.
 """
 
 from __future__ import annotations
@@ -21,22 +24,20 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
-from .ga import Multivector, Signature, g_nn, gp, gp_chain, sym_dot
-from .scalars import Scalar
+from .ga import (Multivector, Signature, blade_product, g_nn, gp, gp_chain,
+                 sym_dot)
+from .scalars import Scalar, _is_int
 
 
-def _qj_inv(s: Scalar) -> Scalar:
-    """Field inverse in Q(j); the solver pivots are never radicals."""
-    re, im = s.complex_parts()
-    n = re * re + im * im
-    if not n:
-        raise ZeroDivisionError("zero pivot")
-    out = {}
-    if re:
-        out[(1, False)] = re / n
-    if im:
-        out[(1, True)] = -im / n
-    return Scalar(out)
+def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
+    """<x y>_t without forming x y: blade a of x meets blade a ^ t of y."""
+    acc = Scalar()
+    for a, ca in x.terms.items():
+        cb = y.terms.get(a ^ t)
+        if cb is not None:
+            p = ca * cb
+            acc = acc + (p if blade_product(a, a ^ t, x.sig)[0] > 0 else -p)
+    return acc
 
 
 # -- coordinate matrices ---------------------------------------------------
@@ -106,7 +107,7 @@ class MvMatrix:
             raise ValueError("matrix JSON needs 'dim' and 'entries'")
         n = data["dim"]
         rows = data["entries"]
-        if not isinstance(rows, list) or len(rows) != n:
+        if not _is_int(n) or not isinstance(rows, list) or len(rows) != n:
             raise ValueError("matrix JSON entry count does not match dim")
         out = []
         for row in rows:
@@ -292,7 +293,9 @@ class SpectralBasis:
         self.central_unit = central_unit
         self.row_labels = list(row_labels) if row_labels else None
         self.col_labels = list(col_labels) if col_labels else None
-        self.E = [[gp_chain([r, center, c]) for c in self.cols] for r in self.rows]
+        # each row product r_i * center once; same left-to-right order as gp_chain
+        self.E = [[gp(rc, c) for c in self.cols]
+                  for rc in (gp(r, center) for r in self.rows)]
         self._extraction = None
 
     @property
@@ -323,103 +326,98 @@ class SpectralBasis:
     # -- coordinate maps ---------------------------------------------------
 
     def _build_extraction(self):
-        m = self.sig.m
-        nblades = 1 << m
-        columns = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                columns.append(self.E[i][j])
-        if self.central_unit is not None:
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    columns.append(gp(self.central_unit, self.E[i][j]))
-        k = len(columns)
-        if k != nblades:
+        """Certify the family as matrix units, then cache the trace table.
+
+        With tau(X) = n * sum_t <X>_t, where t runs over the scalar blade and,
+        for a basis over a central unit, the central blade (whose part is
+        read as a multiple of the central unit), the certificate is:
+
+        1. there are sig.dim elements: n**2, or 2 n**2 with a central unit;
+        2. the central unit is one non-scalar blade (monomial coefficient)
+           that commutes with every generator;
+        3. u = center satisfies u u = u and tau(u) = 1;
+        4. tau(u c_i r_k) = delta_ik for all i, k.
+
+        Why that suffices.  By (1) and (2) the algebra is central simple over
+        the scalars (even generator count) or over its center Z spanned by 1
+        and the central unit (odd count), where it is a product of simple
+        factors; either way tau is its reduced trace, Z-valued, since every
+        other blade anticommutes with some generator and has trace 0.  An
+        idempotent of reduced trace 1 has rank one in every factor, so
+        u X u = tau(u X) u for all X.  By (4), u c_i r_k u = delta_ik u, hence
+        E_ij E_kl = r_i (u c_j r_k u) c_l = delta_jk E_il: the matrix-unit
+        law.  Matrix units with tau(E_ii) = tau(u c_i r_i) = 1 are independent
+        over Z, and by (1) there are as many as the dimension, so they form a
+        basis; expanding g = sum z_kl E_kl gives tau(E_ji g) = z_ij exactly.
+
+        The table maps each blade mask b to its weights, each with the flat
+        indices it feeds, so a coordinate is a sparse dot product with the
+        input's coefficients (x_ij = n <E_ji g>_t sums E_ji[a] g[b] over the
+        masks a = b ^ t) and equal weights share one product.
+        """
+        n, sig, u, cu = self.dim, self.sig, self.center, self.central_unit
+        count = n * n if cu is None else 2 * n * n
+        if count != sig.dim:
             raise ExtractorUnavailableError(
-                f"{k} basis elements cannot span a {nblades}-dimensional algebra")
-        # sparse rows over Q(j): row index = blade mask, column index = unknown
-        rows: dict[int, dict[int, Scalar]] = {}
-        col_rows: dict[int, set[int]] = {c: set() for c in range(k)}
-        for c, mv in enumerate(columns):
-            for mask, coeff in mv.terms.items():
-                if not coeff.is_complex_rational():
+                f"{count} basis elements cannot span a {sig.dim}-dimensional algebra")
+        parts = [(0, Scalar.of(n))]      # tau(X) = (w <X>_t for t, w in parts)
+        if cu is not None:
+            mask, coeff = next(iter(cu.terms.items()), (0, Scalar()))
+            if (len(cu.terms) != 1 or not mask or len(coeff.terms) != 1
+                    or any(gp(cu, e) != gp(e, cu) for e in
+                           (Multivector.generator(sig, k) for k in range(sig.m)))):
+                raise ExtractorUnavailableError(
+                    "the central unit must be a single non-scalar blade that "
+                    "commutes with every generator")
+            parts.append((mask, Scalar.of(n) / coeff))
+        zeros = (0,) * (len(parts) - 1)
+        if gp(u, u) != u or tuple(w * u.coeff(t) for t, w in parts) != (1,) + zeros:
+            raise ExtractorUnavailableError("the center is not an idempotent of trace 1")
+        for i, c in enumerate(self.cols):
+            uc = gp(u, c)
+            for k, r in enumerate(self.rows):
+                if tuple(w * _product_part(uc, r, t) for t, w in parts) != \
+                        (int(i == k),) + zeros:
                     raise ExtractorUnavailableError(
-                        "basis entries must lie in the rational-plus-j subfield")
-                rows.setdefault(mask, {})[c] = coeff
-                col_rows[c].add(mask)
-        ops = []            # (target_row, pivot_row, factor) in elimination order
-        pivot_row_of = {}   # column -> pivot row index
-        used = set()
-        for col in range(k):
-            candidates = [r for r in col_rows[col] if r not in used]
-            if not candidates:
-                raise ExtractorUnavailableError("basis is linearly dependent")
-            pr = min(candidates, key=lambda r: (len(rows[r]), r))
-            pivot_row_of[col] = pr
-            used.add(pr)
-            prow = rows[pr]
-            pinv = _qj_inv(prow[col])
-            for r in [r for r in col_rows[col] if r not in used]:
-                rrow = rows[r]
-                f = rrow[col] * pinv
-                ops.append((r, pr, f))
-                for c2, v in prow.items():
-                    if c2 == col:
-                        del rrow[col]
-                        col_rows[col].discard(r)
-                        continue
-                    s = rrow.get(c2)
-                    s = -f * v if s is None else s - f * v
-                    if s:
-                        if c2 not in rrow:
-                            col_rows[c2].add(r)
-                        rrow[c2] = s
-                    elif c2 in rrow:
-                        del rrow[c2]
-                        col_rows[c2].discard(r)
-        self._extraction = (ops, pivot_row_of, rows, k)
+                        f"tau(u c{i} r{k}) is not {int(i == k)}: "
+                        "the family breaks the matrix-unit law")
+        table: dict[int, dict[Scalar, list[int]]] = {}
+        for p, (t, w) in enumerate(parts):
+            for i in range(n):
+                for j in range(n):
+                    idx = (p * n + i) * n + j
+                    for a, c in self.E[j][i].terms.items():
+                        v = w * c
+                        if blade_product(a, a ^ t, sig)[0] < 0:
+                            v = -v
+                        table.setdefault(a ^ t, {}).setdefault(v, []).append(idx)
+        self._extraction = table
 
     @property
-    def extraction(self):
+    def extraction(self) -> dict[int, dict[Scalar, list[int]]]:
         if self._extraction is None:
             self._build_extraction()
         return self._extraction
 
-    def _solve(self, g: Multivector) -> list[Scalar]:
-        ops, pivot_row_of, urows, k = self.extraction
-        w = [Scalar() for _ in range(1 << self.sig.m)]
-        for mask, coeff in g.terms.items():
-            w[mask] = coeff
-        for r, pr, f in ops:
-            if w[pr]:
-                w[r] = w[r] - f * w[pr]
-        x: list[Scalar | None] = [None] * k
-        for col in range(k - 1, -1, -1):
-            pr = pivot_row_of[col]
-            acc = w[pr]
-            for c2, v in urows[pr].items():
-                if c2 > col:
-                    acc = acc - v * x[c2]
-            x[col] = acc * _qj_inv(urows[pr][col])
-        return x  # type: ignore[return-value]
-
     def mv_to_matrix(self, g: Multivector):
+        """x_ij = n <E_ji g>_0, plus the central-blade part over a central unit."""
         if g.sig.squares != self.sig.squares:
             raise SignatureMismatchError("multivector belongs to a different algebra")
-        x = self._solve(g)
+        table = self.extraction
         n = self.dim
+        x = [Scalar()] * self.sig.dim
+        for b, gb in g.terms.items():
+            for w, idxs in table.get(b, {}).items():
+                p = gb * w
+                for idx in idxs:
+                    x[idx] = x[idx] + p
         if self.central_unit is None:
             return MvMatrix([[x[i * n + j] for j in range(n)] for i in range(n)])
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                plain = x[i * n + j]
-                cpart = x[n * n + i * n + j]
-                mv = Multivector.scalar(self.sig, plain) + self.central_unit.scale(cpart)
-                row.append(mv)
-            out.append(row)
-        return CentralMatrix(out)
+        # x holds every plain part, then every central-unit part, row-major
+        cu, nn = self.central_unit, n * n
+        return CentralMatrix([[Multivector.scalar(self.sig, x[i * n + j])
+                               + cu.scale(x[nn + i * n + j]) for j in range(n)]
+                              for i in range(n)])
 
     def matrix_to_mv(self, mat) -> Multivector:
         if mat.dim != self.dim:
@@ -470,11 +468,3 @@ def spectral_basis_nn(n: int) -> SpectralBasis:
     center = gp_chain([gp(w.b[i], w.a[i]) for i in range(n)]) if n > 1 else gp(w.b[0], w.a[0])
     return SpectralBasis(rows, center, cols,
                          row_labels=row_labels, col_labels=col_labels)
-
-
-def mv_to_matrix(g: Multivector, sb: SpectralBasis):
-    return sb.mv_to_matrix(g)
-
-
-def matrix_to_mv(mat, sb: SpectralBasis) -> Multivector:
-    return sb.matrix_to_mv(mat)

@@ -125,8 +125,28 @@ class TestConvert:
         assert code == 2
         assert "dim" in err
 
+    @pytest.mark.parametrize("payload", [
+        {"signature": [1, -1], "terms": [{"blade": [], "coeff": [{"d": 1, "re": "1/0"}]}]},
+        {"signature": [1, -1], "terms": [{"blade": [], "coeff": [{"d": 1, "re": 0.1}]}]},
+        {"signature": [1, -1], "terms": [{"blade": [], "coeff": [{"d": 1, "im": True}]}]},
+        {"signature": [1, -1], "terms": [{"blade": [], "coeff": [{"d": True, "re": "1"}]}]},
+        {"signature": [1, -1], "terms": [{"blade": [True], "coeff": [{"d": 1, "re": "1"}]}]},
+        {"signature": [1, -1], "terms": [{"blade": [[0]], "coeff": [{"d": 1, "re": "1"}]}]},
+        {"signature": 5, "terms": []},
+        {"signature": [1, -1], "terms": 3},
+    ], ids=["zero-denominator", "float", "bool-im", "bool-d", "bool-blade",
+            "nested-blade", "int-signature", "int-terms"])
+    def test_malformed_multivector_exits_2(self, capsys, monkeypatch, payload):
+        code, out, err = run_cli(capsys, ["convert", "mv2mat", "--algebra", "g11"],
+                                 json.dumps(payload), monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("wittkit: bad input: ")
+        assert err.count("\n") == 1
+
     def test_unavailable_extractor_exits_3(self, capsys, monkeypatch):
-        # a basis whose entries leave Q(j) cannot support conversion
+        # the sqrt(2)-scaled border is not a family of matrix units (its
+        # border squares to 2), so the basis cannot support conversion
         w = make_global_witt(1)
         one = Multivector.scalar(w.sig, 1)
         e = (w.a[0] + w.b[0]).scale(Scalar.sqrt(2))
@@ -180,6 +200,13 @@ class TestVerify:
             capsys, ["verify", "--suite", "table1", "--seed", "3",
                      "--format", "json"])
         assert json.loads(out)["seed"] == 3
+
+    def test_samples_below_one_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["verify", "--suite", "table1", "--samples", "-3"])
+        assert code == 2
+        assert out == ""
+        assert "bad input" in err and "samples" in err
 
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "pauli", "--samples", "5",

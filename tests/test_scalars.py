@@ -142,3 +142,15 @@ class TestJson:
         s = Scalar.sqrt(7) + Scalar.of(1) + Scalar.sqrt(3)
         ds = [t["d"] for t in s.to_json()]
         assert ds == sorted(ds)
+
+
+class TestHash:
+    def test_rational_hashes_like_its_fraction(self):
+        # equal values must collapse in sets and dict keys
+        assert len({Scalar.of(1), 1}) == 1
+        assert len({Scalar(), 0}) == 1
+        assert hash(Scalar.rational(-3, 4)) == hash(Fraction(-3, 4))
+
+    @given(fractions)
+    def test_rational_set_collapses(self, q):
+        assert len({Scalar.of(q), q}) == 1

@@ -1,10 +1,13 @@
 """Global nilpotent pairs, spectral bases, and the coordinate isomorphism."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
 
+from wittkit.cli import _basis
+from wittkit.dirac import pauli_spectral
 from wittkit.errors import (ExtractorUnavailableError, RangeError,
                             SignatureMismatchError)
 from wittkit.ga import Multivector, g3, g_nn, gp, reverse, sym_dot
@@ -12,14 +15,23 @@ from wittkit.scalars import Scalar
 from wittkit.witt_global import (MvMatrix, SpectralBasis,
                                  check_duality_relations,
                                  check_global_duality, make_global_witt,
-                                 matrix_to_mv, mv_to_matrix,
                                  spectral_basis_nn)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
+# p + q j + r sqrt(d): rationals, Q(j) and a radical in one coefficient
+exact_scalars = st.tuples(fractions, fractions, fractions,
+                          st.sampled_from([2, 3, 6])).map(
+    lambda t: Scalar.of(t[0]) + Scalar.j(t[1]) + Scalar.sqrt(t[3], t[2]))
 
-def multivectors(sig):
-    coeff = fractions.map(Scalar.of)
+
+@cache
+def named_basis(name):
+    """Every basis the CLI converts through, plus the Pauli basis."""
+    return pauli_spectral()[0] if name == "pauli" else _basis(name)
+
+
+def multivectors(sig, coeff=fractions.map(Scalar.of)):
     return st.lists(
         st.tuples(st.integers(min_value=0, max_value=sig.dim - 1), coeff),
         max_size=6).map(
@@ -144,9 +156,13 @@ class TestIsomorphism:
         assert sb.mv_to_matrix(gp(g, h)) == \
             sb.mv_to_matrix(g).matmul(sb.mv_to_matrix(h))
 
-    @given(multivectors(g_nn(2)))
-    def test_roundtrip_g22(self, g):
-        sb = spectral_basis_nn(2)
+    @pytest.mark.parametrize("name", ["g11", "g22", "g33", "g44", "g13",
+                                      "g13new", "pauli"])
+    @given(data=st.data())
+    def test_roundtrip(self, name, data):
+        # sparse inputs (at most 6 terms) keep g33/g44 cheap per example
+        sb = named_basis(name)
+        g = data.draw(multivectors(sb.sig, exact_scalars))
         assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
 
     def test_radical_coefficients_pass_through(self):
@@ -154,11 +170,6 @@ class TestIsomorphism:
         sb = spectral_basis_nn(1)
         g = Multivector.blade(sb.sig, 0b01, Scalar.sqrt(2))
         assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
-
-    def test_module_level_helpers(self):
-        sb = spectral_basis_nn(1)
-        g = Multivector.generator(sb.sig, 0)
-        assert matrix_to_mv(mv_to_matrix(g, sb), sb) == g
 
     def test_signature_mismatch(self):
         sb = spectral_basis_nn(1)
@@ -173,6 +184,8 @@ class TestIsomorphism:
 
 class TestExtractorGuards:
     def test_radical_basis_entries_rejected(self):
+        # the sqrt(2)-scaled border squares to 2, so u c1 r1 has trace 2 and
+        # the family breaks the matrix-unit law
         w = make_global_witt(1)
         one = Multivector.scalar(w.sig, 1)
         e = (w.a[0] + w.b[0]).scale(Scalar.sqrt(2))
@@ -186,6 +199,43 @@ class TestExtractorGuards:
         sb = SpectralBasis([one, one], gp(w.b[0], w.a[0]), [one, one])
         with pytest.raises(ExtractorUnavailableError):
             sb.mv_to_matrix(one)
+
+    def test_spanning_non_unit_family_rejected(self):
+        # spans g(1,1), but the elements are not matrix units
+        w = make_global_witt(1)
+        a, b = w.a[0], w.b[0]
+        one = Multivector.scalar(w.sig, 1)
+        sb = SpectralBasis([one, one + a], gp(b, a), [one, b])
+        assert not sb.matrix_unit_law()
+        with pytest.raises(ExtractorUnavailableError):
+            sb.mv_to_matrix(a)
+
+    def test_count_mismatch_rejected(self):
+        w = make_global_witt(2)
+        one = Multivector.scalar(w.sig, 1)
+        sb = SpectralBasis([one], gp(w.b[0], w.a[0]), [one])
+        with pytest.raises(ExtractorUnavailableError, match="cannot span"):
+            sb.mv_to_matrix(one)
+
+    def test_non_central_unit_rejected(self):
+        p = named_basis("pauli")
+        sb = SpectralBasis(p.rows, p.center, p.cols,
+                           central_unit=Multivector.generator(p.sig, 0))
+        with pytest.raises(ExtractorUnavailableError, match="central unit"):
+            sb.mv_to_matrix(Multivector.scalar(p.sig, 1))
+
+    def test_radical_border_round_trips(self):
+        # rows [1, sqrt(2) a] and cols [1, b/sqrt(2)] are matrix units with
+        # radical entries
+        w = make_global_witt(1)
+        a, b = w.a[0], w.b[0]
+        one = Multivector.scalar(w.sig, 1)
+        r2 = Scalar.sqrt(2)
+        sb = SpectralBasis([one, a.scale(r2)], gp(b, a), [one, b.scale(r2.inv())])
+        assert sb.matrix_unit_law()
+        assert sb.mv_to_matrix(a) == MvMatrix([[0, 0], [r2.inv(), 0]])
+        g = a.scale(Scalar.j()) + b.scale(Scalar.sqrt(3)) + one.scale(Fraction(2, 5))
+        assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
 
 
 class TestMvMatrix:
