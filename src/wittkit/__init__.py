@@ -8,7 +8,7 @@ floating-point comparison.
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      NonMonomialError, NotAVectorError, RangeError,
                      SignatureMismatchError, UnsupportedError)
-from .scalars import Scalar, scalar_inv
+from .scalars import Scalar
 from .ga import (Multivector, Signature, anticommutator, g3, g13, g_1n, g_nn,
                  gp, gp_chain, grade_project, reverse, sym_dot, wedge,
                  wedge_chain)
@@ -37,7 +37,7 @@ from .verify import Check, VerifyReport, run_all, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "Scalar", "scalar_inv",
+    "Scalar",
     "Signature", "Multivector", "g_nn", "g_1n", "g3", "g13",
     "gp", "wedge", "sym_dot", "reverse", "grade_project", "gp_chain",
     "wedge_chain", "anticommutator",

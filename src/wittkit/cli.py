@@ -121,9 +121,7 @@ def cmd_generate(args) -> int:
         sb, mats = pauli_spectral()
         payload = [{"label": f"e{k+1}", "matrix": m.to_json()}
                    for k, m in enumerate(mats)]
-        latex_lines = [f"[e_{k+1}] = " +
-                       m.latex(unit_symbol="\\iota", unit_mask=0b111)
-                       for k, m in enumerate(mats)]
+        latex_lines = [f"[e_{k+1}] = {m.latex()}" for k, m in enumerate(mats)]
         csv_rows = []
         for k, m in enumerate(mats):
             for row in m.entries:
@@ -157,7 +155,8 @@ def cmd_convert(args) -> int:
     raw = sys.stdin.read()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested deeper than the parser goes
         print(f"wittkit: invalid JSON input: {exc}", file=sys.stderr)
         return 2
     sb = _basis(args.algebra)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotAVectorError, RangeError, SignatureMismatchError
-from .scalars import Scalar, _is_int
+from .scalars import Scalar, _is_int, join_signed
 
 MAX_GENERATORS = 12
 
@@ -261,56 +261,51 @@ class Multivector:
         return self.sig.squares == other.sig.squares and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.sig.squares, frozenset((m, c) for m, c in self.terms.items())))
+        # equal to a Scalar, int or Fraction exactly when only the scalar
+        # part is set: hash like that Scalar
+        if self.terms.keys() <= {0}:
+            return hash(self.scalar_part())
+        return hash((self.sig.squares, frozenset(self.terms.items())))
 
     # -- rendering and serialization ---------------------------------------
 
-    def _blade_label(self, mask: int, names) -> str:
-        return "*".join(names[i] for i in range(self.sig.m) if mask >> i & 1)
+    def _render(self, coeff, group: str, times: str, label) -> str:
+        """The signed sum of terms, lowest grade first, behind str and latex.
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
+        coeff renders a Scalar, group wraps a multi-term coefficient, times
+        joins a coefficient to its blade and label(mask) names the blade.
+        """
         parts = []
         for m in sorted(self.terms, key=lambda k: (k.bit_count(), k)):
             c = self.terms[m]
-            cs = str(c)
-            if len(c.terms) > 1:
-                cs = f"({cs})"
-            label = self._blade_label(m, self.sig.gen_names)
-            parts.append(cs if not label else (label if cs == "1" else
-                         ("-" + label if cs == "-1" else f"{cs}*{label}")))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            cs = group.format(coeff(c)) if len(c.terms) > 1 else coeff(c)
+            lab = label(m)
+            if not lab:
+                parts.append(cs)
+            elif cs == "1":
+                parts.append(lab)
+            elif cs == "-1":
+                parts.append("-" + lab)
+            else:
+                parts.append(cs + times + lab)
+        return join_signed(parts)
+
+    def _blade_label(self, mask: int, names, sep: str = "") -> str:
+        return sep.join(names[i] for i in range(self.sig.m) if mask >> i & 1)
+
+    def __str__(self):
+        return self._render(str, "({})", "*",
+                            lambda m: self._blade_label(m, self.sig.gen_names, "*"))
 
     def __repr__(self):
         return f"Multivector<{self.sig.name or self.sig.squares}>({self})"
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=lambda k: (k.bit_count(), k)):
-            c = self.terms[m]
-            cs = c.latex()
-            if len(c.terms) > 1:
-                cs = f"\\left({cs}\\right)"
-            label = "".join(self.sig.latex_names[i]
-                            for i in range(self.sig.m) if m >> i & 1)
-            if not label:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(label)
-            elif cs == "-1":
-                parts.append("-" + label)
-            else:
-                parts.append(f"{cs}\\," + label)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return self._latex(lambda m: self._blade_label(m, self.sig.latex_names))
+
+    def _latex(self, label) -> str:
+        """latex() with label(mask) naming each blade."""
+        return self._render(Scalar.latex, "\\left({}\\right)", "\\,", label)
 
     def to_json(self) -> dict:
         terms = []

@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import DimensionMismatchError, RangeError, UnsupportedError
-from .scalars import Scalar
+from .scalars import Scalar, pmatrix
 
 MAX_K_REAL = 6
 MAX_K_DET = 5
@@ -72,50 +72,34 @@ def _complex_rows(k: int, variant: OmegaVariant):
 
 
 class OmegaMatrix:
-    """Sign matrix with exact entries; keeps an integer fast path when possible."""
+    """Sign matrix: int entries for the real variants, Scalars for the complex."""
 
-    __slots__ = ("rows", "int_rows", "k", "variant")
+    __slots__ = ("rows", "k", "variant")
 
     def __init__(self, rows, k: int, variant: OmegaVariant):
         self.k = k
         self.variant = variant
-        if rows and isinstance(rows[0][0], int):
-            self.int_rows = [list(r) for r in rows]
-            self.rows = [[Scalar.of(x) for x in r] for r in rows]
-        else:
-            self.int_rows = None
-            self.rows = [list(r) for r in rows]
+        self.rows = [list(r) for r in rows]
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def transpose(self) -> "OmegaMatrix":
-        if self.int_rows is not None:
-            return OmegaMatrix([list(c) for c in zip(*self.int_rows)],
-                               self.k, self.variant)
         return OmegaMatrix([list(c) for c in zip(*self.rows)], self.k, self.variant)
 
     def conj_transpose(self) -> "OmegaMatrix":
+        # int.conjugate() exists, so this serves both entry types
         return OmegaMatrix([[e.conjugate() for e in col] for col in zip(*self.rows)],
                            self.k, self.variant)
 
-    def matmul_int(self, other: "OmegaMatrix"):
-        """Integer product of the int fast paths; None if either is complex."""
-        if self.int_rows is None or other.int_rows is None:
-            return None
-        if self.dim != other.dim:
-            raise DimensionMismatchError("matrix sizes differ")
-        cols = list(zip(*other.int_rows))
-        return [[sum(r[t] * c[t] for t in range(self.dim)) for c in cols]
-                for r in self.int_rows]
-
     def matmul(self, other: "OmegaMatrix"):
+        """Exact product rows: ints for two real matrices, else Scalars."""
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix sizes differ")
         cols = list(zip(*other.rows))
-        return [[sum((r[t] * c[t] for t in range(self.dim)), Scalar())
-                 for c in cols] for r in self.rows]
+        return [[sum(r[t] * c[t] for t in range(self.dim)) for c in cols]
+                for r in self.rows]
 
     def dense_apply(self, xs: list[Scalar]) -> list[Scalar]:
         if len(xs) != self.dim:
@@ -133,21 +117,14 @@ class OmegaMatrix:
 
     def to_json(self) -> dict:
         return {"k": self.k, "variant": self.variant.value, "dim": self.dim,
-                "entries": [[e.to_json() for e in row] for row in self.rows]}
+                "entries": [[Scalar.of(e).to_json() for e in row] for row in self.rows]}
 
     def to_csv(self) -> str:
-        if self.int_rows is not None:
-            return "\n".join(",".join(str(x) for x in row) for row in self.int_rows) + "\n"
         return "\n".join(",".join(str(e) for e in row) for row in self.rows) + "\n"
 
     def latex(self) -> str:
-        if self.int_rows is not None:
-            body = " \\\\\n".join(" & ".join(str(x) for x in row)
-                                  for row in self.int_rows)
-        else:
-            body = " \\\\\n".join(" & ".join(e.latex() for e in row)
-                                  for row in self.rows)
-        return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
+        # the entries are +-1 and +-j, whose str is already their LaTeX
+        return pmatrix(self.rows, str)
 
 
 def omega(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> OmegaMatrix:
@@ -169,16 +146,9 @@ def gram_check(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> bool
     if isinstance(variant, str):
         variant = OmegaVariant(variant)
     w = omega(k, variant)
-    n = w.dim
-    if w.int_rows is not None:
-        g = w.matmul_int(w.transpose())
-        return all(g[i][j] == (n if i == j else 0)
-                   for i in range(n) for j in range(n))
     g = w.matmul(w.conj_transpose())
-    want = Scalar.of(n)
-    zero = Scalar()
-    return all(g[i][j] == (want if i == j else zero)
-               for i in range(n) for j in range(n))
+    n = w.dim
+    return all(g[i][j] == (n if i == j else 0) for i in range(n) for j in range(n))
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -213,7 +183,7 @@ def det_omega(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> int:
         raise UnsupportedError("determinants are computed for the real variants")
     if not 1 <= k <= MAX_K_DET:
         raise RangeError(f"determinants are computed for 1 <= k <= {MAX_K_DET}")
-    return bareiss_det(omega(k, variant).int_rows)
+    return bareiss_det(omega(k, variant).rows)
 
 
 def fast_apply(k: int, variant: OmegaVariant | str, xs: list) -> list:

@@ -21,6 +21,10 @@ from .errors import NonMonomialError
 # term key: (squarefree radicand d, imaginary part?)
 Key = tuple[int, bool]
 
+# largest radicand accepted from JSON: split_square factors by trial division,
+# which stays under 0.1 s at this size and never finishes on 100 digits
+MAX_RADICAND = 10**12
+
 
 def split_square(n: int) -> tuple[int, int]:
     """Split n > 0 as outside**2 * inside with inside squarefree."""
@@ -214,8 +218,6 @@ class Scalar:
         return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for (d, imag), q in self._sorted_terms():
             body = []
@@ -234,17 +236,12 @@ class Scalar:
             else:
                 s = str(q)
             parts.append(s)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return join_signed(parts)
 
     def __repr__(self):
         return f"Scalar({self})"
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
         parts = []
         for (d, imag), q in self._sorted_terms():
             mag = ("j" if imag else "") + (f"\\sqrt{{{d}}}" if d != 1 else "")
@@ -257,10 +254,7 @@ class Scalar:
             else:
                 body = f"\\frac{{{aq.numerator}}}{{{aq.denominator}}}{mag}"
             parts.append(("-" if neg else "") + body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return join_signed(parts)
 
     def to_json(self) -> list[dict]:
         groups: dict[int, dict] = {}
@@ -278,6 +272,8 @@ class Scalar:
             if not isinstance(entry, dict) or "d" not in entry:
                 raise ValueError("scalar term must be an object with a 'd' key")
             d = entry["d"]
+            if _is_int(d) and d > MAX_RADICAND:
+                raise ValueError(f"radicand exceeds the bound {MAX_RADICAND}")
             if not _is_int(d) or not is_squarefree(d):
                 raise ValueError(f"radicand {d!r} is not a squarefree positive integer")
             for part, imag in (("re", False), ("im", True)):
@@ -319,7 +315,20 @@ ONE = Scalar.of(1)
 J = Scalar.j()
 
 
-# free-function alias for call sites that avoid methods
+# -- rendering shared by every str and latex method ----------------------
 
-def scalar_inv(x: Scalar) -> Scalar:
-    return x.inv()
+
+def join_signed(parts: list[str]) -> str:
+    """Join rendered terms into a sum, folding a leading '-' into ' - '."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
+def pmatrix(rows, cell) -> str:
+    """LaTeX pmatrix with one line per row and cell(entry) in each cell."""
+    body = " \\\\\n".join(" & ".join(cell(e) for e in row) for row in rows)
+    return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"

@@ -243,7 +243,7 @@ def suite_witt_local(seed: int = 0, samples: int = 100) -> VerifyReport:
                           fm.verify_sources().ok))
         checks.append(_ck(f"hadamard-k{k}-frame", "frame signature",
                           fm.verify_frame().ok))
-    block = omega(3, OmegaVariant.PLAIN).int_rows
+    block = omega(3, OmegaVariant.PLAIN).rows
     checks.append(_ck("hadamard-k3-det", "block determinant",
                       bareiss_det(block) == -4096, "expected -2^12"))
     lhs, rhs = pseudoscalar_identity()
@@ -295,21 +295,16 @@ _OMEGA2J_MINUS = [[1, 1, 1, 1], [-_J, _J, _J, -_J],
                   [-1, -1, 1, 1], [-1, 1, -1, 1]]
 
 
-def _scalar_rows(rows):
-    return [[x if isinstance(x, Scalar) else Scalar.of(x) for x in row]
-            for row in rows]
-
-
 def suite_omega(seed: int = 0, samples: int = 100) -> VerifyReport:
     checks = []
     checks.append(_ck("omega-k2-plain-matrix", "tabulated sign matrix",
-                      omega(2, "plain").int_rows == _OMEGA2_PLAIN))
+                      omega(2, "plain").rows == _OMEGA2_PLAIN))
     checks.append(_ck("omega-k2-minus-matrix", "tabulated sign matrix",
-                      omega(2, "minus").int_rows == _OMEGA2_MINUS))
+                      omega(2, "minus").rows == _OMEGA2_MINUS))
     checks.append(_ck("omega-k2-complex-plain-matrix", "tabulated sign matrix",
-                      omega(2, "complex-plain").rows == _scalar_rows(_OMEGA2J_PLAIN)))
+                      omega(2, "complex-plain").rows == _OMEGA2J_PLAIN))
     checks.append(_ck("omega-k2-complex-minus-matrix", "tabulated sign matrix",
-                      omega(2, "complex-minus").rows == _scalar_rows(_OMEGA2J_MINUS)))
+                      omega(2, "complex-minus").rows == _OMEGA2J_MINUS))
     for k in range(1, 7):
         checks.append(_ck(f"omega-gram-plain-k{k}", "Gram identity",
                           gram_check(k, OmegaVariant.PLAIN)))
@@ -323,13 +318,13 @@ def suite_omega(seed: int = 0, samples: int = 100) -> VerifyReport:
         want = -(2 ** k) ** (2 ** (k - 1))
         checks.append(_ck(f"omega-det-k{k}", "determinant closed form",
                           det_omega(k) == want, f"expected {want}"))
-    o4 = omega(2, "plain").int_rows
-    o4m = omega(2, "minus").int_rows
+    o4 = omega(2, "plain").rows
+    o4m = omega(2, "minus").rows
     block = [o4[i] + o4m[i] for i in range(4)] + \
             [o4[i] + [-x for x in o4m[i]] for i in range(4)]
     checks.append(_ck("omega-det-block", "block determinant",
                       bareiss_det(block) == -4096
-                      and block == omega(3, "plain").int_rows))
+                      and block == omega(3, "plain").rows))
     rng = random.Random(seed)
     for variant in ("plain", "minus"):
         ok = True
@@ -343,7 +338,7 @@ def suite_omega(seed: int = 0, samples: int = 100) -> VerifyReport:
     ok = True
     for k in range(1, 5):
         w = omega(k, "plain")
-        g = w.transpose().matmul_int(w)
+        g = w.transpose().matmul(w)
         n = w.dim
         ok = ok and all(g[i][j] == (n if i == j else 0)
                         for i in range(n) for j in range(n))
@@ -354,39 +349,35 @@ def suite_omega(seed: int = 0, samples: int = 100) -> VerifyReport:
 # -- dirac -----------------------------------------------------------------
 
 
-def _m(rows) -> MvMatrix:
-    return MvMatrix(rows)
-
-
 _STD_GAMMA = [
-    _m([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]),
-    _m([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
-    _m([[0, 0, 0, _J], [0, 0, -_J, 0], [0, -_J, 0, 0], [_J, 0, 0, 0]]),
-    _m([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]),
+    MvMatrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]),
+    MvMatrix([[0, 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
+    MvMatrix([[0, 0, 0, _J], [0, 0, -_J, 0], [0, -_J, 0, 0], [_J, 0, 0, 0]]),
+    MvMatrix([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]),
 ]
 
 _STD_REST = [
-    _m([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
-    _m([[0, 0, 0, -_J], [0, 0, _J, 0], [0, -_J, 0, 0], [_J, 0, 0, 0]]),
-    _m([[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]]),
+    MvMatrix([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]),
+    MvMatrix([[0, 0, 0, -_J], [0, 0, _J, 0], [0, -_J, 0, 0], [_J, 0, 0, 0]]),
+    MvMatrix([[0, 0, 1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, -1, 0, 0]]),
 ]
 
-_STD_PSEUDO = _m([[0, 0, _J, 0], [0, 0, 0, _J], [_J, 0, 0, 0], [0, _J, 0, 0]])
+_STD_PSEUDO = MvMatrix([[0, 0, _J, 0], [0, 0, 0, _J], [_J, 0, 0, 0], [0, _J, 0, 0]])
 
 _NEW_GAMMA = [
-    _m([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
-    _m([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]),
-    _m([[0, 0, -_J, 0], [0, 0, 0, _J], [-_J, 0, 0, 0], [0, _J, 0, 0]]),
-    _m([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]),
+    MvMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]),
+    MvMatrix([[0, 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]]),
+    MvMatrix([[0, 0, -_J, 0], [0, 0, 0, _J], [-_J, 0, 0, 0], [0, _J, 0, 0]]),
+    MvMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]),
 ]
 
-_NEW_A1 = _m([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])
-_NEW_A2 = _m([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]])
+_NEW_A1 = MvMatrix([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]])
+_NEW_A2 = MvMatrix([[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]])
 
 _NEW_REST = [
-    _m([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]),
-    _m([[0, 0, 0, -_J], [0, 0, _J, 0], [0, -_J, 0, 0], [_J, 0, 0, 0]]),
-    _m([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
+    MvMatrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]),
+    MvMatrix([[0, 0, 0, -_J], [0, 0, _J, 0], [0, -_J, 0, 0], [_J, 0, 0, 0]]),
+    MvMatrix([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]]),
 ]
 
 

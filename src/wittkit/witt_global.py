@@ -26,7 +26,7 @@ from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, blade_product, g_nn, gp, gp_chain,
                  sym_dot)
-from .scalars import Scalar, _is_int
+from .scalars import Scalar, _is_int, pmatrix
 
 
 def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
@@ -116,16 +116,8 @@ class MvMatrix:
             out.append([Scalar.from_json(e) for e in row])
         return cls(out)
 
-    def latex(self, block: bool = False) -> str:
-        """Render as pmatrix; block=True draws a 2x2 block grid for 4x4 matrices."""
-        if block and self.dim == 4:
-            rows = []
-            for i, row in enumerate(self.entries):
-                rows.append(" & ".join(e.latex() for e in row))
-            body = " \\\\\n".join(rows[:2]) + " \\\\ \\hline\n" + " \\\\\n".join(rows[2:])
-            return "\\left(\\begin{array}{cc|cc}\n" + body + "\n\\end{array}\\right)"
-        body = " \\\\\n".join(" & ".join(e.latex() for e in row) for row in self.entries)
-        return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
+    def latex(self) -> str:
+        return pmatrix(self.entries, Scalar.latex)
 
 
 class CentralMatrix:
@@ -180,36 +172,18 @@ class CentralMatrix:
         return {"dim": self.dim,
                 "entries": [[e.to_json() for e in row] for row in self.entries]}
 
-    def latex(self, unit_symbol: str = "i", unit_mask: int | None = None) -> str:
-        """pmatrix with the central unit rendered as a short symbol."""
-        def cell(mv: Multivector) -> str:
-            if unit_mask is None:
-                return mv.latex()
-            plain = mv.coeff(0)
-            unit = mv.coeff(unit_mask)
-            rest = {m: c for m, c in mv.terms.items() if m not in (0, unit_mask)}
-            if rest:
-                return mv.latex()
-            parts = []
-            if plain:
-                parts.append(plain.latex())
-            if unit:
-                u = unit.latex()
-                if u == "1":
-                    parts.append(unit_symbol)
-                elif u == "-1":
-                    parts.append("-" + unit_symbol)
-                else:
-                    parts.append(f"{u}\\,{unit_symbol}")
-            if not parts:
-                return "0"
-            out = parts[0]
-            for p in parts[1:]:
-                out += " - " + p[1:] if p.startswith("-") else " + " + p
-            return out
+    def latex(self) -> str:
+        """pmatrix with the central pseudoscalar blade written as iota.
 
-        body = " \\\\\n".join(" & ".join(cell(e) for e in row) for row in self.entries)
-        return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
+        With an odd number of generators the pseudoscalar, mask sig.dim - 1,
+        is the only non-scalar central blade.
+        """
+        def cell(mv: Multivector) -> str:
+            top = mv.sig.dim - 1
+            return mv._latex(lambda m: "\\iota" if m == top
+                             else mv._blade_label(m, mv.sig.latex_names))
+
+        return pmatrix(self.entries, cell)
 
 
 # -- witt pairs ------------------------------------------------------------
@@ -433,8 +407,7 @@ class SpectralBasis:
         return acc
 
     def latex(self) -> str:
-        body = " \\\\\n".join(" & ".join(e.latex() for e in row) for row in self.E)
-        return "\\begin{pmatrix}\n" + body + "\n\\end{pmatrix}"
+        return pmatrix(self.E, Multivector.latex)
 
     def to_json(self) -> dict:
         return {"signature": list(self.sig.squares),

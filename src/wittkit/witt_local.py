@@ -25,7 +25,7 @@ from .errors import RangeError, UnsupportedError
 from .ga import (Multivector, Signature, anticommutator, g_1n, gp, gp_chain,
                  wedge_chain)
 from .omega import OmegaVariant, omega
-from .scalars import Scalar
+from .scalars import Scalar, pmatrix
 from .witt_global import DualityReport, check_duality_relations
 
 
@@ -170,11 +170,9 @@ class FrameMap:
     def latex(self) -> str:
         lhs = " \\\\ ".join(f"{s.latex()}\\,{lab}"
                             for s, lab in zip(self.scales, self.target_labels))
-        mat = " \\\\\n".join(" & ".join(e.latex() for e in row)
-                             for row in self.signs)
         rhs = " \\\\ ".join(self.source_labels)
         return (f"\\begin{{pmatrix}}{lhs}\\end{{pmatrix}} = "
-                f"\\begin{{pmatrix}}\n{mat}\n\\end{{pmatrix}} "
+                f"{pmatrix(self.signs, Scalar.latex)} "
                 f"\\begin{{pmatrix}}{rhs}\\end{{pmatrix}}")
 
 
@@ -192,7 +190,7 @@ def hadamard_nilpotents(k: int, complexified: bool = False) -> LocalWitt:
     sig = g_1n(n - 1)
     frame = [Multivector.generator(sig, i) for i in range(n)]
     scales = _hadamard_scales(k)
-    w = omega(k, OmegaVariant.PLAIN).int_rows
+    w = omega(k, OmegaVariant.PLAIN).rows
     scaled = [frame[r].scale(scales[r]) for r in range(n)]
     inv = Fraction(1, n)
     c = []
@@ -209,7 +207,7 @@ def hadamard_identification(k: int) -> FrameMap:
     lw = hadamard_nilpotents(k)
     n = lw.m
     frame = [Multivector.generator(lw.sig, i) for i in range(n)]
-    w = omega(k, OmegaVariant.PLAIN).int_rows
+    w = omega(k, OmegaVariant.PLAIN).rows
     fm = FrameMap(
         scales=_hadamard_scales(k),
         signs=[[Scalar.of(x) for x in row] for row in w],

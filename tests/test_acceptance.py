@@ -104,7 +104,7 @@ def test_criterion_05_omega_identities():
              for k in range(1, 7) for v in ("plain", "minus"))
     for k, want in ((1, -2), (2, -16), (3, -4096),
                     (4, -(2 ** 32)), (5, -(2 ** 80))):
-        ok = ok and bareiss_det(omega(k, "plain").int_rows) == want
+        ok = ok and bareiss_det(omega(k, "plain").rows) == want
     _report(5, "sign-matrix Gram and determinant family", ok, t0, 60.0)
 
 

@@ -2,8 +2,11 @@
 
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittkit import cli
 from wittkit.ga import Multivector, g13
@@ -50,6 +53,14 @@ class TestGenerate:
                      "--format", "latex"])
         assert code == 0
         assert "\\begin{pmatrix}" in out
+
+    def test_pauli_latex_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, ["generate", "pauli", "--format", "latex"])
+        assert code == 0
+        assert out == ("[e_1] = \\begin{pmatrix}\n0 & 1 \\\\\n1 & 0\n\\end{pmatrix}\n"
+                       "[e_2] = \\begin{pmatrix}\n0 & -\\iota \\\\\n\\iota & 0\n"
+                       "\\end{pmatrix}\n"
+                       "[e_3] = \\begin{pmatrix}\n1 & 0 \\\\\n0 & -1\n\\end{pmatrix}\n")
 
     def test_local_witt_csv_labels(self, capsys):
         code, out, _ = run_cli(
@@ -134,14 +145,25 @@ class TestConvert:
         {"signature": [1, -1], "terms": [{"blade": [[0]], "coeff": [{"d": 1, "re": "1"}]}]},
         {"signature": 5, "terms": []},
         {"signature": [1, -1], "terms": 3},
+        {"signature": [1, -1], "terms": [{"blade": [], "coeff": [{"d": 10**12 + 39, "re": "1"}]}]},
+        {"signature": [1, -1], "terms": [{"blade": [], "coeff": [{"d": 10**99 + 289, "re": "1"}]}]},
     ], ids=["zero-denominator", "float", "bool-im", "bool-d", "bool-blade",
-            "nested-blade", "int-signature", "int-terms"])
+            "nested-blade", "int-signature", "int-terms", "radicand-above-bound",
+            "100-digit-radicand"])
     def test_malformed_multivector_exits_2(self, capsys, monkeypatch, payload):
         code, out, err = run_cli(capsys, ["convert", "mv2mat", "--algebra", "g11"],
                                  json.dumps(payload), monkeypatch)
         assert code == 2
         assert out == ""
         assert err.startswith("wittkit: bad input: ")
+        assert err.count("\n") == 1
+
+    def test_deep_nesting_exits_2(self, capsys, monkeypatch):
+        code, out, err = run_cli(capsys, ["convert", "mv2mat", "--algebra", "g11"],
+                                 "[" * 100000 + "]" * 100000, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("wittkit: invalid JSON input: ")
         assert err.count("\n") == 1
 
     def test_unavailable_extractor_exits_3(self, capsys, monkeypatch):
@@ -157,6 +179,40 @@ class TestConvert:
                                payload, monkeypatch)
         assert code == 3
         assert "unsupported conversion" in err
+
+
+# leaves and keys that reach past the first shape checks of the parsers
+_KEYS = st.sampled_from(["signature", "terms", "blade", "coeff", "d", "re",
+                         "im", "dim", "entries"])
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=2**64) | st.floats(allow_nan=False)
+           | st.sampled_from(["1/2", "-3", "1/0", "j", ""]) | st.text(max_size=6))
+_JUNK = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=12)
+_COEFF = st.lists(st.fixed_dictionaries(
+    {"d": st.sampled_from([1, 2, 3, 4, 10**13]) | _JUNK,
+     "re": st.sampled_from(["1/2", "-3"]) | _JUNK}), max_size=2) | _JUNK
+_MV = st.fixed_dictionaries(
+    {"signature": st.sampled_from([[1, -1], [1, -1, -1, -1]]) | _JUNK,
+     "terms": st.lists(st.fixed_dictionaries(
+         {"blade": st.lists(st.integers(-1, 4), max_size=4) | _JUNK,
+          "coeff": _COEFF}), max_size=3) | _JUNK})
+_MAT = st.fixed_dictionaries(
+    {"dim": st.sampled_from([2, 4]) | _JUNK,
+     "entries": st.lists(st.lists(_COEFF, max_size=4), max_size=4) | _JUNK})
+
+
+class TestConvertFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["mv2mat", "mat2mv"]), st.sampled_from(["g11", "g13"]),
+           st.one_of(_JUNK, _MV, _MAT))
+    def test_no_traceback(self, direction, algebra, payload):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(json.dumps(payload))), \
+                redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(["convert", direction, "--algebra", algebra])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestVerify:

@@ -232,6 +232,17 @@ class TestPauli:
         assert mats[1] == CentralMatrix([[zero, -iota], [iota, zero]])
         assert mats[2] == CentralMatrix([[one, zero], [zero, -one]])
 
+    def test_latex_writes_central_blade_as_iota(self):
+        sig = g3()
+        iota = Multivector.blade(sig, 0b111)
+        mixed = Multivector.scalar(sig, 1) + iota.scale(Fraction(1, 2))
+        grouped = iota.scale(Scalar.of(1) + Scalar.j())
+        assert CentralMatrix([[mixed]]).latex() == \
+            "\\begin{pmatrix}\n1 + \\frac{1}{2}\\,\\iota\n\\end{pmatrix}"
+        # a multi-term coefficient is grouped as in every multivector term
+        assert CentralMatrix([[grouped]]).latex() == \
+            "\\begin{pmatrix}\n\\left(1 + j\\right)\\,\\iota\n\\end{pmatrix}"
+
     def test_central_unit_squares_to_minus_one(self):
         sig = g3()
         iota = Multivector.blade(sig, 0b111)

@@ -152,9 +152,34 @@ class TestAccessors:
         x = gp(Multivector.generator(SIG, 0), Multivector.generator(SIG, 1))
         assert "e1*f1" in str(x)
 
+    def test_rendering_pinned(self):
+        sig = g_nn(1)
+        e, f = Multivector.generator(sig, 0), Multivector.generator(sig, 1)
+        x = (Multivector.scalar(sig, Fraction(1, 2)) - e
+             + f.scale(Scalar.of(2) - Scalar.j(Fraction(1, 3)))
+             + Multivector.blade(sig, 0b11, Scalar.sqrt(2, -1)))
+        assert str(x) == "1/2 - e1 + (2 - 1/3*j)*f1 - sqrt(2)*e1*f1"
+        assert x.latex() == ("\\frac{1}{2} - e_{1} + \\left(2 - \\frac{1}{3}j\\right)"
+                             "\\,f_{1} - \\sqrt{2}\\,e_{1}f_{1}")
+        y = (-Multivector.scalar(sig, Scalar.sqrt(3) + Scalar.j()) + e
+             - Multivector.blade(sig, 0b11))
+        assert str(y) == "(-j - sqrt(3)) + e1 - e1*f1"
+        assert y.latex() == "\\left(-j - \\sqrt{3}\\right) + e_{1} - e_{1}f_{1}"
+        assert str(Multivector.zero(sig)) == Multivector.zero(sig).latex() == "0"
+
     def test_truediv(self):
         x = Multivector.generator(SIG, 0)
         assert x / 2 == x.scale(Fraction(1, 2))
+
+
+class TestHash:
+    def test_scalar_only_hashes_like_its_scalar(self):
+        # equal values must collapse in sets and dict keys
+        one = Multivector.scalar(g_nn(1), 1)
+        assert one == 1 and len({one, 1}) == 1
+        assert Multivector.zero(SIG) == 0 and len({Multivector.zero(SIG), 0}) == 1
+        s = Scalar.sqrt(2) + Scalar.j()
+        assert hash(Multivector.scalar(SIG, s)) == hash(s)
 
 
 class TestJson:

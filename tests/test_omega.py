@@ -15,15 +15,15 @@ fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
 class TestLiterals:
     def test_k1(self):
-        assert omega(1, "plain").int_rows == [[1, 1], [1, -1]]
-        assert omega(1, "minus").int_rows == [[1, 1], [-1, 1]]
+        assert omega(1, "plain").rows == [[1, 1], [1, -1]]
+        assert omega(1, "minus").rows == [[1, 1], [-1, 1]]
 
     def test_k2_plain(self):
-        assert omega(2, "plain").int_rows == [
+        assert omega(2, "plain").rows == [
             [1, 1, 1, 1], [1, -1, -1, 1], [1, 1, -1, -1], [1, -1, 1, -1]]
 
     def test_k2_minus(self):
-        assert omega(2, "minus").int_rows == [
+        assert omega(2, "minus").rows == [
             [1, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1]]
 
     def test_k2_complex(self):
@@ -43,10 +43,10 @@ class TestRecursion:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_block_structure(self, k):
         # top half [P, M], bottom half [P, -M] of the previous level
-        p = omega(k - 1, "plain").int_rows
-        m = omega(k - 1, "minus").int_rows
+        p = omega(k - 1, "plain").rows
+        m = omega(k - 1, "minus").rows
         h = 1 << (k - 1)
-        rows = omega(k, "plain").int_rows
+        rows = omega(k, "plain").rows
         for i in range(h):
             assert rows[i] == p[i] + m[i]
             assert rows[h + i] == p[i] + [-x for x in m[i]]
@@ -54,17 +54,17 @@ class TestRecursion:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_minus_block_structure(self, k):
         # the minus family recurses as [[M, P], [-P, M]]
-        p = omega(k - 1, "plain").int_rows
-        m = omega(k - 1, "minus").int_rows
+        p = omega(k - 1, "plain").rows
+        m = omega(k - 1, "minus").rows
         h = 1 << (k - 1)
-        rows = omega(k, "minus").int_rows
+        rows = omega(k, "minus").rows
         for i in range(h):
             assert rows[i] == m[i] + p[i]
             assert rows[h + i] == [-x for x in p[i]] + m[i]
 
     def test_first_row_all_ones(self):
         for k in range(1, MAX_K_REAL + 1):
-            assert all(x == 1 for x in omega(k, "plain").int_rows[0])
+            assert all(x == 1 for x in omega(k, "plain").rows[0])
 
 
 class TestGuards:
@@ -144,3 +144,10 @@ class TestSerialization:
 
     def test_latex_smoke(self):
         assert "pmatrix" in omega(2, "plain").latex()
+
+    def test_complex_latex_and_csv_pinned(self):
+        w = omega(2, "complex-minus")
+        assert w.latex() == ("\\begin{pmatrix}\n1 & 1 & 1 & 1 \\\\\n"
+                             "-j & j & j & -j \\\\\n-1 & -1 & 1 & 1 \\\\\n"
+                             "-1 & 1 & -1 & 1\n\\end{pmatrix}")
+        assert w.to_csv() == "1,1,1,1\n-j,j,j,-j\n-1,-1,1,1\n-1,1,-1,1\n"

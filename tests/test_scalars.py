@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import NonMonomialError
-from wittkit.scalars import Scalar, scalar_inv
+from wittkit.scalars import Scalar
 
 fractions = st.fractions(
     min_value=-9, max_value=9,
@@ -80,6 +80,24 @@ class TestArithmetic:
         assert lhs == Scalar.sqrt(6, coeff=p * q)
 
 
+class TestRendering:
+    # str and latex of multi-term scalars, pinned byte for byte
+    @pytest.mark.parametrize("s,text,latex", [
+        (Scalar.rational(-3, 4) + Scalar.j(Fraction(2, 5))
+         + Scalar.sqrt(2, Fraction(-1, 3)) + Scalar.sqrt(-6, 7),
+         "-3/4 + 2/5*j - 1/3*sqrt(2) + 7*j*sqrt(6)",
+         "-\\frac{3}{4} + \\frac{2}{5}j - \\frac{1}{3}\\sqrt{2} + 7j\\sqrt{6}"),
+        (Scalar.j(-1) + Scalar.sqrt(3), "-j + sqrt(3)", "-j + \\sqrt{3}"),
+        (Scalar.sqrt(5, -1) + Scalar.sqrt(-5, Fraction(1, 2)),
+         "-sqrt(5) + 1/2*j*sqrt(5)", "-\\sqrt{5} + \\frac{1}{2}j\\sqrt{5}"),
+        (Scalar.rational(5, 3) - Scalar.j(), "5/3 - j", "\\frac{5}{3} - j"),
+        (Scalar(), "0", "0"),
+    ], ids=["four-terms", "negative-lead", "negative-radical", "minus-j", "zero"])
+    def test_multi_term(self, s, text, latex):
+        assert str(s) == text
+        assert s.latex() == latex
+
+
 class TestInverse:
     def test_rational_inverse(self):
         s = Scalar.of(Fraction(-3, 7))
@@ -111,7 +129,7 @@ class TestInverse:
         s = Scalar.sqrt(d, coeff=q)
         if imag:
             s = s * Scalar.j()
-        assert s * scalar_inv(s) == Scalar.of(1)
+        assert s * s.inv() == Scalar.of(1)
 
 
 class TestConjugate:

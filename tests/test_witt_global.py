@@ -258,7 +258,3 @@ class TestMvMatrix:
     def test_from_json_shape_guard(self):
         with pytest.raises(ValueError):
             MvMatrix.from_json({"dim": 2, "entries": [[]]})
-
-    def test_block_latex_for_dim4(self):
-        m = MvMatrix.identity(4)
-        assert "\\hline" in m.latex(block=True)

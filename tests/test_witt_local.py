@@ -232,3 +232,11 @@ class TestFrameMapSerialization:
 
     def test_latex_smoke(self):
         assert "pmatrix" in hadamard_identification(2).latex()
+
+    def test_latex_pinned(self):
+        assert hadamard_identification(2).latex() == (
+            "\\begin{pmatrix}\\sqrt{6}\\,e1 \\\\ \\sqrt{2}\\,f1 \\\\ "
+            "\\sqrt{2}\\,f2 \\\\ \\sqrt{2}\\,f3\\end{pmatrix} = "
+            "\\begin{pmatrix}\n1 & 1 & 1 & 1 \\\\\n1 & -1 & -1 & 1 \\\\\n"
+            "1 & 1 & -1 & -1 \\\\\n1 & -1 & 1 & -1\n\\end{pmatrix} "
+            "\\begin{pmatrix}c1 \\\\ c2 \\\\ c3 \\\\ c4\\end{pmatrix}")
