@@ -12,9 +12,8 @@ from .scalars import Scalar
 from .ga import (Multivector, Signature, anticommutator, g3, g13, g_1n, g_nn,
                  gp, gp_chain, grade_project, reverse, sym_dot, wedge,
                  wedge_chain)
-from .witt_global import (CentralMatrix, DualityReport, GlobalWitt, MvMatrix,
-                          SpectralBasis, check_duality_relations,
-                          check_global_duality, make_global_witt,
+from .witt_global import (CentralMatrix, GlobalWitt, MvMatrix, SpectralBasis,
+                          check_duality_relations, make_global_witt,
                           spectral_basis_nn)
 from .omega import (OmegaMatrix, OmegaVariant, bareiss_det, det_omega,
                     fast_apply, gram_check, omega)
@@ -29,7 +28,7 @@ from .dirac import (DiracFrame, DiracIdempotents, DiracRep, NewDiracData,
                     dirac_frame, dirac_idempotents, dirac_spectral_new,
                     dirac_spectral_standard, g11_embedding_check,
                     gamma_anticommutation_check, idempotent_orders_agree,
-                    intertwining_relations, new_border_form, new_duality_check,
+                    intertwining_relations, new_border_form,
                     new_rep_extra_matrices, new_witt_pair, pauli_impostor_check,
                     pauli_spectral, pseudoscalar_anticommutes)
 from .verify import Check, VerifyReport, run_all, run_suite
@@ -41,8 +40,7 @@ __all__ = [
     "Signature", "Multivector", "g_nn", "g_1n", "g3", "g13",
     "gp", "wedge", "sym_dot", "reverse", "grade_project", "gp_chain",
     "wedge_chain", "anticommutator",
-    "GlobalWitt", "make_global_witt", "DualityReport",
-    "check_duality_relations", "check_global_duality",
+    "GlobalWitt", "make_global_witt", "check_duality_relations",
     "SpectralBasis", "spectral_basis_nn", "MvMatrix", "CentralMatrix",
     "OmegaMatrix", "OmegaVariant", "omega", "gram_check", "det_omega",
     "bareiss_det", "fast_apply",
@@ -56,7 +54,7 @@ __all__ = [
     "dirac_frame", "dirac_idempotents", "idempotent_orders_agree",
     "intertwining_relations", "dirac_spectral_standard", "dirac_spectral_new",
     "new_witt_pair", "new_border_form", "new_rep_extra_matrices",
-    "new_duality_check", "gamma_anticommutation_check",
+    "gamma_anticommutation_check",
     "pseudoscalar_anticommutes", "pauli_spectral", "pauli_impostor_check",
     "g11_embedding_check",
     "Check", "VerifyReport", "run_suite", "run_all",

@@ -53,101 +53,100 @@ def _print_csv(rows) -> None:
         w.writerow(row)
 
 
-def _labeled_family(labels_mvs) -> tuple[dict, list[str], list]:
-    """Shared json/latex/csv shapes for a list of (label, multivector)."""
-    payload = [{"label": lab, "multivector": mv.to_json()}
-               for lab, mv in labels_mvs]
-    latex_lines = [f"{lab} = {mv.latex()}" for lab, mv in labels_mvs]
-    csv_rows = [["label", "multivector"]] + \
-               [[lab, str(mv)] for lab, mv in labels_mvs]
-    return payload, latex_lines, csv_rows
+def _labeled_family(fmt: str, labels_mvs, header: dict, key: str):
+    """The json payload, latex lines or csv rows of (label, multivector) pairs."""
+    if fmt == "json":
+        return {**header, key: [{"label": lab, "multivector": mv.to_json()}
+                                for lab, mv in labels_mvs]}
+    if fmt == "latex":
+        return [f"{lab} = {mv.latex()}" for lab, mv in labels_mvs]
+    return [["label", "multivector"]] + [[lab, str(mv)] for lab, mv in labels_mvs]
 
 
-def _matrix_family(labels_mats):
-    payload = [{"label": lab, "matrix": m.to_json()} for lab, m in labels_mats]
-    latex_lines = [f"[{lab}] = {m.latex()}" for lab, m in labels_mats]
-    csv_rows = []
-    for lab, m in labels_mats:
-        for row in m.entries:
-            csv_rows.append([lab] + [str(e) for e in row])
-    return payload, latex_lines, csv_rows
+def _matrix_family(fmt: str, labels_mats, header: dict):
+    """The json payload, latex lines or csv rows of (label, matrix) pairs."""
+    if fmt == "json":
+        return {**header, "matrices": [{"label": lab, "matrix": m.to_json()}
+                                       for lab, m in labels_mats]}
+    if fmt == "latex":
+        return [f"[{lab}] = {m.latex()}" for lab, m in labels_mats]
+    return [[lab] + [str(e) for e in row]
+            for lab, m in labels_mats for row in m.entries]
 
 
 def cmd_generate(args) -> int:
+    """Build the object, then render only the requested format."""
     fmt = args.format
     obj = args.object
     if obj == "global-witt":
         w = make_global_witt(args.n)
         pairs = [(f"a{i+1}", g) for i, g in enumerate(w.a)] + \
                 [(f"b{i+1}", g) for i, g in enumerate(w.b)]
-        payload, latex_lines, csv_rows = _labeled_family(pairs)
-        data = {"n": w.n, "signature": list(w.sig.squares), "family": payload}
+        out = _labeled_family(fmt, pairs,
+                              {"n": w.n, "signature": list(w.sig.squares)},
+                              "family")
     elif obj == "local-witt":
         w = make_local_witt(args.m)
         pairs = [(f"c{i+1}", g) for i, g in enumerate(w.c)]
-        payload, latex_lines, csv_rows = _labeled_family(pairs)
-        data = {"m": w.m, "signature": list(w.sig.squares), "family": payload}
+        out = _labeled_family(fmt, pairs,
+                              {"m": w.m, "signature": list(w.sig.squares)},
+                              "family")
     elif obj == "spectral":
         sb = _basis(args.algebra)
-        data = sb.to_json()
-        latex_lines = [sb.latex()]
-        csv_rows = [[str(e) for e in row] for row in sb.E]
+        if fmt == "csv":
+            out = [[str(e) for e in row] for row in sb.E]
+        else:
+            out = sb.to_json() if fmt == "json" else [sb.latex()]
     elif obj == "omega":
         w = omega(args.k, args.variant)
-        data = w.to_json()
-        latex_lines = [w.latex()]
         if fmt == "csv":
             sys.stdout.write(w.to_csv())
             return 0
-        csv_rows = []
+        out = w.to_json() if fmt == "json" else [w.latex()]
     elif obj == "dirac-standard":
         sb, mats = dirac_spectral_standard()
         fr = dirac_frame()
         named = [(f"gamma{mu}", mats[mu]) for mu in range(4)]
         named += [(f"e{k+1}", sb.mv_to_matrix(fr.rest[k])) for k in range(3)]
         named.append(("e123", sb.mv_to_matrix(fr.pseudoscalar)))
-        payload, latex_lines, csv_rows = _matrix_family(named)
-        data = {"algebra": "g13", "representation": "standard",
-                "matrices": payload}
+        out = _matrix_family(fmt, named,
+                             {"algebra": "g13", "representation": "standard"})
     elif obj == "dirac-new":
         nd = dirac_spectral_new()
         extra = new_rep_extra_matrices(nd)
         named = [(f"gamma{mu}", nd.gamma_mats[mu]) for mu in range(4)]
         named += [(lab, extra[lab]) for lab in
                   ("a1", "a2", "b1", "b2", "e1", "e2", "e3")]
-        payload, latex_lines, csv_rows = _matrix_family(named)
-        data = {"algebra": "g13", "representation": "new", "matrices": payload}
+        out = _matrix_family(fmt, named,
+                             {"algebra": "g13", "representation": "new"})
     elif obj == "pauli":
-        sb, mats = pauli_spectral()
-        payload = [{"label": f"e{k+1}", "matrix": m.to_json()}
-                   for k, m in enumerate(mats)]
-        latex_lines = [f"[e_{k+1}] = {m.latex()}" for k, m in enumerate(mats)]
-        csv_rows = []
-        for k, m in enumerate(mats):
-            for row in m.entries:
-                csv_rows.append([f"e{k+1}"] + [str(e) for e in row])
-        data = {"algebra": "g3", "matrices": payload}
+        _, mats = pauli_spectral()
+        if fmt == "latex":    # subscripted labels [e_1], unlike json/csv
+            out = [f"[e_{k+1}] = {m.latex()}" for k, m in enumerate(mats)]
+        else:
+            out = _matrix_family(fmt, [(f"e{k+1}", m) for k, m in enumerate(mats)],
+                                 {"algebra": "g3"})
     elif obj == "frame-map":
         fm = hadamard_identification(args.k)
-        data = fm.to_json()
-        latex_lines = [fm.latex()]
-        csv_rows = [["scales"] + [str(s) for s in fm.scales]]
-        for row in fm.signs:
-            csv_rows.append(["sign-row"] + [str(e) for e in row])
-        csv_rows += [[lab, str(t)] for lab, t in zip(fm.target_labels, fm.targets)]
+        if fmt == "csv":
+            out = [["scales"] + [str(s) for s in fm.scales]]
+            out += [["sign-row"] + [str(e) for e in row] for row in fm.signs]
+            out += [[lab, str(t)] for lab, t in zip(fm.target_labels, fm.targets)]
+        else:
+            out = fm.to_json() if fmt == "json" else [fm.latex()]
     else:  # c8-table
         tab = c8_complex_table()
-        payload, latex_lines, csv_rows = _labeled_family(tab.rows())
-        data = {"m": 8, "signature": list(tab.witt.sig.squares),
-                "entries": payload}
+        out = _labeled_family(fmt, tab.rows(),
+                              {"m": 8, "signature": list(tab.witt.sig.squares)},
+                              "entries")
 
     if fmt == "json":
-        json.dump(data, sys.stdout, indent=2)
+        json.dump(out, sys.stdout, indent=2)
         sys.stdout.write("\n")
     elif fmt == "latex":
-        sys.stdout.write("\n".join(latex_lines) + "\n")
+        sys.stdout.write("\n".join(out) + "\n")
     else:
-        _print_csv(csv_rows)
+        _print_csv(out)
     return 0
 
 

@@ -20,8 +20,7 @@ from fractions import Fraction
 
 from .ga import Multivector, g3, g13, g_nn, gp, gp_chain
 from .scalars import Scalar
-from .witt_global import (CentralMatrix, DualityReport, MvMatrix,
-                          SpectralBasis, check_duality_relations)
+from .witt_global import CentralMatrix, MvMatrix, SpectralBasis
 
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
@@ -53,13 +52,12 @@ class DiracIdempotents:
         return [self.u_pp, self.u_pm, self.u_mp, self.u_mm]
 
 
-def dirac_idempotents(frame: DiracFrame | None = None) -> DiracIdempotents:
+def dirac_idempotents(frame: DiracFrame) -> DiracIdempotents:
     """The four primitive idempotents (1 +- g0)(1 +- j g12)/4."""
-    fr = frame or dirac_frame()
-    sig = fr.gammas[0].sig
+    sig = frame.gammas[0].sig
     one = Multivector.scalar(sig, 1)
-    g0 = fr.gammas[0]
-    jg12 = gp(fr.gammas[1], fr.gammas[2]).scale(Scalar.j())
+    g0 = frame.gammas[0]
+    jg12 = gp(frame.gammas[1], frame.gammas[2]).scale(Scalar.j())
     us = []
     for s0 in (1, -1):
         for s12 in (1, -1):
@@ -68,28 +66,27 @@ def dirac_idempotents(frame: DiracFrame | None = None) -> DiracIdempotents:
     return DiracIdempotents(*us)
 
 
-def idempotent_orders_agree(frame: DiracFrame | None = None) -> bool:
+def idempotent_orders_agree(frame: DiracFrame) -> bool:
     """(1+g0)(1+j g12) = (1+j g12)(1+g0): the two factors commute."""
-    fr = frame or dirac_frame()
-    sig = fr.gammas[0].sig
+    sig = frame.gammas[0].sig
     one = Multivector.scalar(sig, 1)
-    left = one + fr.gammas[0]
-    right = one + gp(fr.gammas[1], fr.gammas[2]).scale(Scalar.j())
+    left = one + frame.gammas[0]
+    right = one + gp(frame.gammas[1], frame.gammas[2]).scale(Scalar.j())
     return gp(left, right) == gp(right, left)
 
 
-def intertwining_relations(frame: DiracFrame | None = None) -> DualityReport:
-    """e13 u_pp = u_pm e13, e3 u_pp = u_mp e3, e1 u_pp = u_mm e1."""
-    fr = frame or dirac_frame()
-    u = dirac_idempotents(fr)
-    e1, _, e3 = fr.rest
+def intertwining_relations(frame: DiracFrame) -> list[str]:
+    """The failing ones of e13 u_pp = u_pm e13, e3 u_pp = u_mp e3 and
+    e1 u_pp = u_mm e1, by name; empty when all hold."""
+    u = dirac_idempotents(frame)
+    e1, _, e3 = frame.rest
     e13 = gp(e1, e3)
     rels = [
         ("e13 u_pp = u_pm e13", gp(e13, u.u_pp) == gp(u.u_pm, e13)),
         ("e3 u_pp = u_mp e3", gp(e3, u.u_pp) == gp(u.u_mp, e3)),
         ("e1 u_pp = u_mm e1", gp(e1, u.u_pp) == gp(u.u_mm, e1)),
     ]
-    return DualityReport(rels)
+    return [name for name, held in rels if not held]
 
 
 # -- pauli -----------------------------------------------------------------
@@ -205,19 +202,18 @@ class NewDiracData:
     gamma_mats: list[MvMatrix]
 
 
-def new_witt_pair(frame: DiracFrame | None = None):
-    fr = frame or dirac_frame()
-    g0, g1, g2, g3v = fr.gammas
+def new_witt_pair(frame: DiracFrame):
+    g0, g1, g2, g3v = frame.gammas
     j = Scalar.j()
     a1 = (g0 - g3v).scale(HALF)
     a2 = (g2.scale(j) + g1).scale(HALF)
     b1 = (g0 + g3v).scale(HALF)
     b2 = (g2.scale(j) - g1).scale(HALF)
-    return fr, [a1, a2], [b1, b2]
+    return frame, [a1, a2], [b1, b2]
 
 
 def dirac_spectral_new() -> NewDiracData:
-    fr, a, b = new_witt_pair()
+    fr, a, b = new_witt_pair(dirac_frame())
     sig = fr.gammas[0].sig
     one = Multivector.scalar(sig, 1)
     u1 = gp(b[0], a[0])
@@ -231,10 +227,9 @@ def dirac_spectral_new() -> NewDiracData:
     return NewDiracData(fr, a, b, u1, u2, sb, mats)
 
 
-def new_border_form(data: NewDiracData | None = None) -> SpectralBasis:
+def new_border_form(data: NewDiracData) -> SpectralBasis:
     """Same array, bordered by (1, g0, j g2, -j e2) and (1, g0, j g2, j e2)."""
-    d = data or dirac_spectral_new()
-    fr = d.frame
+    fr = data.frame
     sig = fr.gammas[0].sig
     one = Multivector.scalar(sig, 1)
     j = Scalar.j()
@@ -242,22 +237,21 @@ def new_border_form(data: NewDiracData | None = None) -> SpectralBasis:
     e2 = fr.rest[1]
     rows = [one, g0, g2.scale(j), e2.scale(-j)]
     cols = [one, g0, g2.scale(j), e2.scale(j)]
-    return SpectralBasis(rows, gp(d.u1, d.u2), cols,
+    return SpectralBasis(rows, gp(data.u1, data.u2), cols,
                          row_labels=["1", "g0", "jg2", "-je2"],
                          col_labels=["1", "g0", "jg2", "je2"])
 
 
-def new_rep_extra_matrices(data: NewDiracData | None = None) -> dict[str, MvMatrix]:
+def new_rep_extra_matrices(data: NewDiracData) -> dict[str, MvMatrix]:
     """The nilpotent-pair and rest-frame coordinate matrices of the new basis."""
-    d = data or dirac_spectral_new()
-    sb = d.basis
+    sb = data.basis
     out = {
-        "a1": sb.mv_to_matrix(d.a[0]),
-        "a2": sb.mv_to_matrix(d.a[1]),
-        "b1": sb.mv_to_matrix(d.b[0]),
-        "b2": sb.mv_to_matrix(d.b[1]),
+        "a1": sb.mv_to_matrix(data.a[0]),
+        "a2": sb.mv_to_matrix(data.a[1]),
+        "b1": sb.mv_to_matrix(data.b[0]),
+        "b2": sb.mv_to_matrix(data.b[1]),
     }
-    for k, ek in enumerate(d.frame.rest, 1):
+    for k, ek in enumerate(data.frame.rest, 1):
         out[f"e{k}"] = sb.mv_to_matrix(ek)
     return out
 
@@ -267,11 +261,10 @@ class DiracRep(str, Enum):
     NEW = "new"
 
 
-def gamma_anticommutation_check(rep: DiracRep | str) -> DualityReport:
-    """{g_mu, g_nu} = 2 eta_{mu nu}, at multivector and matrix level."""
-    if isinstance(rep, str):
-        rep = DiracRep(rep)
-    if rep is DiracRep.STANDARD:
+def gamma_anticommutation_check(rep: DiracRep | str) -> list[str]:
+    """The failing ones of {g_mu, g_nu} = 2 eta_{mu nu}, each at multivector
+    and matrix level, by name; empty when all hold."""
+    if DiracRep(rep) is DiracRep.STANDARD:
         sb, mats = dirac_spectral_standard()
         fr = dirac_frame()
     else:
@@ -290,17 +283,10 @@ def gamma_anticommutation_check(rep: DiracRep | str) -> DualityReport:
             mat = mats[mu].matmul(mats[nu]) + mats[nu].matmul(mats[mu])
             mat_ok = mat == ident.scale(want)
             rels.append((f"{{g{mu}, g{nu}}} = {want}", mv_ok and mat_ok))
-    return DualityReport(rels)
+    return [name for name, held in rels if not held]
 
 
-def pseudoscalar_anticommutes(frame: DiracFrame | None = None) -> bool:
-    fr = frame or dirac_frame()
-    zero = Multivector.zero(fr.gammas[0].sig)
-    return all(gp(fr.pseudoscalar, g) + gp(g, fr.pseudoscalar) == zero
-               for g in fr.gammas)
-
-
-def new_duality_check() -> DualityReport:
-    """The transported pair satisfies the neutral-signature duality rules."""
-    _, a, b = new_witt_pair()
-    return check_duality_relations(a, b)
+def pseudoscalar_anticommutes(frame: DiracFrame) -> bool:
+    zero = Multivector.zero(frame.gammas[0].sig)
+    return all(gp(frame.pseudoscalar, g) + gp(g, frame.pseudoscalar) == zero
+               for g in frame.gammas)

@@ -128,8 +128,7 @@ class OmegaMatrix:
 
 
 def omega(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> OmegaMatrix:
-    if isinstance(variant, str):
-        variant = OmegaVariant(variant)
+    variant = OmegaVariant(variant)
     if variant in (OmegaVariant.PLAIN, OmegaVariant.MINUS):
         if not 1 <= k <= MAX_K_REAL:
             raise RangeError(f"real sign matrices are built for 1 <= k <= {MAX_K_REAL}")
@@ -143,8 +142,7 @@ def omega(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> OmegaMatr
 
 def gram_check(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> bool:
     """W W^T (or W W* in the complex case) equals 2**k times the identity."""
-    if isinstance(variant, str):
-        variant = OmegaVariant(variant)
+    variant = OmegaVariant(variant)
     w = omega(k, variant)
     g = w.matmul(w.conj_transpose())
     n = w.dim
@@ -177,8 +175,7 @@ def bareiss_det(rows: list[list[int]]) -> int:
 
 
 def det_omega(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> int:
-    if isinstance(variant, str):
-        variant = OmegaVariant(variant)
+    variant = OmegaVariant(variant)
     if variant not in (OmegaVariant.PLAIN, OmegaVariant.MINUS):
         raise UnsupportedError("determinants are computed for the real variants")
     if not 1 <= k <= MAX_K_DET:
@@ -192,8 +189,7 @@ def fast_apply(k: int, variant: OmegaVariant | str, xs: list) -> list:
     Entries may be Scalars, Fractions or ints; the result entries are Scalars
     when any input is, otherwise exact Fractions/ints.
     """
-    if isinstance(variant, str):
-        variant = OmegaVariant(variant)
+    variant = OmegaVariant(variant)
     if variant not in (OmegaVariant.PLAIN, OmegaVariant.MINUS):
         # the complex family stops at k = 2; a dense product is already cheap
         return omega(k, variant).dense_apply(

@@ -13,6 +13,7 @@ Negative radicands enter through j: sqrt(-d) is represented as j*sqrt(d).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -24,6 +25,10 @@ Key = tuple[int, bool]
 # largest radicand accepted from JSON: split_square factors by trial division,
 # which stays under 0.1 s at this size and never finishes on 100 digits
 MAX_RADICAND = 10**12
+
+# the only coefficient strings JSON may carry: Fraction alone would also take
+# "1e999999999" and build 10**999999999
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def split_square(n: int) -> tuple[int, int]:
@@ -293,9 +298,12 @@ def _is_int(x) -> bool:
 
 
 def _exact(value) -> Fraction:
-    """An exact JSON coefficient: an int or a string such as "-3/4"."""
+    """An exact JSON coefficient: an int, or a string "p" or "p/q" of
+    decimal digits with an optional leading "-", such as "-3/4"."""
     if not (_is_int(value) or isinstance(value, str)):
         raise ValueError(f"coefficient {value!r} must be an integer or a string")
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ValueError(f"coefficient {value!r} is not of the form p or p/q")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -308,11 +316,6 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return Scalar.of(x)
     return None
-
-
-ZERO = Scalar()
-ONE = Scalar.of(1)
-J = Scalar.j()
 
 
 # -- rendering shared by every str and latex method ----------------------

@@ -4,10 +4,12 @@ Each suite produces a VerifyReport: a sorted list of (check id, anchor,
 status, detail) rows plus counts.  Status is PASS or FAIL, with CONFLICT
 reserved for exactly two checks whose tabulated source values are known to
 disagree with the defining construction; those carry the corrected value in
-their detail and do not affect the exit status.
+their detail and do not affect the exit status.  A failing relation row
+names the relations that fail in its detail.
 
 Randomized checks draw rational coefficients with numerator and denominator
-bounded by 9 from a seeded generator, so reports are reproducible.
+bounded by 9 from a seeded generator, so reports are reproducible.  Every
+coordinate-map check of one basis runs on the same sampled operands.
 """
 
 from __future__ import annotations
@@ -20,15 +22,16 @@ from .dirac import (DiracRep, dirac_frame, dirac_idempotents,
                     dirac_spectral_new, dirac_spectral_standard,
                     g11_embedding_check, gamma_anticommutation_check,
                     idempotent_orders_agree, intertwining_relations,
-                    new_border_form, new_rep_extra_matrices, new_duality_check,
+                    new_border_form, new_rep_extra_matrices,
                     pauli_impostor_check, pauli_spectral,
                     pseudoscalar_anticommutes)
 from .errors import RangeError
-from .ga import Multivector, g3, g13, gp, reverse
+from .ga import Multivector, gp, reverse
 from .omega import OmegaVariant, bareiss_det, det_omega, fast_apply, gram_check, omega
 from .scalars import Scalar
-from .witt_global import (CentralMatrix, MvMatrix, check_global_duality,
-                          make_global_witt, spectral_basis_nn)
+from .witt_global import (CentralMatrix, MvMatrix, SpectralBasis,
+                          check_duality_relations, make_global_witt,
+                          spectral_basis_nn)
 from .witt_local import (c8_complex_table, check_frame_relations,
                          check_local_relations, complex_identification_g22,
                          ef_from_c, hadamard_identification, make_local_witt,
@@ -95,6 +98,14 @@ def _ck(check_id: str, anchor: str, ok: bool, detail: str = "") -> Check:
     return Check(check_id, anchor, PASS if ok else FAIL, detail)
 
 
+def _ck_relations(check_id: str, anchor: str, failing: list[str],
+                  detail: str = "") -> Check:
+    """PASS with detail when no relation fails, else FAIL naming the failures."""
+    if failing:
+        return Check(check_id, anchor, FAIL, "; ".join(failing))
+    return Check(check_id, anchor, PASS, detail)
+
+
 def random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
@@ -112,6 +123,21 @@ def random_multivector(sig, rng: random.Random,
     for mask in range(sig.dim):
         g = g + Multivector.blade(sig, mask, random_scalar(rng, complex_))
     return g
+
+
+def _sample_pairs(sig, rng: random.Random, samples: int,
+                  complex_: bool = False) -> list[tuple[Multivector, Multivector]]:
+    """samples random operand pairs (g, h), g drawn before h."""
+    return [(random_multivector(sig, rng, complex_),
+             random_multivector(sig, rng, complex_)) for _ in range(samples)]
+
+
+def _ck_homomorphism(check_id: str, basis: SpectralBasis, pairs) -> Check:
+    """[g h] = [g][h] under the coordinate map, for every sampled pair."""
+    to_mat = basis.mv_to_matrix
+    ok = all(to_mat(gp(g, h)) == to_mat(g).matmul(to_mat(h)) for g, h in pairs)
+    return _ck(check_id, "product preserved by coordinate map", ok,
+               f"{len(pairs)} random pairs")
 
 
 # -- table 1 ---------------------------------------------------------------
@@ -139,13 +165,13 @@ def suite_table1(seed: int = 0, samples: int = 100) -> VerifyReport:
 # -- global witt / spectral ------------------------------------------------
 
 
-def _expected_array_n1(sb):
+def _expected_array_n1():
     w = make_global_witt(1)
     a, b = w.a[0], w.b[0]
     return [[gp(b, a), b], [a, gp(a, b)]]
 
 
-def _expected_array_n2(sb):
+def _expected_array_n2():
     w = make_global_witt(2)
     a1, a2 = w.a
     b1, b2 = w.b
@@ -162,9 +188,10 @@ def _expected_array_n2(sb):
 def suite_witt_global(seed: int = 0, samples: int = 100) -> VerifyReport:
     checks = []
     for n in range(1, 5):
-        rep = check_global_duality(make_global_witt(n))
-        checks.append(_ck(f"global-n{n}-relations", "dual family relations",
-                          rep.ok, "; ".join(rep.failures())))
+        w = make_global_witt(n)
+        checks.append(_ck_relations(f"global-n{n}-relations",
+                                    "dual family relations",
+                                    check_duality_relations(w.a, w.b)))
     bases = {n: spectral_basis_nn(n) for n in range(1, 5)}
     for n, sb in bases.items():
         one = Multivector.scalar(sb.sig, 1)
@@ -183,9 +210,9 @@ def suite_witt_global(seed: int = 0, samples: int = 100) -> VerifyReport:
                           bases[n].matrix_unit_law(quads),
                           "100 sampled index quadruples"))
     checks.append(_ck("spectral-n1-array", "tabulated array entries",
-                      bases[1].E == _expected_array_n1(bases[1])))
+                      bases[1].E == _expected_array_n1()))
     checks.append(_ck("spectral-n2-array", "tabulated array entries",
-                      bases[2].E == _expected_array_n2(bases[2])))
+                      bases[2].E == _expected_array_n2()))
 
     # the (1, e) border produces the hyperbolic idempotent form
     w = make_global_witt(1)
@@ -193,7 +220,6 @@ def suite_witt_global(seed: int = 0, samples: int = 100) -> VerifyReport:
     one = Multivector.scalar(w.sig, 1)
     u_plus = gp(w.b[0], w.a[0])
     u_minus = one - u_plus
-    from .witt_global import SpectralBasis
     alt = SpectralBasis([one, e], u_plus, [one, e])
     expected = [[u_plus, gp(e, u_minus)], [gp(e, u_plus), u_minus]]
     checks.append(_ck("spectral-n1-alt-border", "idempotent border change",
@@ -201,22 +227,11 @@ def suite_witt_global(seed: int = 0, samples: int = 100) -> VerifyReport:
 
     for n in (1, 2):
         sb = bases[n]
-        ok_hom = True
-        ok_rt = True
-        for _ in range(samples):
-            g = random_multivector(sb.sig, rng)
-            h = random_multivector(sb.sig, rng)
-            if sb.mv_to_matrix(gp(g, h)) != sb.mv_to_matrix(g).matmul(sb.mv_to_matrix(h)):
-                ok_hom = False
-                break
-            if sb.matrix_to_mv(sb.mv_to_matrix(g)) != g:
-                ok_rt = False
-                break
-        checks.append(_ck(f"iso-g{n}{n}-homomorphism",
-                          "product preserved by coordinate map", ok_hom,
-                          f"{samples} random pairs"))
-        checks.append(_ck(f"iso-g{n}{n}-roundtrip",
-                          "coordinate map bijective", ok_rt))
+        pairs = _sample_pairs(sb.sig, rng, samples)
+        checks.append(_ck_homomorphism(f"iso-g{n}{n}-homomorphism", sb, pairs))
+        checks.append(_ck(f"iso-g{n}{n}-roundtrip", "coordinate map bijective",
+                          all(sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
+                              for g, _ in pairs)))
     return VerifyReport("witt-global", checks)
 
 
@@ -227,22 +242,25 @@ def suite_witt_local(seed: int = 0, samples: int = 100) -> VerifyReport:
     checks = []
     for m in range(2, 9):
         w = make_local_witt(m)
-        rep = check_local_relations(w)
-        checks.append(_ck(f"local-m{m}-relations", "local duality relations",
-                          rep.ok, "; ".join(rep.failures())))
+        checks.append(_ck_relations(f"local-m{m}-relations",
+                                    "local duality relations",
+                                    check_local_relations(w)))
         frame = ef_from_c(w)
         gens = [Multivector.generator(w.sig, i) for i in range(m)]
-        frame_rep = check_frame_relations(frame, [1] + [-1] * (m - 1))
-        checks.append(_ck(f"local-m{m}-frame", "frame recovery",
-                          frame == gens and frame_rep.ok))
+        failing = check_frame_relations(frame, [1] + [-1] * (m - 1))
+        if frame != gens:
+            failing.append("frame = generators")
+        checks.append(_ck_relations(f"local-m{m}-frame", "frame recovery",
+                                    failing))
     for k in (2, 3):
         fm = hadamard_identification(k)
         checks.append(_ck(f"hadamard-k{k}-rows", "sign-matrix identification",
                           fm.verify_rows()))
-        checks.append(_ck(f"hadamard-k{k}-sources", "local duality relations",
-                          fm.verify_sources().ok))
-        checks.append(_ck(f"hadamard-k{k}-frame", "frame signature",
-                          fm.verify_frame().ok))
+        checks.append(_ck_relations(f"hadamard-k{k}-sources",
+                                    "local duality relations",
+                                    fm.verify_sources()))
+        checks.append(_ck_relations(f"hadamard-k{k}-frame", "frame signature",
+                                    fm.verify_frame()))
     block = omega(3, OmegaVariant.PLAIN).rows
     checks.append(_ck("hadamard-k3-det", "block determinant",
                       bareiss_det(block) == -4096, "expected -2^12"))
@@ -252,16 +270,17 @@ def suite_witt_local(seed: int = 0, samples: int = 100) -> VerifyReport:
     fm = complex_identification_g22()
     checks.append(_ck("g22-complex-rows", "sign-matrix identification",
                       fm.verify_rows()))
-    checks.append(_ck("g22-complex-frame", "frame signature",
-                      fm.verify_frame().ok, "squares (+1, +1, -1, -1)"))
+    checks.append(_ck_relations("g22-complex-frame", "frame signature",
+                                fm.verify_frame(), "squares (+1, +1, -1, -1)"))
     checks.append(_ck("g22-hermitian-gram", "Hermitian Gram identity",
                       gram_check(2, OmegaVariant.COMPLEX_PLAIN)))
 
     tab = c8_complex_table()
     checks.append(_ck("c8-entries-recursion", "closed forms from recursion",
                       tab.entries == tab.recursion_forms))
-    checks.append(_ck("c8-duality", "dual pairs in the complexified algebra",
-                      tab.duality().ok))
+    checks.append(_ck_relations("c8-duality",
+                                "dual pairs in the complexified algebra",
+                                check_duality_relations(tab.a, tab.b)))
     for i, label in enumerate(tab.labels):
         cid = f"c8-tabulated-{label}"
         anchor = "tabulated closed form"
@@ -400,8 +419,8 @@ def suite_dirac(seed: int = 0, samples: int = 100) -> VerifyReport:
                           for i, x in enumerate(us)
                           for k, y in enumerate(us) if i != k),
                       "12 ordered pairs"))
-    checks.append(_ck("dirac-intertwining", "idempotent intertwining",
-                      intertwining_relations(fr).ok))
+    checks.append(_ck_relations("dirac-intertwining", "idempotent intertwining",
+                                intertwining_relations(fr)))
     e1, e2, e3 = fr.rest
     checks.append(_ck("dirac-bivector-identities",
                       "rest-frame bivector identities",
@@ -441,8 +460,8 @@ def suite_dirac(seed: int = 0, samples: int = 100) -> VerifyReport:
                       and pseudo_mat != MvMatrix.identity(4).scale(_J)))
 
     nd = dirac_spectral_new()
-    checks.append(_ck("dirac-new-duality", "dual family relations",
-                      new_duality_check().ok))
+    checks.append(_ck_relations("dirac-new-duality", "dual family relations",
+                                check_duality_relations(nd.a, nd.b)))
     half = Fraction(1, 2)
     checks.append(_ck("dirac-new-u1", "primitive idempotent form",
                       nd.u1 == (one + e3).scale(half)))
@@ -476,23 +495,15 @@ def suite_dirac(seed: int = 0, samples: int = 100) -> VerifyReport:
     checks.append(_ck("dirac-new-restframe", "rest-frame coordinate matrices",
                       [extra[f"e{k}"] for k in (1, 2, 3)] == _NEW_REST))
     for rep in (DiracRep.STANDARD, DiracRep.NEW):
-        checks.append(_ck(f"dirac-anticommutation-{rep.value}",
-                          "metric anticommutation table",
-                          gamma_anticommutation_check(rep).ok,
-                          "all 16 pairs, multivector and matrix level"))
+        checks.append(_ck_relations(f"dirac-anticommutation-{rep.value}",
+                                    "metric anticommutation table",
+                                    gamma_anticommutation_check(rep),
+                                    "all 16 pairs, multivector and matrix level"))
     rng = random.Random(seed)
     for name, basis in (("standard", sb), ("new", nd.basis)):
-        ok = True
-        for _ in range(samples):
-            g = random_multivector(sig, rng, complex_=True)
-            h = random_multivector(sig, rng, complex_=True)
-            if basis.mv_to_matrix(gp(g, h)) != \
-                    basis.mv_to_matrix(g).matmul(basis.mv_to_matrix(h)):
-                ok = False
-                break
-        checks.append(_ck(f"dirac-homomorphism-{name}",
-                          "product preserved by coordinate map", ok,
-                          f"{samples} random pairs"))
+        pairs = _sample_pairs(sig, rng, samples, complex_=True)
+        checks.append(_ck_homomorphism(f"dirac-homomorphism-{name}", basis,
+                                       pairs))
     return VerifyReport("dirac", checks)
 
 
@@ -527,18 +538,8 @@ def suite_pauli(seed: int = 0, samples: int = 100) -> VerifyReport:
                       "j-entried lookalike fails the product test"))
     checks.append(_ck("pauli-embedding", "subalgebra embedding",
                       g11_embedding_check(), "all 16 basis products"))
-    rng = random.Random(seed)
-    ok = True
-    for _ in range(samples):
-        g = random_multivector(sig, rng, complex_=True)
-        h = random_multivector(sig, rng, complex_=True)
-        if sb.mv_to_matrix(gp(g, h)) != \
-                sb.mv_to_matrix(g).matmul(sb.mv_to_matrix(h)):
-            ok = False
-            break
-    checks.append(_ck("pauli-homomorphism",
-                      "product preserved by coordinate map", ok,
-                      f"{samples} random pairs"))
+    pairs = _sample_pairs(sig, random.Random(seed), samples, complex_=True)
+    checks.append(_ck_homomorphism("pauli-homomorphism", sb, pairs))
     return VerifyReport("pauli", checks)
 
 

@@ -213,20 +213,9 @@ def make_global_witt(n: int) -> GlobalWitt:
     return GlobalWitt(n, sig, a, b)
 
 
-@dataclass
-class DualityReport:
-    relations: list[tuple[str, bool]]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed in self.relations)
-
-    def failures(self) -> list[str]:
-        return [name for name, passed in self.relations if not passed]
-
-
-def check_duality_relations(a: list[Multivector], b: list[Multivector]) -> DualityReport:
-    """Nilpotency, in-family anticommutation, and a_i.b_j = delta_ij/2."""
+def check_duality_relations(a: list[Multivector], b: list[Multivector]) -> list[str]:
+    """The failing relations among nilpotency, in-family anticommutation and
+    a_i.b_j = delta_ij/2, by name; empty when the pair is dual."""
     rels = []
     one = Multivector.scalar(a[0].sig, 1)
     zero = Multivector.zero(a[0].sig)
@@ -243,11 +232,7 @@ def check_duality_relations(a: list[Multivector], b: list[Multivector]) -> Duali
             want = one if i == k else zero
             rels.append((f"2 a{i}.b{k} = {'1' if i == k else '0'}",
                          sym_dot(ai, bk).scale(2) == want))
-    return DualityReport(rels)
-
-
-def check_global_duality(w: GlobalWitt) -> DualityReport:
-    return check_duality_relations(w.a, w.b)
+    return [name for name, held in rels if not held]
 
 
 # -- spectral basis --------------------------------------------------------

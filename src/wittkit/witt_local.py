@@ -26,7 +26,6 @@ from .ga import (Multivector, Signature, anticommutator, g_1n, gp, gp_chain,
                  wedge_chain)
 from .omega import OmegaVariant, omega
 from .scalars import Scalar, pmatrix
-from .witt_global import DualityReport, check_duality_relations
 
 
 def alpha_coeff(k: int) -> Scalar:
@@ -52,10 +51,9 @@ class LocalWitt:
     m: int
     sig: Signature
     c: list[Multivector]
-    complexified: bool = False
 
 
-def make_local_witt(m: int, complexified: bool = False) -> LocalWitt:
+def make_local_witt(m: int) -> LocalWitt:
     if not 2 <= m <= 8:
         raise RangeError("local witt families are built for 2 <= m <= 8")
     sig = g_1n(m - 1)
@@ -70,11 +68,12 @@ def make_local_witt(m: int, complexified: bool = False) -> LocalWitt:
         fk = Multivector.generator(sig, k)
         nxt = (ck_sum - fk.scale(inv_alpha_coeff(k))).scale(Fraction(1, k - 1))
         c.append(nxt)
-    return LocalWitt(m, sig, c, complexified)
+    return LocalWitt(m, sig, c)
 
 
-def check_local_relations(w: LocalWitt) -> DualityReport:
-    """c_i^2 = 0, every distinct pair anticommutes to 1, top wedge nonzero."""
+def check_local_relations(w: LocalWitt) -> list[str]:
+    """The failing relations among c_i^2 = 0, every distinct pair
+    anticommuting to 1 and a nonzero top wedge, by name; empty when all hold."""
     rels = []
     one = Multivector.scalar(w.sig, 1)
     zero = Multivector.zero(w.sig)
@@ -85,7 +84,7 @@ def check_local_relations(w: LocalWitt) -> DualityReport:
             rels.append((f"c{i+1} c{k+1} + c{k+1} c{i+1} = 1",
                          anticommutator(w.c[i], w.c[k]) == one))
     rels.append((f"c1^...^c{w.m} != 0", bool(wedge_chain(w.c))))
-    return DualityReport(rels)
+    return [name for name, held in rels if not held]
 
 
 def ef_from_c(w: LocalWitt) -> list[Multivector]:
@@ -105,8 +104,9 @@ def ef_from_c(w: LocalWitt) -> list[Multivector]:
 
 def check_frame_relations(frame: list[Multivector],
                           squares: list[int],
-                          labels: list[str] | None = None) -> DualityReport:
-    """Pairwise anticommutation plus the prescribed generator squares."""
+                          labels: list[str] | None = None) -> list[str]:
+    """The failing relations among pairwise anticommutation and the
+    prescribed generator squares, by name; empty when all hold."""
     if labels is None:
         labels = [f"v{i+1}" for i in range(len(frame))]
     rels = []
@@ -118,7 +118,7 @@ def check_frame_relations(frame: list[Multivector],
         for k in range(i + 1, len(frame)):
             rels.append((f"{labels[i]} {labels[k]} anticommute",
                          anticommutator(frame[i], frame[k]) == zero))
-    return DualityReport(rels)
+    return [name for name, held in rels if not held]
 
 
 # -- sign-matrix identifications -------------------------------------------
@@ -152,11 +152,11 @@ class FrameMap:
         return all(self.targets[r].scale(self.scales[r]) == self.row_combination(r)
                    for r in range(len(self.targets)))
 
-    def verify_frame(self) -> DualityReport:
+    def verify_frame(self) -> list[str]:
         return check_frame_relations(self.targets, self.expected_squares,
                                      self.target_labels)
 
-    def verify_sources(self) -> DualityReport:
+    def verify_sources(self) -> list[str]:
         lw = LocalWitt(len(self.sources), self.sources[0].sig,
                        list(self.sources))
         return check_local_relations(lw)
@@ -182,7 +182,7 @@ def _hadamard_scales(k: int) -> list[Scalar]:
     return [Scalar.sqrt(n * (n - 1) // 2)] + [Scalar.sqrt(n // 2)] * (n - 1)
 
 
-def hadamard_nilpotents(k: int, complexified: bool = False) -> LocalWitt:
+def hadamard_nilpotents(k: int) -> LocalWitt:
     """Solve the sign-matrix system for the c's: c = (1/2^k) W^T (scaled frame)."""
     if k not in (2, 3):
         raise UnsupportedError("sign-matrix identifications exist for k = 2, 3")
@@ -199,7 +199,7 @@ def hadamard_nilpotents(k: int, complexified: bool = False) -> LocalWitt:
         for r in range(n):
             acc = acc + scaled[r].scale(w[r][i])
         c.append(acc.scale(inv))
-    return LocalWitt(n, sig, c, complexified)
+    return LocalWitt(n, sig, c)
 
 
 def hadamard_identification(k: int) -> FrameMap:
@@ -238,7 +238,7 @@ def pseudoscalar_identity() -> tuple[Multivector, Multivector]:
 
 def complex_identification_g22() -> FrameMap:
     """Signature (2,2) from the complexified m=4 family: j on the f1 row."""
-    lw = hadamard_nilpotents(2, complexified=True)
+    lw = hadamard_nilpotents(2)
     sig = lw.sig
     j = Scalar.j()
     frame = [Multivector.generator(sig, i) for i in range(4)]
@@ -370,9 +370,6 @@ class C8Table:
     def rows(self) -> list[tuple[str, Multivector]]:
         return list(zip(self.labels, self.entries))
 
-    def duality(self) -> DualityReport:
-        return check_duality_relations(self.a, self.b)
-
 
 # closed-form coefficients (x on C_k, y on c_{k+1}) as tabulated; the f4 row
 # is reproduced as printed even though its y does not match the recursion
@@ -391,7 +388,7 @@ def c8_tabulated_coefficients() -> dict[str, tuple[Scalar, Scalar]]:
 
 
 def c8_complex_table() -> C8Table:
-    lw = make_local_witt(8, complexified=True)
+    lw = make_local_witt(8)
     sig = lw.sig
     j = Scalar.j()
     half = Fraction(1, 2)

@@ -11,13 +11,14 @@ from fractions import Fraction
 
 from wittkit.dirac import (DiracRep, dirac_frame, dirac_idempotents,
                            dirac_spectral_new, dirac_spectral_standard,
-                           gamma_anticommutation_check, new_duality_check,
+                           gamma_anticommutation_check, new_witt_pair,
                            pauli_spectral)
 from wittkit.ga import Multivector, gp, reverse
 from wittkit.omega import bareiss_det, gram_check, omega
 from wittkit.scalars import Scalar
 from wittkit.verify import random_multivector, run_all, suite_table1
-from wittkit.witt_global import (CentralMatrix, MvMatrix, make_global_witt,
+from wittkit.witt_global import (CentralMatrix, MvMatrix,
+                                 check_duality_relations, make_global_witt,
                                  spectral_basis_nn)
 from wittkit.witt_local import (check_frame_relations, check_local_relations,
                                 complex_identification_g22, ef_from_c,
@@ -89,12 +90,12 @@ def test_criterion_04_local_duality():
     ok = True
     for m in range(2, 9):
         w = make_local_witt(m)
-        ok = ok and check_local_relations(w).ok
+        ok = ok and check_local_relations(w) == []
     w8 = make_local_witt(8)
     frame = ef_from_c(w8)
     gens = [Multivector.generator(w8.sig, i) for i in range(8)]
     ok = ok and frame == gens
-    ok = ok and check_frame_relations(frame, [1] + [-1] * 7).ok
+    ok = ok and check_frame_relations(frame, [1] + [-1] * 7) == []
     _report(4, "local families m=2..8 and the derived frame", ok, t0, 30.0)
 
 
@@ -119,7 +120,7 @@ def test_criterion_07_complex_identification():
     t0 = time.perf_counter()
     ok = gram_check(2, "complex-plain")
     fm = complex_identification_g22()
-    ok = ok and fm.verify_rows() and fm.verify_frame().ok
+    ok = ok and fm.verify_rows() and fm.verify_frame() == []
     ok = ok and fm.expected_squares == [1, 1, -1, -1]
     _report(7, "Hermitian Gram and (2,2) frame", ok, t0, 1.0)
 
@@ -145,9 +146,10 @@ def test_criterion_08_dirac_and_pauli():
     ]
     ok = ok and mats == std
 
-    ok = ok and new_duality_check().ok
-    ok = ok and gamma_anticommutation_check(DiracRep.STANDARD).ok
-    ok = ok and gamma_anticommutation_check(DiracRep.NEW).ok
+    _, a, b = new_witt_pair(fr)
+    ok = ok and check_duality_relations(a, b) == []
+    ok = ok and gamma_anticommutation_check(DiracRep.STANDARD) == []
+    ok = ok and gamma_anticommutation_check(DiracRep.NEW) == []
 
     psb, pmats = pauli_spectral()
     pone = Multivector.scalar(psb.sig, 1)

@@ -147,9 +147,14 @@ class TestConvert:
         {"signature": [1, -1], "terms": 3},
         {"signature": [1, -1], "terms": [{"blade": [], "coeff": [{"d": 10**12 + 39, "re": "1"}]}]},
         {"signature": [1, -1], "terms": [{"blade": [], "coeff": [{"d": 10**99 + 289, "re": "1"}]}]},
+    ] + [
+        # coefficient strings are "p" or "p/q" only; Fraction would take these
+        {"signature": [1, -1], "terms": [{"blade": [], "coeff": [{"d": 1, "re": text}]}]}
+        for text in ("1e3", "1e999999999", "1.5", "+3", " 3", "1_000")
     ], ids=["zero-denominator", "float", "bool-im", "bool-d", "bool-blade",
             "nested-blade", "int-signature", "int-terms", "radicand-above-bound",
-            "100-digit-radicand"])
+            "100-digit-radicand", "exponent", "huge-exponent", "decimal",
+            "plus-sign", "leading-space", "underscore"])
     def test_malformed_multivector_exits_2(self, capsys, monkeypatch, payload):
         code, out, err = run_cli(capsys, ["convert", "mv2mat", "--algebra", "g11"],
                                  json.dumps(payload), monkeypatch)

@@ -9,13 +9,13 @@ from wittkit.dirac import (DiracRep, dirac_frame, dirac_idempotents,
                            dirac_spectral_new, dirac_spectral_standard,
                            g11_embedding_check, gamma_anticommutation_check,
                            idempotent_orders_agree, intertwining_relations,
-                           new_border_form, new_duality_check,
-                           new_rep_extra_matrices, new_witt_pair,
+                           new_border_form, new_rep_extra_matrices,
+                           new_witt_pair,
                            pauli_impostor_check, pauli_spectral,
                            pseudoscalar_anticommutes)
 from wittkit.ga import Multivector, g3, g13, gp, gp_chain
 from wittkit.scalars import Scalar
-from wittkit.witt_global import CentralMatrix, MvMatrix
+from wittkit.witt_global import CentralMatrix, MvMatrix, check_duality_relations
 
 J = Scalar.j()
 HALF = Fraction(1, 2)
@@ -35,21 +35,21 @@ def complex_mvs(sig):
 
 class TestIdempotents:
     def test_factor_orders_agree(self):
-        assert idempotent_orders_agree()
+        assert idempotent_orders_agree(dirac_frame())
 
     def test_partition_of_unity(self):
-        u = dirac_idempotents()
+        u = dirac_idempotents(dirac_frame())
         sig = u.u_pp.sig
         assert sum(u.all(), Multivector.zero(sig)) == \
             Multivector.scalar(sig, 1)
 
     def test_squares(self):
-        u = dirac_idempotents()
+        u = dirac_idempotents(dirac_frame())
         for x in u.all():
             assert gp(x, x) == x
 
     def test_mutual_annihilation(self):
-        us = dirac_idempotents().all()
+        us = dirac_idempotents(dirac_frame()).all()
         zero = Multivector.zero(us[0].sig)
         for i, x in enumerate(us):
             for k, y in enumerate(us):
@@ -68,10 +68,10 @@ class TestIdempotents:
         assert u.u_pp == want
 
     def test_intertwining(self):
-        assert intertwining_relations().ok
+        assert intertwining_relations(dirac_frame()) == []
 
     def test_pseudoscalar_anticommutes(self):
-        assert pseudoscalar_anticommutes()
+        assert pseudoscalar_anticommutes(dirac_frame())
 
 
 _STD_GAMMA = [
@@ -127,7 +127,7 @@ class TestStandardRepresentation:
         assert sb.E == expected
 
     def test_anticommutation_table(self):
-        assert gamma_anticommutation_check(DiracRep.STANDARD).ok
+        assert gamma_anticommutation_check(DiracRep.STANDARD) == []
 
     @given(complex_mvs(g13()), complex_mvs(g13()))
     def test_homomorphism(self, g, h):
@@ -146,7 +146,8 @@ _NEW_GAMMA = [
 
 class TestNewRepresentation:
     def test_pair_duality(self):
-        assert new_duality_check().ok
+        _, a, b = new_witt_pair(dirac_frame())
+        assert check_duality_relations(a, b) == []
 
     def test_pair_closed_forms(self):
         fr = dirac_frame()
@@ -192,7 +193,7 @@ class TestNewRepresentation:
         assert new_border_form(nd).E == nd.basis.E
 
     def test_pair_matrices_transpose_related(self):
-        extra = new_rep_extra_matrices()
+        extra = new_rep_extra_matrices(dirac_spectral_new())
         want_a1 = MvMatrix([[0, 0, 0, 0], [1, 0, 0, 0],
                             [0, 0, 0, 0], [0, 0, 1, 0]])
         want_a2 = MvMatrix([[0, 0, 0, 0], [0, 0, 0, 0],
@@ -203,7 +204,7 @@ class TestNewRepresentation:
         assert extra["b2"] == want_a2.transpose()
 
     def test_rest_frame_matrices(self):
-        extra = new_rep_extra_matrices()
+        extra = new_rep_extra_matrices(dirac_spectral_new())
         assert extra["e3"] == MvMatrix([[1, 0, 0, 0], [0, -1, 0, 0],
                                         [0, 0, 1, 0], [0, 0, 0, -1]])
         assert extra["e1"] == MvMatrix([[0, 0, 0, -1], [0, 0, 1, 0],
@@ -212,7 +213,7 @@ class TestNewRepresentation:
                                         [0, -J, 0, 0], [J, 0, 0, 0]])
 
     def test_anticommutation_table(self):
-        assert gamma_anticommutation_check(DiracRep.NEW).ok
+        assert gamma_anticommutation_check(DiracRep.NEW) == []
 
     @given(complex_mvs(g13()), complex_mvs(g13()))
     def test_homomorphism(self, g, h):

@@ -2,7 +2,11 @@
 
 import pytest
 
+from wittkit import verify
+from wittkit.ga import Multivector
 from wittkit.verify import (SUITES, Check, VerifyReport, run_all, run_suite)
+from wittkit.witt_global import MvMatrix, SpectralBasis
+from wittkit.witt_local import ef_from_c
 
 EXPECTED_CONFLICT_IDS = {"c8-tabulated-f4", "dirac-new-gamma3-matrix"}
 
@@ -88,3 +92,26 @@ class TestReportShape:
         assert (rep.n_pass, rep.n_fail, rep.n_conflict) == (1, 1, 1)
         assert not rep.ok
         assert [c.check_id for c in rep.checks] == ["a", "b", "c"]
+
+
+class TestFailingRows:
+    def test_relation_row_names_failing_relations(self, monkeypatch):
+        def stretched_frame(w):
+            frame = ef_from_c(w)
+            return [frame[0], frame[1].scale(2)] + frame[2:]
+        monkeypatch.setattr(verify, "ef_from_c", stretched_frame)
+        rep = run_suite("witt-local", seed=0, samples=1)
+        row = next(c for c in rep.checks if c.check_id == "local-m3-frame")
+        assert row.status == "FAIL"
+        assert row.detail == "v2^2 = -1; frame = generators"
+
+    def test_roundtrip_tested_when_homomorphism_fails(self, monkeypatch):
+        # a wrong product fails the homomorphism row first; the round trip
+        # must still run on the same samples and catch the wrong inverse map
+        monkeypatch.setattr(MvMatrix, "matmul", lambda self, other: self)
+        monkeypatch.setattr(SpectralBasis, "matrix_to_mv",
+                            lambda self, mat: Multivector.zero(self.sig))
+        rep = run_suite("witt-global", seed=0, samples=3)
+        status = {c.check_id: c.status for c in rep.checks}
+        assert status["iso-g11-homomorphism"] == "FAIL"
+        assert status["iso-g11-roundtrip"] == "FAIL"

@@ -7,6 +7,7 @@ import pytest
 from wittkit.errors import RangeError, UnsupportedError
 from wittkit.ga import Multivector, g_1n, gp, gp_chain, wedge_chain
 from wittkit.scalars import Scalar
+from wittkit.witt_global import check_duality_relations
 from wittkit.witt_local import (alpha_coeff, c8_complex_table,
                                 c8_tabulated_coefficients,
                                 check_frame_relations, check_local_relations,
@@ -21,7 +22,7 @@ class TestLocalFamilies:
     def test_relations(self, m):
         w = make_local_witt(m)
         assert len(w.c) == m
-        assert check_local_relations(w).ok
+        assert check_local_relations(w) == []
 
     def test_m2_closed_forms(self):
         w = make_local_witt(2)
@@ -73,12 +74,11 @@ class TestFrameRecovery:
 
     def test_g17_lorentz_relations(self):
         frame = ef_from_c(make_local_witt(8))
-        rep = check_frame_relations(frame, [1] + [-1] * 7)
-        assert rep.ok
+        assert check_frame_relations(frame, [1] + [-1] * 7) == []
 
     def test_frame_checker_catches_wrong_square(self):
         frame = ef_from_c(make_local_witt(2))
-        assert not check_frame_relations(frame, [1, 1]).ok
+        assert check_frame_relations(frame, [1, 1]) == ["v2^2 = 1"]
 
 
 class TestHadamardIdentification:
@@ -95,8 +95,8 @@ class TestHadamardIdentification:
     def test_rows_and_sources(self, k):
         fm = hadamard_identification(k)
         assert fm.verify_rows()
-        assert fm.verify_sources().ok
-        assert fm.verify_frame().ok
+        assert fm.verify_sources() == []
+        assert fm.verify_frame() == []
 
     def test_k2_first_row_explicit(self):
         # sqrt(6) e1 equals the plain sum of the four nilpotents
@@ -166,7 +166,7 @@ class TestComplexIdentification:
         fm = complex_identification_g22()
         assert fm.verify_rows()
         assert fm.expected_squares == [1, 1, -1, -1]
-        assert fm.verify_frame().ok
+        assert fm.verify_frame() == []
 
     def test_second_target_carries_j(self):
         fm = complex_identification_g22()
@@ -220,7 +220,8 @@ class TestC8Table:
         assert tab.b[1] == (jf3 - f2).scale(half)
 
     def test_pairs_satisfy_global_duality(self):
-        assert c8_complex_table().duality().ok
+        tab = c8_complex_table()
+        assert check_duality_relations(tab.a, tab.b) == []
 
 
 class TestFrameMapSerialization:
