@@ -5,6 +5,16 @@ is a factor, written in ascending index order.  Products are computed by
 counting transpositions and applying the metric square of each shared
 generator; coefficients live in the exact scalar ring, so every identity in
 this package is checked with zero floating point error.
+
+A multivector keeps its coefficients as ``terms: dict[mask, Scalar]``, and
+Scalar is the type every caller, JSON, LaTeX and ``str`` see.  ``gp`` and
+``wedge`` multiply no Scalars.  On entry each operand is split into slots,
+one per scalar term key (squarefree radicand d, with or without j), each a
+list of (mask, int numerator) pairs over one shared denominator: the lcm of
+the operand's Fraction denominators.  Each pair of slots multiplies its two
+keys once; the blade loop then runs on plain ints, with signs read from a
+cached row per left blade, and every output coefficient becomes a Fraction
+once, over the product of the two denominators.
 """
 
 from __future__ import annotations
@@ -12,9 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul
 
 from .errors import NotAVectorError, RangeError, SignatureMismatchError
-from .scalars import Scalar, _is_int, join_signed
+from .scalars import Key, Scalar, _is_int, join_signed
 
 MAX_GENERATORS = 12
 
@@ -351,52 +363,82 @@ class Multivector:
 # -- products and involutions ---------------------------------------------
 
 
-def gp(x: Multivector, y: Multivector) -> Multivector:
-    """Geometric product."""
+@lru_cache(maxsize=None)
+def _sign_row(squares: tuple[int, ...], mask_a: int, outer: bool) -> tuple[int, ...]:
+    """Sign of blade mask_a times every blade mask_b, indexed by mask_b.
+
+    Built on first use.  The outer row is 0 wherever the two blades share a
+    generator, which drops those pairs from the wedge without a branch in the
+    product loop.  The rows of the empty blade and of a single generator come
+    from _blade_product, the one sign rule.  That sign is a product of one
+    factor per generator i of mask_a (-1 per factor of mask_b below i, times
+    the square of i when mask_b holds i), so the row of a longer blade is the
+    entrywise product of the rows of its lowest generator and of the rest.
+    """
+    if mask_a & (mask_a - 1):
+        low = mask_a & -mask_a
+        return tuple(map(mul, _sign_row(squares, low, outer),
+                         _sign_row(squares, mask_a ^ low, outer)))
+    return tuple(0 if outer and mask_a & mb else _blade_product(mask_a, mb, squares)[0]
+                 for mb in range(1 << len(squares)))
+
+
+def _numerators(x: Multivector) -> tuple[dict[Key, list[tuple[int, int]]], int]:
+    """x as integer slots over one shared denominator.
+
+    Returns ({(d, imag): [(mask, numerator), ...]}, den) where den is the lcm
+    of every Fraction denominator in x, so coefficient q of term key (d, imag)
+    on blade mask is stored as the int q * den.
+    """
+    den = lcm(*(q.denominator for c in x.terms.values() for q in c.terms.values()))
+    slots: dict[Key, list[tuple[int, int]]] = {}
+    for m, c in x.terms.items():
+        for key, q in c.terms.items():
+            slots.setdefault(key, []).append((m, q.numerator * (den // q.denominator)))
+    return slots, den
+
+
+def _product(x: Multivector, y: Multivector, outer: bool) -> Multivector:
+    """Blade-pair product of x and y in integer numerators.
+
+    Each pair of (radicand, j) slots multiplies its keys once; the blade loop
+    then runs on plain ints with signs from _sign_row, and every output term
+    becomes a Fraction once, over the product of the two denominators.
+    """
     _compat(x, y)
     squares = x.sig.squares
-    acc: dict[int, Scalar] = {}
-    for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
-            sign, m = _blade_product(ma, mb, squares)
-            c = ca * cb
-            if sign < 0:
-                c = -c
-            s = acc.get(m)
-            if s is None:
-                acc[m] = c
-            else:
-                s = s + c
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-    return Multivector(x.sig, acc)
+    xs, den_x = _numerators(x)
+    ys, den_y = _numerators(y)
+    acc: dict[Key, dict[int, int]] = {}
+    for (d1, i1), x_slot in xs.items():
+        for (d2, i2), y_slot in ys.items():
+            g = gcd(d1, d2)
+            out = acc.setdefault((d1 // g * (d2 // g), i1 != i2), {})
+            factor = -g if i1 and i2 else g
+            get = out.get
+            for ma, na in x_slot:
+                row = _sign_row(squares, ma, outer)
+                na *= factor
+                for mb, nb in y_slot:
+                    m = ma ^ mb
+                    out[m] = get(m, 0) + row[mb] * na * nb
+    den = den_x * den_y
+    terms: dict[int, dict[Key, Fraction]] = {}
+    for key, out in acc.items():
+        for m, v in out.items():
+            if v:
+                terms.setdefault(m, {})[key] = Fraction(v, den)
+    return Multivector(x.sig, {m: Scalar(t) for m, t in terms.items()})
+
+
+def gp(x: Multivector, y: Multivector) -> Multivector:
+    """Geometric product."""
+    return _product(x, y, False)
 
 
 def wedge(x: Multivector, y: Multivector) -> Multivector:
     """Outer product: the grade-raising part of the geometric product."""
-    _compat(x, y)
-    squares = x.sig.squares
-    acc: dict[int, Scalar] = {}
-    for ma, ca in x.terms.items():
-        for mb, cb in y.terms.items():
-            if ma & mb:
-                continue
-            sign, m = _blade_product(ma, mb, squares)
-            c = ca * cb
-            if sign < 0:
-                c = -c
-            s = acc.get(m)
-            if s is None:
-                acc[m] = c
-            else:
-                s = s + c
-                if s:
-                    acc[m] = s
-                else:
-                    del acc[m]
-    return Multivector(x.sig, acc)
+    return _product(x, y, True)
 
 
 def sym_dot(x: Multivector, y: Multivector) -> Multivector:

@@ -7,12 +7,10 @@ see the summary lines.
 
 import random
 import time
-from fractions import Fraction
 
 from wittkit.dirac import (DiracRep, dirac_frame, dirac_idempotents,
-                           dirac_spectral_new, dirac_spectral_standard,
-                           gamma_anticommutation_check, new_witt_pair,
-                           pauli_spectral)
+                           dirac_spectral_standard, gamma_anticommutation_check,
+                           new_witt_pair, pauli_spectral)
 from wittkit.ga import Multivector, gp, reverse
 from wittkit.omega import bareiss_det, gram_check, omega
 from wittkit.scalars import Scalar

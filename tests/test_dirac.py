@@ -2,7 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.dirac import (DiracRep, dirac_frame, dirac_idempotents,

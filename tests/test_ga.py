@@ -14,6 +14,12 @@ SIG = g_nn(2)
 
 fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 
+SIGNATURES = [g3(), g_nn(1), g13(), g_nn(2), g_nn(3), g_nn(4)]
+
+# units of the coefficient ring: Q, Q(j) and the radicals sqrt 2, 3, 6 and j*sqrt 2
+UNITS = [Scalar.of(1), Scalar.j(), Scalar.sqrt(2), Scalar.sqrt(3), Scalar.sqrt(6),
+         Scalar.sqrt(-2)]
+
 
 def multivectors(sig=SIG):
     coeff = fractions.map(Scalar.of)
@@ -22,6 +28,35 @@ def multivectors(sig=SIG):
         max_size=8).map(
         lambda terms: sum((Multivector.blade(sig, m, c) for m, c in terms),
                          Multivector.zero(sig)))
+
+
+def ring_multivectors(sig):
+    """Sums of (p/q) * unit on random blades; a blade drawn twice gets a
+    multi-term coefficient.  Flat tuples keep hypothesis drawing cheap."""
+    term = st.tuples(st.integers(min_value=0, max_value=sig.dim - 1),
+                     st.integers(min_value=-9, max_value=9),
+                     st.integers(min_value=1, max_value=9),
+                     st.sampled_from(UNITS))
+
+    def build(terms):
+        acc = {}
+        for m, p, q, unit in terms:
+            acc[m] = acc.get(m, Scalar()) + unit * Fraction(p, q)
+        return Multivector(sig, {m: c for m, c in acc.items() if c})
+    # g44 operands stay sparse: the reference product is quadratic in Scalars
+    return st.lists(term, max_size=6 if sig.dim > 64 else 24).map(build)
+
+
+def reference_product(x, y, outer=False):
+    """gp (or wedge, when outer) as a plain loop of Scalar products and sums."""
+    acc = {}
+    for ma, ca in x.terms.items():
+        for mb, cb in y.terms.items():
+            if outer and ma & mb:
+                continue
+            sign, m = blade_product(ma, mb, x.sig)
+            acc[m] = acc.get(m, Scalar()) + ca * cb * sign
+    return Multivector(x.sig, {m: c for m, c in acc.items() if c})
 
 
 def vectors(sig=SIG):
@@ -77,14 +112,52 @@ class TestBladeProduct:
             blade_product(1 << SIG.m, 0, SIG)
 
 
+@pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: s.name)
+class TestProductOracle:
+    """gp and wedge against the Scalar reference product, signature by signature."""
+
+    @given(data=st.data())
+    def test_gp_matches_reference(self, sig, data):
+        x, y = data.draw(ring_multivectors(sig)), data.draw(ring_multivectors(sig))
+        assert gp(x, y).terms == reference_product(x, y).terms
+
+    @given(data=st.data())
+    def test_wedge_matches_reference(self, sig, data):
+        x, y = data.draw(ring_multivectors(sig)), data.draw(ring_multivectors(sig))
+        assert wedge(x, y).terms == reference_product(x, y, outer=True).terms
+
+    @given(data=st.data())
+    def test_empty_operand(self, sig, data):
+        x, zero = data.draw(ring_multivectors(sig)), Multivector.zero(sig)
+        for product in (gp, wedge):
+            assert product(x, zero).terms == product(zero, x).terms == {}
+
+    @given(data=st.data())
+    def test_cancelling_operands(self, sig, data):
+        # (1 + e)(1 - e) = 0 when e^2 = 1, so z(1 + e) * (1 - e)w cancels to zero
+        z, w = data.draw(ring_multivectors(sig)), data.draw(ring_multivectors(sig))
+        e = Multivector.generator(sig, sig.squares.index(1))
+        x = reference_product(z, 1 + e)
+        y = reference_product(1 - e, w)
+        assert gp(x, y).terms == reference_product(x, y).terms == {}
+        # v ^ v = 0 for a vector v
+        v = grade_project(z, 1)
+        assert wedge(v, v).terms == reference_product(v, v, outer=True).terms == {}
+
+
 class TestProductStructure:
-    @given(multivectors(), multivectors(), multivectors())
-    def test_gp_associative(self, x, y, z):
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: s.name)
+    @given(data=st.data())
+    def test_gp_associative(self, sig, data):
+        x, y, z = (data.draw(ring_multivectors(sig)) for _ in range(3))
         assert gp(gp(x, y), z) == gp(x, gp(y, z))
 
-    @given(multivectors(), multivectors(), multivectors())
-    def test_gp_distributes(self, x, y, z):
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: s.name)
+    @given(data=st.data())
+    def test_gp_distributes(self, sig, data):
+        x, y, z = (data.draw(ring_multivectors(sig)) for _ in range(3))
         assert gp(x, y + z) == gp(x, y) + gp(x, z)
+        assert gp(y + z, x) == gp(y, x) + gp(z, x)
 
     @given(vectors(), vectors())
     def test_vector_product_splits(self, x, y):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import RangeError, UnsupportedError
-from wittkit.omega import (MAX_K_DET, MAX_K_REAL, OmegaVariant, bareiss_det,
-                           det_omega, fast_apply, gram_check, omega)
+from wittkit.omega import (MAX_K_DET, MAX_K_REAL, bareiss_det, det_omega,
+                           fast_apply, gram_check, omega)
 from wittkit.scalars import Scalar
 
 J = Scalar.j()

@@ -10,7 +10,7 @@ from wittkit.cli import _basis
 from wittkit.dirac import pauli_spectral
 from wittkit.errors import (ExtractorUnavailableError, RangeError,
                             SignatureMismatchError)
-from wittkit.ga import Multivector, g3, g_nn, gp, reverse, sym_dot
+from wittkit.ga import Multivector, g3, g_nn, gp, reverse
 from wittkit.scalars import Scalar
 from wittkit.witt_global import (MvMatrix, SpectralBasis,
                                  check_duality_relations, make_global_witt,
