@@ -7,14 +7,14 @@ generator; coefficients live in the exact scalar ring, so every identity in
 this package is checked with zero floating point error.
 
 A multivector keeps its coefficients as ``terms: dict[mask, Scalar]``, and
-Scalar is the type every caller, JSON, LaTeX and ``str`` see.  ``gp`` and
-``wedge`` multiply no Scalars.  On entry each operand is split into slots,
-one per scalar term key (squarefree radicand d, with or without j), each a
-list of (mask, int numerator) pairs over one shared denominator: the lcm of
-the operand's Fraction denominators.  Each pair of slots multiplies its two
-keys once; the blade loop then runs on plain ints, with signs read from a
-cached row per left blade, and every output coefficient becomes a Fraction
-once, over the product of the two denominators.
+Scalar is the type every caller, JSON, LaTeX and ``str`` see.  Linear maps
+on those terms (``scale`` and every matrix map) are scalars.lincomb.
+``gp`` and ``wedge`` use the same integer kernel: each operand is split
+into (radicand, j) slots of (mask, int numerator) pairs by
+scalars.split_slots, each pair of slots multiplies its keys once by
+scalars.key_product, the blade loop runs on plain ints with signs read
+from a cached row per left blade, and scalars.join_slots turns every
+output coefficient into a Fraction once.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 from operator import mul
 
 from .errors import NotAVectorError, RangeError, SignatureMismatchError
-from .scalars import Key, Scalar, _is_int, join_signed
+from .scalars import (Key, Scalar, _is_int, join_signed, join_slots, key_product,
+                      lincomb, split_slots)
 
 MAX_GENERATORS = 12
 
@@ -149,14 +149,14 @@ class Multivector:
 
     @classmethod
     def scalar(cls, sig: Signature, value) -> "Multivector":
-        s = Scalar.of(value) if not isinstance(value, Scalar) else value
+        s = Scalar.of(value)
         return cls(sig, {0: s} if s else {})
 
     @classmethod
     def blade(cls, sig: Signature, mask: int, coeff=1) -> "Multivector":
         if mask >> sig.m or mask < 0:
             raise RangeError("blade mask out of range for signature")
-        s = Scalar.of(coeff) if not isinstance(coeff, Scalar) else coeff
+        s = Scalar.of(coeff)
         return cls(sig, {mask: s} if s else {})
 
     @classmethod
@@ -203,15 +203,7 @@ class Multivector:
         return other + (-self)
 
     def scale(self, factor) -> "Multivector":
-        s = factor if isinstance(factor, Scalar) else Scalar.of(factor)
-        if not s:
-            return Multivector(self.sig)
-        out = {}
-        for m, c in self.terms.items():
-            v = c * s
-            if v:
-                out[m] = v
-        return Multivector(self.sig, out)
+        return Multivector(self.sig, lincomb([(factor, self.terms)]))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -383,38 +375,17 @@ def _sign_row(squares: tuple[int, ...], mask_a: int, outer: bool) -> tuple[int, 
                  for mb in range(1 << len(squares)))
 
 
-def _numerators(x: Multivector) -> tuple[dict[Key, list[tuple[int, int]]], int]:
-    """x as integer slots over one shared denominator.
-
-    Returns ({(d, imag): [(mask, numerator), ...]}, den) where den is the lcm
-    of every Fraction denominator in x, so coefficient q of term key (d, imag)
-    on blade mask is stored as the int q * den.
-    """
-    den = lcm(*(q.denominator for c in x.terms.values() for q in c.terms.values()))
-    slots: dict[Key, list[tuple[int, int]]] = {}
-    for m, c in x.terms.items():
-        for key, q in c.terms.items():
-            slots.setdefault(key, []).append((m, q.numerator * (den // q.denominator)))
-    return slots, den
-
-
 def _product(x: Multivector, y: Multivector, outer: bool) -> Multivector:
-    """Blade-pair product of x and y in integer numerators.
-
-    Each pair of (radicand, j) slots multiplies its keys once; the blade loop
-    then runs on plain ints with signs from _sign_row, and every output term
-    becomes a Fraction once, over the product of the two denominators.
-    """
+    """Blade-pair product of x and y on the integer slots of both operands."""
     _compat(x, y)
     squares = x.sig.squares
-    xs, den_x = _numerators(x)
-    ys, den_y = _numerators(y)
+    xs, den_x = split_slots(x.terms)
+    ys, den_y = split_slots(y.terms)
     acc: dict[Key, dict[int, int]] = {}
-    for (d1, i1), x_slot in xs.items():
-        for (d2, i2), y_slot in ys.items():
-            g = gcd(d1, d2)
-            out = acc.setdefault((d1 // g * (d2 // g), i1 != i2), {})
-            factor = -g if i1 and i2 else g
+    for kx, x_slot in xs.items():
+        for ky, y_slot in ys.items():
+            key, factor = key_product(kx, ky)
+            out = acc.setdefault(key, {})
             get = out.get
             for ma, na in x_slot:
                 row = _sign_row(squares, ma, outer)
@@ -422,13 +393,7 @@ def _product(x: Multivector, y: Multivector, outer: bool) -> Multivector:
                 for mb, nb in y_slot:
                     m = ma ^ mb
                     out[m] = get(m, 0) + row[mb] * na * nb
-    den = den_x * den_y
-    terms: dict[int, dict[Key, Fraction]] = {}
-    for key, out in acc.items():
-        for m, v in out.items():
-            if v:
-                terms.setdefault(m, {})[key] = Fraction(v, den)
-    return Multivector(x.sig, {m: Scalar(t) for m, t in terms.items()})
+    return Multivector(x.sig, join_slots(acc, den_x * den_y))
 
 
 def gp(x: Multivector, y: Multivector) -> Multivector:

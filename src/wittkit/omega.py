@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import DimensionMismatchError, RangeError, UnsupportedError
-from .scalars import Scalar, pmatrix
+from .scalars import Scalar, lincomb, pmatrix
 
 MAX_K_REAL = 6
 MAX_K_DET = 5
@@ -101,11 +101,14 @@ class OmegaMatrix:
         return [[sum(r[t] * c[t] for t in range(self.dim)) for c in cols]
                 for r in self.rows]
 
-    def dense_apply(self, xs: list[Scalar]) -> list[Scalar]:
+    def dense_apply(self, xs: list) -> list[Scalar]:
+        """W x for entries x_t that are Scalars, ints or Fractions."""
         if len(xs) != self.dim:
             raise DimensionMismatchError("vector length does not match matrix")
-        return [sum((r[t] * xs[t] for t in range(self.dim)), Scalar())
-                for r in self.rows]
+        # W x = sum_t x_t (column t of W), in one integer sum
+        cols = [dict(enumerate(map(Scalar.of, col))) for col in zip(*self.rows)]
+        out = lincomb(zip(xs, cols))
+        return [out.get(i, Scalar()) for i in range(self.dim)]
 
     def __eq__(self, other):
         if not isinstance(other, OmegaMatrix):
@@ -192,8 +195,7 @@ def fast_apply(k: int, variant: OmegaVariant | str, xs: list) -> list:
     variant = OmegaVariant(variant)
     if variant not in (OmegaVariant.PLAIN, OmegaVariant.MINUS):
         # the complex family stops at k = 2; a dense product is already cheap
-        return omega(k, variant).dense_apply(
-            [x if isinstance(x, Scalar) else Scalar.of(x) for x in xs])
+        return omega(k, variant).dense_apply(xs)
     if not 1 <= k <= MAX_K_REAL:
         raise RangeError(f"real sign matrices are built for 1 <= k <= {MAX_K_REAL}")
     if len(xs) != 1 << k:

@@ -9,13 +9,19 @@ rational and pure-imaginary parts.  Addition and multiplication are closed
 (sqrt(d1)*sqrt(d2) reduces through the shared square factor); inversion is
 defined only for monomials, which is all the constructions here divide by.
 Negative radicands enter through j: sqrt(-d) is represented as j*sqrt(d).
+The constructors take ints and Fractions only, never floats or strings.
+
+The integer kernel below serves every linear map of the package: maps
+index -> Scalar are split into integer slots per term key over one shared
+denominator, summed in ints, and joined back into one Fraction per output
+coefficient.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NonMonomialError
 
@@ -72,7 +78,7 @@ class Scalar:
     def of(cls, value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        q = Fraction(value)
+        q = _rational(value)
         return cls({(1, False): q}) if q else cls()
 
     @classmethod
@@ -81,15 +87,17 @@ class Scalar:
 
     @classmethod
     def j(cls, coeff=1) -> "Scalar":
-        q = Fraction(coeff)
+        q = _rational(coeff)
         return cls({(1, True): q}) if q else cls()
 
     @classmethod
     def sqrt(cls, n: int, coeff=1) -> "Scalar":
         """coeff * sqrt(n); sqrt of a negative integer comes out as j*sqrt(-n)."""
+        if not isinstance(n, int):
+            raise TypeError(f"radicand must be an int, not {type(n).__name__}")
         if n == 0:
             raise ValueError("sqrt(0) has no radicand")
-        q = Fraction(coeff)
+        q = _rational(coeff)
         if not q:
             return cls()
         imag = n < 0
@@ -141,24 +149,11 @@ class Scalar:
         if other is None:
             return NotImplemented
         acc: dict[Key, Fraction] = {}
-        for (d1, i1), q1 in self.terms.items():
-            for (d2, i2), q2 in other.terms.items():
-                g = gcd(d1, d2)
-                d = (d1 // g) * (d2 // g)
-                q = q1 * q2 * g
-                if i1 and i2:
-                    q = -q
-                key = (d, i1 ^ i2)
-                s = acc.get(key)
-                if s is None:
-                    acc[key] = q
-                else:
-                    s = s + q
-                    if s:
-                        acc[key] = s
-                    else:
-                        del acc[key]
-        return Scalar(acc)
+        for k1, q1 in self.terms.items():
+            for k2, q2 in other.terms.items():
+                key, factor = key_product(k1, k2)
+                acc[key] = acc.get(key, 0) + q1 * q2 * factor
+        return Scalar({k: q for k, q in acc.items() if q})
 
     __rmul__ = __mul__
 
@@ -310,12 +305,84 @@ def _exact(value) -> Fraction:
         raise ValueError(f"coefficient {value!r} is not an exact rational") from None
 
 
+def _rational(value) -> Fraction:
+    """An exact coefficient: an int or a Fraction, never a float or a string."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact coefficients are ints or Fractions, "
+                        f"not {type(value).__name__}")
+    return Fraction(value)
+
+
 def _coerce(x):
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
         return Scalar.of(x)
     return None
+
+
+# -- the integer linear-combination kernel ---------------------------------
+
+
+def key_product(k1: Key, k2: Key) -> tuple[Key, int]:
+    """sqrt(d1) j^i1 * sqrt(d2) j^i2 as (key, factor): factor * sqrt(d) j^i.
+
+    The shared square g = gcd(d1, d2) leaves the factor g, and j*j gives -1.
+    """
+    (d1, i1), (d2, i2) = k1, k2
+    g = gcd(d1, d2)
+    return (d1 // g * (d2 // g), i1 != i2), (-g if i1 and i2 else g)
+
+
+def split_slots(vec: dict) -> tuple[dict[Key, list[tuple[object, int]]], int]:
+    """A sparse map index -> Scalar as integer slots over one denominator.
+
+    Returns ({key: [(index, numerator), ...]}, den), where den is the lcm of
+    every Fraction denominator in vec, so the coefficient q of term key on
+    index is stored as the int q * den.
+    """
+    den = lcm(*(q.denominator for c in vec.values() for q in c.terms.values()))
+    slots: dict[Key, list[tuple[object, int]]] = {}
+    for i, c in vec.items():
+        for key, q in c.terms.items():
+            slots.setdefault(key, []).append((i, q.numerator * (den // q.denominator)))
+    return slots, den
+
+
+def join_slots(acc: dict[Key, dict], den: int) -> dict:
+    """Integer sums {key: {index: numerator}} over den back to index -> Scalar,
+    one Fraction per nonzero coefficient; zero coefficients are dropped."""
+    terms: dict = {}
+    for key, out in acc.items():
+        for i, v in out.items():
+            if v:
+                terms.setdefault(i, {})[key] = Fraction(v, den)
+    return {i: Scalar(t) for i, t in terms.items()}
+
+
+def lincomb(pairs) -> dict:
+    """sum_k s_k * v_k for scalars s_k (Scalar, int or Fraction) and sparse
+    maps v_k: index -> Scalar, summed in ints over one shared denominator."""
+    staged = []
+    den = 1
+    for s, v in pairs:
+        # s as a one-entry map: each of its slots holds one (None, numerator)
+        s_slots, ds = split_slots({None: Scalar.of(s)})
+        v_slots, dv = split_slots(v)
+        staged.append((s_slots, v_slots, ds * dv))
+        den = lcm(den, ds * dv)
+    acc: dict[Key, dict] = {}
+    for s_slots, v_slots, d in staged:
+        for ks, [(_, ns)] in s_slots.items():
+            ns *= den // d
+            for kv, slot in v_slots.items():
+                key, factor = key_product(ks, kv)
+                out = acc.setdefault(key, {})
+                get = out.get
+                nf = ns * factor
+                for i, nv in slot:
+                    out[i] = get(i, 0) + nf * nv
+    return join_slots(acc, den)
 
 
 # -- rendering shared by every str and latex method ----------------------

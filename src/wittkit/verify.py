@@ -119,10 +119,9 @@ def random_scalar(rng: random.Random, complex_: bool = False) -> Scalar:
 
 def random_multivector(sig, rng: random.Random,
                        complex_: bool = False) -> Multivector:
-    g = Multivector.zero(sig)
-    for mask in range(sig.dim):
-        g = g + Multivector.blade(sig, mask, random_scalar(rng, complex_))
-    return g
+    # one draw per mask in ascending order, so seeded reports stay fixed
+    draws = {mask: random_scalar(rng, complex_) for mask in range(sig.dim)}
+    return Multivector(sig, {mask: s for mask, s in draws.items() if s})
 
 
 def _sample_pairs(sig, rng: random.Random, samples: int,

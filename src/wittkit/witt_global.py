@@ -26,7 +26,7 @@ from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, blade_product, g_nn, gp, gp_chain,
                  sym_dot)
-from .scalars import Scalar, _is_int, pmatrix
+from .scalars import Scalar, _is_int, lincomb, pmatrix
 
 
 def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
@@ -52,8 +52,7 @@ class MvMatrix:
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise DimensionMismatchError("matrix must be square")
-        self.entries = [[e if isinstance(e, Scalar) else Scalar.of(e) for e in row]
-                        for row in entries]
+        self.entries = [[Scalar.of(e) for e in row] for row in entries]
 
     @property
     def dim(self) -> int:
@@ -67,13 +66,10 @@ class MvMatrix:
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix sizes differ")
-        n = self.dim
-        cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append([sum((row[k] * cols[j][k] for k in range(n)), Scalar())
-                        for j in range(n)])
-        return MvMatrix(out)
+        # row i of the product is sum_k a_ik (row k of other)
+        rows = [dict(enumerate(row)) for row in other.entries]
+        out = [lincomb(zip(row, rows)) for row in self.entries]
+        return MvMatrix([[r.get(j, Scalar()) for j in range(self.dim)] for r in out])
 
     def __add__(self, other):
         if not isinstance(other, MvMatrix) or self.dim != other.dim:
@@ -82,7 +78,7 @@ class MvMatrix:
                          for r1, r2 in zip(self.entries, other.entries)])
 
     def scale(self, factor) -> "MvMatrix":
-        s = factor if isinstance(factor, Scalar) else Scalar.of(factor)
+        s = Scalar.of(factor)
         return MvMatrix([[e * s for e in row] for row in self.entries])
 
     def transpose(self) -> "MvMatrix":
@@ -142,19 +138,9 @@ class CentralMatrix:
     def matmul(self, other: "CentralMatrix") -> "CentralMatrix":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix sizes differ")
-        n = self.dim
         cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            new_row = []
-            for j in range(n):
-                acc = None
-                for k in range(n):
-                    p = gp(row[k], cols[j][k])
-                    acc = p if acc is None else acc + p
-                new_row.append(acc)
-            out.append(new_row)
-        return CentralMatrix(out)
+        return CentralMatrix([[sum(map(gp, row, col)) for col in cols]
+                              for row in self.entries])
 
     def scale(self, factor) -> "CentralMatrix":
         return CentralMatrix([[e.scale(factor) for e in row] for row in self.entries])
@@ -264,10 +250,7 @@ class SpectralBasis:
     # -- structural checks -------------------------------------------------
 
     def identity_sum(self) -> Multivector:
-        acc = Multivector.zero(self.sig)
-        for i in range(self.dim):
-            acc = acc + self.E[i][i]
-        return acc
+        return sum((self.E[i][i] for i in range(self.dim)), Multivector.zero(self.sig))
 
     def matrix_unit_law(self, quadruples=None) -> bool:
         """E[i][j]*E[k][l] == delta_jk E[i][l]; all quadruples unless given."""
@@ -309,10 +292,10 @@ class SpectralBasis:
         over Z, and by (1) there are as many as the dimension, so they form a
         basis; expanding g = sum z_kl E_kl gives tau(E_ji g) = z_ij exactly.
 
-        The table maps each blade mask b to its weights, each with the flat
-        indices it feeds, so a coordinate is a sparse dot product with the
-        input's coefficients (x_ij = n <E_ji g>_t sums E_ji[a] g[b] over the
-        masks a = b ^ t) and equal weights share one product.
+        The table maps each blade mask b to the flat indices it feeds and
+        their weights, {b: {idx: w}} with idx = (p n + i) n + j for part p,
+        so the coordinates are one scalars.lincomb over the input's terms:
+        x_ij = n <E_ji g>_t sums E_ji[a] g[b] over the masks a = b ^ t.
         """
         n, sig, u, cu = self.dim, self.sig, self.center, self.central_unit
         count = n * n if cu is None else 2 * n * n
@@ -340,7 +323,7 @@ class SpectralBasis:
                     raise ExtractorUnavailableError(
                         f"tau(u c{i} r{k}) is not {int(i == k)}: "
                         "the family breaks the matrix-unit law")
-        table: dict[int, dict[Scalar, list[int]]] = {}
+        table: dict[int, dict[int, Scalar]] = {}
         for p, (t, w) in enumerate(parts):
             for i in range(n):
                 for j in range(n):
@@ -349,11 +332,11 @@ class SpectralBasis:
                         v = w * c
                         if blade_product(a, a ^ t, sig)[0] < 0:
                             v = -v
-                        table.setdefault(a ^ t, {}).setdefault(v, []).append(idx)
+                        table.setdefault(a ^ t, {})[idx] = v
         self._extraction = table
 
     @property
-    def extraction(self) -> dict[int, dict[Scalar, list[int]]]:
+    def extraction(self) -> dict[int, dict[int, Scalar]]:
         if self._extraction is None:
             self._build_extraction()
         return self._extraction
@@ -364,12 +347,8 @@ class SpectralBasis:
             raise SignatureMismatchError("multivector belongs to a different algebra")
         table = self.extraction
         n = self.dim
-        x = [Scalar()] * self.sig.dim
-        for b, gb in g.terms.items():
-            for w, idxs in table.get(b, {}).items():
-                p = gb * w
-                for idx in idxs:
-                    x[idx] = x[idx] + p
+        xs = lincomb((gb, table.get(b, {})) for b, gb in g.terms.items())
+        x = [xs.get(idx, Scalar()) for idx in range(self.sig.dim)]
         if self.central_unit is None:
             return MvMatrix([[x[i * n + j] for j in range(n)] for i in range(n)])
         # x holds every plain part, then every central-unit part, row-major
@@ -381,15 +360,11 @@ class SpectralBasis:
     def matrix_to_mv(self, mat) -> Multivector:
         if mat.dim != self.dim:
             raise DimensionMismatchError("matrix size does not match basis dimension")
-        acc = Multivector.zero(self.sig)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                entry = mat.entries[i][j]
-                if isinstance(entry, Multivector):
-                    acc = acc + gp(entry, self.E[i][j])
-                else:
-                    acc = acc + self.E[i][j].scale(entry)
-        return acc
+        # a central-unit entry contributes gp(entry, E_ij), a scalar entry s E_ij
+        return Multivector(self.sig, lincomb(
+            (1, gp(e, unit).terms) if isinstance(e, Multivector) else (e, unit.terms)
+            for row, units in zip(mat.entries, self.E)
+            for e, unit in zip(row, units)))
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)

@@ -25,7 +25,7 @@ from .errors import RangeError, UnsupportedError
 from .ga import (Multivector, Signature, anticommutator, g_1n, gp, gp_chain,
                  wedge_chain)
 from .omega import OmegaVariant, omega
-from .scalars import Scalar, pmatrix
+from .scalars import Scalar, lincomb, pmatrix
 
 
 def alpha_coeff(k: int) -> Scalar:
@@ -141,12 +141,8 @@ class FrameMap:
     expected_squares: list[int]
 
     def row_combination(self, r: int) -> Multivector:
-        acc = Multivector.zero(self.sources[0].sig)
-        for s, src in enumerate(self.sources):
-            coeff = self.signs[r][s]
-            if coeff:
-                acc = acc + src.scale(coeff)
-        return acc
+        return Multivector(self.sources[0].sig, lincomb(
+            (coeff, src.terms) for coeff, src in zip(self.signs[r], self.sources)))
 
     def verify_rows(self) -> bool:
         return all(self.targets[r].scale(self.scales[r]) == self.row_combination(r)
@@ -192,13 +188,9 @@ def hadamard_nilpotents(k: int) -> LocalWitt:
     scales = _hadamard_scales(k)
     w = omega(k, OmegaVariant.PLAIN).rows
     scaled = [frame[r].scale(scales[r]) for r in range(n)]
-    inv = Fraction(1, n)
-    c = []
-    for i in range(n):
-        acc = Multivector.zero(sig)
-        for r in range(n):
-            acc = acc + scaled[r].scale(w[r][i])
-        c.append(acc.scale(inv))
+    c = [Multivector(sig, lincomb((Fraction(w[r][i], n), scaled[r].terms)
+                                  for r in range(n)))
+         for i in range(n)]
     return LocalWitt(n, sig, c)
 
 

@@ -244,6 +244,25 @@ class TestAccessors:
         x = Multivector.generator(SIG, 0)
         assert x / 2 == x.scale(Fraction(1, 2))
 
+    @given(st.data())
+    def test_scale_matches_termwise_product(self, data):
+        x = data.draw(ring_multivectors(SIG))
+        s = data.draw(st.sampled_from(UNITS)) * data.draw(fractions)
+        want = {m: c * s for m, c in x.terms.items() if c * s}
+        assert x.scale(s).terms == want
+
+    # a float would enter as its binary expansion, a string would be parsed
+    @pytest.mark.parametrize("make", [
+        lambda: Multivector.scalar(SIG, 0.1), lambda: Multivector.scalar(SIG, "1/2"),
+        lambda: Multivector.blade(SIG, 0b11, 0.5),
+        lambda: Multivector.generator(SIG, 0).scale(0.5),
+        lambda: Multivector.generator(SIG, 0).scale("2"),
+    ], ids=["scalar-float", "scalar-string", "blade-float", "scale-float",
+            "scale-string"])
+    def test_inexact_coefficients_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
+
 
 class TestHash:
     def test_scalar_only_hashes_like_its_scalar(self):

@@ -1,7 +1,9 @@
 """Recursive sign-matrix family: literals, Gram identities, determinants."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wittkit.errors import RangeError, UnsupportedError
 from wittkit.omega import (MAX_K_DET, MAX_K_REAL, bareiss_det, det_omega,
@@ -131,6 +133,24 @@ class TestFastApply:
     def test_length_guard(self):
         with pytest.raises(ValueError):
             fast_apply(2, "plain", [Scalar.of(1)] * 3)
+
+    @pytest.mark.parametrize("k,variant", [(3, "plain"), (2, "minus"),
+                                           (2, "complex-plain"), (1, "complex-minus")])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_dense_matches_scalar_reference(self, k, variant, data):
+        # Q(j) entries plus a radical: every term key of the kernel
+        entry = st.tuples(fractions, fractions, fractions).map(
+            lambda t: Scalar.of(t[0]) + Scalar.j(t[1]) + Scalar.sqrt(2, t[2]))
+        xs = data.draw(st.lists(entry, min_size=1 << k, max_size=1 << k))
+        w = omega(k, variant)
+        want = [sum((x * e for x, e in zip(xs, row)), Scalar()) for row in w.rows]
+        assert w.dense_apply(xs) == want
+
+    def test_complex_variant_takes_exact_numbers(self):
+        xs = [1, Fraction(1, 2), -3, 0]
+        assert fast_apply(2, "complex-minus", xs) == \
+            omega(2, "complex-minus").dense_apply(list(map(Scalar.of, xs)))
 
 
 class TestSerialization:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import NonMonomialError
-from wittkit.scalars import Scalar
+from wittkit.scalars import Scalar, key_product, lincomb
 
 fractions = st.fractions(
     min_value=-9, max_value=9,
@@ -20,6 +20,28 @@ def rational_scalars():
 def qj_scalars():
     return st.tuples(fractions, fractions).map(
         lambda t: Scalar.of(t[0]) + Scalar.j(t[1]))
+
+
+def radical_scalars():
+    # p + q j + r sqrt(d): Q, Q(j) and a radical in one coefficient
+    return st.tuples(fractions, fractions, fractions, st.sampled_from([2, 3, 6])).map(
+        lambda t: Scalar.of(t[0]) + Scalar.j(t[1]) + Scalar.sqrt(t[3], t[2]))
+
+
+ring_scalars = st.one_of(rational_scalars(), qj_scalars(), radical_scalars())
+# lincomb takes ints, Fractions and Scalars as coefficients
+coefficients = st.one_of(st.integers(min_value=-9, max_value=9), fractions, ring_scalars)
+sparse_maps = st.dictionaries(st.integers(min_value=0, max_value=7), ring_scalars,
+                              max_size=5)
+
+
+def reference_lincomb(pairs):
+    """sum_k s_k * v_k with Scalar * and +, zero coefficients dropped."""
+    out = {}
+    for s, v in pairs:
+        for i, c in v.items():
+            out[i] = out.get(i, Scalar()) + c * s
+    return {i: c for i, c in out.items() if c}
 
 
 class TestConstruction:
@@ -45,6 +67,16 @@ class TestConstruction:
 
     def test_sqrt_zero_coeff_collapses(self):
         assert Scalar.sqrt(5, coeff=0).is_zero()
+
+    # a float would enter as its binary expansion, a string would be parsed
+    @pytest.mark.parametrize("make", [
+        lambda: Scalar.of(0.1), lambda: Scalar.of("3/4"), lambda: Scalar.j(0.5),
+        lambda: Scalar.j("1"), lambda: Scalar.sqrt(2, 0.5), lambda: Scalar.sqrt(2.0),
+    ], ids=["of-float", "of-string", "j-float", "j-string", "sqrt-float-coeff",
+            "sqrt-float-radicand"])
+    def test_inexact_inputs_rejected(self, make):
+        with pytest.raises(TypeError):
+            make()
 
 
 class TestArithmetic:
@@ -172,3 +204,27 @@ class TestHash:
     @given(fractions)
     def test_rational_set_collapses(self, q):
         assert len({Scalar.of(q), q}) == 1
+
+
+class TestKernel:
+    @pytest.mark.parametrize("k1,k2,product", [
+        ((1, True), (1, True), ((1, False), -1)),    # j j = -1
+        ((2, False), (6, False), ((3, False), 2)),   # sqrt2 sqrt6 = 2 sqrt3
+        ((3, False), (3, True), ((1, True), 3)),     # sqrt3 j sqrt3 = 3 j
+    ], ids=["j-j", "sqrt2-sqrt6", "sqrt3-jsqrt3"])
+    def test_key_product(self, k1, k2, product):
+        assert key_product(k1, k2) == product
+        assert key_product(k2, k1) == product
+
+    @given(st.lists(st.tuples(coefficients, sparse_maps), max_size=5))
+    def test_lincomb_matches_scalar_sum(self, pairs):
+        assert lincomb(pairs) == reference_lincomb(pairs)
+
+    def test_lincomb_of_nothing_is_empty(self):
+        assert lincomb([]) == {}
+        assert lincomb([(0, {0: Scalar.of(1)}), (Scalar.j(), {})]) == {}
+
+    @given(coefficients, sparse_maps)
+    def test_cancelling_pairs_drop_out(self, s, v):
+        assert lincomb([(s, v), (s, {i: -c for i, c in v.items()})]) == {}
+        assert lincomb([(s, v), (-s, v)]) == {}

@@ -4,13 +4,13 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wittkit.cli import _basis
 from wittkit.dirac import pauli_spectral
 from wittkit.errors import (ExtractorUnavailableError, RangeError,
                             SignatureMismatchError)
-from wittkit.ga import Multivector, g3, g_nn, gp, reverse
+from wittkit.ga import Multivector, g3, gp, reverse
 from wittkit.scalars import Scalar
 from wittkit.witt_global import (MvMatrix, SpectralBasis,
                                  check_duality_relations, make_global_witt,
@@ -141,21 +141,26 @@ class TestSpectralArrays:
         assert alt.E == [[u_plus, gp(e, u_minus)], [gp(e, u_plus), u_minus]]
 
 
+BASES = ["g11", "g22", "g33", "g44", "g13", "g13new", "pauli"]
+
+
 class TestIsomorphism:
-    @given(multivectors(g_nn(1)), multivectors(g_nn(1)))
-    def test_homomorphism_g11(self, g, h):
-        sb = spectral_basis_nn(1)
-        assert sb.mv_to_matrix(gp(g, h)) == \
-            sb.mv_to_matrix(g).matmul(sb.mv_to_matrix(h))
+    @pytest.mark.parametrize("name", BASES)
+    def test_homomorphism(self, name):
+        sb = named_basis(name)
 
-    @given(multivectors(g_nn(2)), multivectors(g_nn(2)))
-    def test_homomorphism_g22(self, g, h):
-        sb = spectral_basis_nn(2)
-        assert sb.mv_to_matrix(gp(g, h)) == \
-            sb.mv_to_matrix(g).matmul(sb.mv_to_matrix(h))
+        # drawing the exact operands costs about 25 ms an example, and a g44
+        # example also multiplies two 16 x 16 matrices: 7 sizes x 20 examples
+        # keep the test near 5 s
+        @settings(max_examples=10 if name == "g44" else 20)
+        @given(multivectors(sb.sig, exact_scalars), multivectors(sb.sig, exact_scalars))
+        def check(g, h):
+            assert sb.mv_to_matrix(gp(g, h)) == \
+                sb.mv_to_matrix(g).matmul(sb.mv_to_matrix(h))
 
-    @pytest.mark.parametrize("name", ["g11", "g22", "g33", "g44", "g13",
-                                      "g13new", "pauli"])
+        check()
+
+    @pytest.mark.parametrize("name", BASES)
     @given(data=st.data())
     def test_roundtrip(self, name, data):
         # sparse inputs (at most 6 terms) keep g33/g44 cheap per example
@@ -236,7 +241,32 @@ class TestExtractorGuards:
         assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
 
 
+def reference_matmul(a, b):
+    """The product of two square lists of Scalars with Scalar * and +."""
+    return [[sum((row[k] * b[k][j] for k in range(len(b))), Scalar())
+             for j in range(len(b))] for row in a]
+
+
+def square_matrices(n):
+    entry = st.one_of(st.just(Scalar()), fractions.map(Scalar.of), exact_scalars)
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
 class TestMvMatrix:
+    @settings(max_examples=30)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(square_matrices(n), square_matrices(n))))
+    def test_matmul_matches_scalar_reference(self, ab):
+        a, b = ab
+        assert MvMatrix(a).matmul(MvMatrix(b)).entries == reference_matmul(a, b)
+
+    def test_inexact_entries_rejected(self):
+        # a float would enter as its binary expansion, a string would be parsed
+        with pytest.raises(TypeError):
+            MvMatrix([[0.5]])
+        with pytest.raises(TypeError):
+            MvMatrix([[1, "1/2"], [0, 1]])
+
     def test_identity_and_matmul(self):
         m = MvMatrix([[1, 2], [3, 4]])
         assert m.matmul(MvMatrix.identity(2)) == m
