@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import DimensionMismatchError, RangeError, UnsupportedError
-from .scalars import Scalar, lincomb, pmatrix
+from .scalars import Scalar, lincomb_split, pmatrix, split_slots
 
 MAX_K_REAL = 6
 MAX_K_DET = 5
@@ -105,9 +105,14 @@ class OmegaMatrix:
         """W x for entries x_t that are Scalars, ints or Fractions."""
         if len(xs) != self.dim:
             raise DimensionMismatchError("vector length does not match matrix")
-        # W x = sum_t x_t (column t of W), in one integer sum
-        cols = [dict(enumerate(map(Scalar.of, col))) for col in zip(*self.rows)]
-        out = lincomb(zip(xs, cols))
+        # W x = sum_t x_t (column t of W), in one integer sum; a real column
+        # is already its one rational slot of +-1 numerators over 1
+        cols = zip(*self.rows)
+        if self.variant in (OmegaVariant.PLAIN, OmegaVariant.MINUS):
+            split = [({(1, False): list(enumerate(col))}, 1) for col in cols]
+        else:
+            split = [split_slots(dict(enumerate(col))) for col in cols]
+        out = lincomb_split(zip(xs, split))
         return [out.get(i, Scalar()) for i in range(self.dim)]
 
     def __eq__(self, other):

@@ -14,7 +14,13 @@ The constructors take ints and Fractions only, never floats or strings.
 The integer kernel below serves every linear map of the package: maps
 index -> Scalar are split into integer slots per term key over one shared
 denominator, summed in ints, and joined back into one Fraction per output
-coefficient.
+coefficient.  lincomb_split sums maps that are already split, so a fixed
+operand is split once and reused: a spectral basis keeps its trace table
+and its matrix units split, and a real sign matrix's columns are built as
+slots directly.  lincomb splits its ad-hoc maps on every call, and
+ga._product splits both of its operands on every call, on purpose, since
+neither operand of a product is fixed.  Scalar coefficients are never
+split: the kernel reads their terms directly.
 """
 
 from __future__ import annotations
@@ -363,18 +369,24 @@ def join_slots(acc: dict[Key, dict], den: int) -> dict:
 def lincomb(pairs) -> dict:
     """sum_k s_k * v_k for scalars s_k (Scalar, int or Fraction) and sparse
     maps v_k: index -> Scalar, summed in ints over one shared denominator."""
+    return lincomb_split((s, split_slots(v)) for s, v in pairs)
+
+
+def lincomb_split(pairs) -> dict:
+    """lincomb over maps already split: pairs (s_k, (slots_k, den_k)) as
+    split_slots returns them.  The slot lists are only read, so a caller may
+    split a fixed map once and pass the same slots to every call."""
     staged = []
     den = 1
-    for s, v in pairs:
-        # s as a one-entry map: each of its slots holds one (None, numerator)
-        s_slots, ds = split_slots({None: Scalar.of(s)})
-        v_slots, dv = split_slots(v)
-        staged.append((s_slots, v_slots, ds * dv))
-        den = lcm(den, ds * dv)
+    for s, (v_slots, dv) in pairs:
+        terms = Scalar.of(s).terms
+        # a multiple of q.denominator * dv for every term, so the // below is exact
+        den =lcm(den, *(q.denominator * dv for q in terms.values()))
+        staged.append((terms, v_slots, dv))
     acc: dict[Key, dict] = {}
-    for s_slots, v_slots, d in staged:
-        for ks, [(_, ns)] in s_slots.items():
-            ns *= den // d
+    for terms, v_slots, dv in staged:
+        for ks, q in terms.items():
+            ns = q.numerator * (den // (q.denominator * dv))
             for kv, slot in v_slots.items():
                 key, factor = key_product(ks, kv)
                 out = acc.setdefault(key, {})

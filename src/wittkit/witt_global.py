@@ -12,9 +12,9 @@ Coordinates come from the trace: for matrix units the scalar part is the
 normalized trace, so the (i, j) coordinate of g is x_ij = n <E[j][i] g>_0
 (plus the central-blade part when the basis is taken over a central unit).
 Each basis certifies once that its family really is a complete set of
-matrix units before it converts anything; see
-SpectralBasis._build_extraction.  Inputs and basis entries may carry
-radicals.
+matrix units before mv_to_matrix reads any coordinates; see
+SpectralBasis._build_extraction.  matrix_to_mv only expands sum x_ij E_ij
+and needs no certificate.  Inputs and basis entries may carry radicals.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, blade_product, g_nn, gp, gp_chain,
                  sym_dot)
-from .scalars import Scalar, _is_int, lincomb, pmatrix
+from .scalars import Scalar, _is_int, lincomb_split, pmatrix, split_slots
 
 
 def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
@@ -66,9 +66,10 @@ class MvMatrix:
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix sizes differ")
-        # row i of the product is sum_k a_ik (row k of other)
-        rows = [dict(enumerate(row)) for row in other.entries]
-        out = [lincomb(zip(row, rows)) for row in self.entries]
+        # row i of the product is sum_k a_ik (row k of other); each row of
+        # other is split once, not once per row of self
+        rows = [split_slots(dict(enumerate(row))) for row in other.entries]
+        out = [lincomb_split(zip(row, rows)) for row in self.entries]
         return MvMatrix([[r.get(j, Scalar()) for j in range(self.dim)] for r in out])
 
     def __add__(self, other):
@@ -242,6 +243,7 @@ class SpectralBasis:
         self.E = [[gp(rc, c) for c in self.cols]
                   for rc in (gp(r, center) for r in self.rows)]
         self._extraction = None
+        self._split_units = None
 
     @property
     def dim(self) -> int:
@@ -293,9 +295,11 @@ class SpectralBasis:
         basis; expanding g = sum z_kl E_kl gives tau(E_ji g) = z_ij exactly.
 
         The table maps each blade mask b to the flat indices it feeds and
-        their weights, {b: {idx: w}} with idx = (p n + i) n + j for part p,
-        so the coordinates are one scalars.lincomb over the input's terms:
-        x_ij = n <E_ji g>_t sums E_ji[a] g[b] over the masks a = b ^ t.
+        their weights, idx = (p n + i) n + j for part p, so the coordinates
+        are one scalars.lincomb_split over the input's terms: x_ij = n <E_ji g>_t
+        sums E_ji[a] g[b] over the masks a = b ^ t.  Each row {idx: w} is
+        stored split once, as the (slots, den) of scalars.split_slots, so no
+        conversion splits the table again.
         """
         n, sig, u, cu = self.dim, self.sig, self.center, self.central_unit
         count = n * n if cu is None else 2 * n * n
@@ -333,21 +337,17 @@ class SpectralBasis:
                         if blade_product(a, a ^ t, sig)[0] < 0:
                             v = -v
                         table.setdefault(a ^ t, {})[idx] = v
-        self._extraction = table
-
-    @property
-    def extraction(self) -> dict[int, dict[int, Scalar]]:
-        if self._extraction is None:
-            self._build_extraction()
-        return self._extraction
+        self._extraction = {b: split_slots(row) for b, row in table.items()}
 
     def mv_to_matrix(self, g: Multivector):
         """x_ij = n <E_ji g>_0, plus the central-blade part over a central unit."""
         if g.sig.squares != self.sig.squares:
             raise SignatureMismatchError("multivector belongs to a different algebra")
-        table = self.extraction
+        if self._extraction is None:
+            self._build_extraction()
+        table = self._extraction
         n = self.dim
-        xs = lincomb((gb, table.get(b, {})) for b, gb in g.terms.items())
+        xs = lincomb_split((gb, table[b]) for b, gb in g.terms.items() if b in table)
         x = [xs.get(idx, Scalar()) for idx in range(self.sig.dim)]
         if self.central_unit is None:
             return MvMatrix([[x[i * n + j] for j in range(n)] for i in range(n)])
@@ -360,11 +360,16 @@ class SpectralBasis:
     def matrix_to_mv(self, mat) -> Multivector:
         if mat.dim != self.dim:
             raise DimensionMismatchError("matrix size does not match basis dimension")
+        # the matrix units split once per basis; no certificate is needed to
+        # expand sum x_ij E_ij, so this never builds the trace table
+        if self._split_units is None:
+            self._split_units = [[split_slots(u.terms) for u in row] for row in self.E]
         # a central-unit entry contributes gp(entry, E_ij), a scalar entry s E_ij
-        return Multivector(self.sig, lincomb(
-            (1, gp(e, unit).terms) if isinstance(e, Multivector) else (e, unit.terms)
-            for row, units in zip(mat.entries, self.E)
-            for e, unit in zip(row, units)))
+        return Multivector(self.sig, lincomb_split(
+            (1, split_slots(gp(e, unit).terms)) if isinstance(e, Multivector)
+            else (e, split)
+            for row, units, splits in zip(mat.entries, self.E, self._split_units)
+            for e, unit, split in zip(row, units, splits)))
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)

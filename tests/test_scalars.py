@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import NonMonomialError
-from wittkit.scalars import Scalar, key_product, lincomb
+from wittkit.scalars import Scalar, key_product, lincomb, lincomb_split, split_slots
 
 fractions = st.fractions(
     min_value=-9, max_value=9,
@@ -223,6 +223,16 @@ class TestKernel:
     def test_lincomb_of_nothing_is_empty(self):
         assert lincomb([]) == {}
         assert lincomb([(0, {0: Scalar.of(1)}), (Scalar.j(), {})]) == {}
+
+    @given(st.lists(st.tuples(coefficients, sparse_maps), max_size=5))
+    def test_split_core_only_reads_its_slots(self, pairs):
+        # every split map goes in twice: a write on the first pass would
+        # change the second, and the slots must come back as they went in
+        split = [(s, split_slots(v)) for s, v in pairs]
+        before = [({k: list(slot) for k, slot in slots.items()}, den)
+                  for _, (slots, den) in split]
+        assert lincomb_split(split + split) == reference_lincomb(pairs + pairs)
+        assert [sd for _, sd in split] == before
 
     @given(coefficients, sparse_maps)
     def test_cancelling_pairs_drop_out(self, s, v):

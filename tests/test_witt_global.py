@@ -1,5 +1,6 @@
 """Global nilpotent pairs, spectral bases, and the coordinate isomorphism."""
 
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -12,7 +13,7 @@ from wittkit.errors import (ExtractorUnavailableError, RangeError,
                             SignatureMismatchError)
 from wittkit.ga import Multivector, g3, gp, reverse
 from wittkit.scalars import Scalar
-from wittkit.witt_global import (MvMatrix, SpectralBasis,
+from wittkit.witt_global import (CentralMatrix, MvMatrix, SpectralBasis,
                                  check_duality_relations, make_global_witt,
                                  spectral_basis_nn)
 
@@ -24,10 +25,12 @@ exact_scalars = st.tuples(fractions, fractions, fractions,
     lambda t: Scalar.of(t[0]) + Scalar.j(t[1]) + Scalar.sqrt(t[3], t[2]))
 
 
-@cache
-def named_basis(name):
+def fresh_basis(name):
     """Every basis the CLI converts through, plus the Pauli basis."""
     return pauli_spectral()[0] if name == "pauli" else _basis(name)
+
+
+named_basis = cache(fresh_basis)
 
 
 def multivectors(sig, coeff=fractions.map(Scalar.of)):
@@ -168,6 +171,18 @@ class TestIsomorphism:
         g = data.draw(multivectors(sb.sig, exact_scalars))
         assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
 
+    @pytest.mark.parametrize("name", BASES)
+    def test_coordinates_match_trace_form(self, name):
+        # the cached split table against the defining formula through gp
+        sb = named_basis(name)
+
+        @settings(max_examples=10 if name == "g44" else 20)
+        @given(multivectors(sb.sig, exact_scalars))
+        def check(g):
+            assert sb.mv_to_matrix(g) == trace_form(sb, g)
+
+        check()
+
     def test_radical_coefficients_pass_through(self):
         # basis entries are rational, but inputs may carry radicals
         sb = spectral_basis_nn(1)
@@ -183,6 +198,63 @@ class TestIsomorphism:
         sb = spectral_basis_nn(2)
         g = Multivector.scalar(sb.sig, Fraction(3, 7))
         assert sb.mv_to_matrix(g) == MvMatrix.identity(4).scale(Fraction(3, 7))
+
+
+def trace_form(sb, g):
+    """x_ij = n <E_ji g>_0, plus n <E_ji g>_c on the central blade c over a
+    central unit, from gp alone."""
+    n = sb.dim
+    if sb.central_unit is None:
+        return MvMatrix([[gp(sb.E[j][i], g).coeff(0) * n for j in range(n)]
+                         for i in range(n)])
+    (c, _), = sb.central_unit.terms.items()
+
+    def entry(p):
+        return Multivector.blade(sb.sig, 0, p.coeff(0) * n) + \
+            Multivector.blade(sb.sig, c, p.coeff(c) * n)
+
+    return CentralMatrix([[entry(gp(sb.E[j][i], g)) for j in range(n)]
+                          for i in range(n)])
+
+
+def seeded_multivector(sig, seed):
+    """Up to 6 blades with p + q j + r sqrt(d) coefficients, drawn from seed."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    terms = {rng.randrange(sig.dim): Scalar.of(q()) + Scalar.j(q())
+             + Scalar.sqrt(rng.choice([2, 3, 6]), q()) for _ in range(rng.randint(1, 6))}
+    return Multivector(sig, {m: c for m, c in terms.items() if c})
+
+
+class TestConversionCaches:
+    @pytest.mark.parametrize("name", ["g22", "g13", "pauli"])
+    def test_reused_basis_matches_fresh(self, name):
+        sb = fresh_basis(name)
+        for seed in range(20):
+            g = seeded_multivector(sb.sig, seed)
+            other = fresh_basis(name)
+            mat = sb.mv_to_matrix(g)
+            assert mat == other.mv_to_matrix(g)
+            assert sb.matrix_to_mv(mat) == other.matrix_to_mv(mat) == g
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_matrix_to_mv_builds_no_trace_table(self, name, monkeypatch):
+        p = named_basis(name)
+        images = [p.mv_to_matrix(Multivector.generator(p.sig, k))
+                  for k in range(p.sig.m)]
+
+        def refuse(self):
+            raise AssertionError("the trace table was built")
+
+        monkeypatch.setattr(SpectralBasis, "_build_extraction", refuse)
+        sb = SpectralBasis(p.rows, p.center, p.cols, central_unit=p.central_unit)
+        for k, mat in enumerate(images):
+            assert sb.matrix_to_mv(mat) == Multivector.generator(sb.sig, k)
+        with pytest.raises(AssertionError, match="trace table"):
+            sb.mv_to_matrix(Multivector.scalar(sb.sig, 1))
 
 
 class TestExtractorGuards:
