@@ -8,7 +8,8 @@ this package is checked with zero floating point error.
 
 A multivector keeps its coefficients as ``terms: dict[mask, Scalar]``, and
 Scalar is the type every caller, JSON, LaTeX and ``str`` see.  Linear maps
-on those terms (``scale`` and every matrix map) are scalars.lincomb.
+on those terms are the scalars kernel: ``scale`` is one scalars.lincomb,
+and every coordinate map is one scalars.apply_map.
 ``gp`` and ``wedge`` use the same integer kernel: each operand is split
 into (radicand, j) slots of (mask, int numerator) pairs by
 scalars.split_slots, each pair of slots multiplies its keys once by

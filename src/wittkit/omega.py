@@ -17,9 +17,10 @@ The butterfly in fast_apply evaluates W @ x in O(k 2**k) exact operations.
 from __future__ import annotations
 
 from enum import Enum
+from operator import mul
 
 from .errors import DimensionMismatchError, RangeError, UnsupportedError
-from .scalars import Scalar, lincomb_split, pmatrix, split_slots
+from .scalars import Scalar, apply_map, pmatrix, split_map
 
 MAX_K_REAL = 6
 MAX_K_DET = 5
@@ -98,21 +99,20 @@ class OmegaMatrix:
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix sizes differ")
         cols = list(zip(*other.rows))
-        return [[sum(r[t] * c[t] for t in range(self.dim)) for c in cols]
-                for r in self.rows]
+        return [[sum(map(mul, r, c)) for c in cols] for r in self.rows]
 
     def dense_apply(self, xs: list) -> list[Scalar]:
         """W x for entries x_t that are Scalars, ints or Fractions."""
         if len(xs) != self.dim:
             raise DimensionMismatchError("vector length does not match matrix")
-        # W x = sum_t x_t (column t of W), in one integer sum; a real column
-        # is already its one rational slot of +-1 numerators over 1
-        cols = zip(*self.rows)
+        # W x = sum_t x_t (column t of W), in one integer sum; real columns
+        # are already one rational slot of +-1 numerators over 1
+        cols = dict(enumerate(zip(*self.rows)))
         if self.variant in (OmegaVariant.PLAIN, OmegaVariant.MINUS):
-            split = [({(1, False): list(enumerate(col))}, 1) for col in cols]
+            split = ({(1, False): {t: list(enumerate(col)) for t, col in cols.items()}}, 1)
         else:
-            split = [split_slots(dict(enumerate(col))) for col in cols]
-        out = lincomb_split(zip(xs, split))
+            split = split_map({t: dict(enumerate(col)) for t, col in cols.items()})
+        out = apply_map({t: Scalar.of(x) for t, x in enumerate(xs)}, split)
         return [out.get(i, Scalar()) for i in range(self.dim)]
 
     def __eq__(self, other):

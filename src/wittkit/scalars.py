@@ -14,13 +14,15 @@ The constructors take ints and Fractions only, never floats or strings.
 The integer kernel below serves every linear map of the package: maps
 index -> Scalar are split into integer slots per term key over one shared
 denominator, summed in ints, and joined back into one Fraction per output
-coefficient.  lincomb_split sums maps that are already split, so a fixed
-operand is split once and reused: a spectral basis keeps its trace table
-and its matrix units split, and a real sign matrix's columns are built as
-slots directly.  lincomb splits its ad-hoc maps on every call, and
+coefficient.  split_map splits a whole fixed map k -> (index -> Scalar) at
+once, and apply_map sums any vector against it, splitting only the vector.
+The operands split once are a spectral basis's trace table, its products
+t E_ij of a blade t with a matrix unit (t = 0 for scalar entries), the
+right factor of a coordinate matrix product (once per product, not per
+row), and a sign matrix's columns (per apply; real columns are built as
+slots directly).  lincomb splits its ad-hoc maps on every call, and
 ga._product splits both of its operands on every call, on purpose, since
-neither operand of a product is fixed.  Scalar coefficients are never
-split: the kernel reads their terms directly.
+neither operand of a product is fixed.
 """
 
 from __future__ import annotations
@@ -366,35 +368,54 @@ def join_slots(acc: dict[Key, dict], den: int) -> dict:
     return {i: Scalar(t) for i, t in terms.items()}
 
 
+def split_map(rows: dict) -> tuple[dict[Key, dict[object, list[tuple[object, int]]]], int]:
+    """A fixed linear map k -> (index -> Scalar) as integer slots, split once.
+
+    Returns ({key: {k: [(index, numerator), ...]}}, den): every row of the
+    map in one structure over one shared denominator, the lcm of all its
+    Fraction denominators, so apply_map can sum any vector against it.
+    """
+    den = lcm(*(q.denominator for row in rows.values()
+                for c in row.values() for q in c.terms.values()))
+    split: dict[Key, dict[object, list[tuple[object, int]]]] = {}
+    for k, row in rows.items():
+        for i, c in row.items():
+            for key, q in c.terms.items():
+                split.setdefault(key, {}).setdefault(k, []).append(
+                    (i, q.numerator * (den // q.denominator)))
+    return split, den
+
+
+def apply_map(vec: dict, split) -> dict:
+    """sum_k vec[k] * row_k for Scalars vec[k] and a map split by split_map.
+
+    vec is split once; the blade loop of ga._product has the same shape.
+    The split map is only read, so a caller may split a fixed map once and
+    pass it to every call.
+    """
+    vs, den_v = split_slots(vec)
+    rows, den_r = split
+    acc: dict[Key, dict] = {}
+    for kv, v_slot in vs.items():
+        for kr, r_rows in rows.items():
+            key, factor = key_product(kv, kr)
+            out = acc.setdefault(key, {})
+            get = out.get
+            for k, nv in v_slot:
+                row = r_rows.get(k)
+                if row is not None:
+                    nv *= factor
+                    for i, nr in row:
+                        out[i] = get(i, 0) + nv * nr
+    return join_slots(acc, den_v * den_r)
+
+
 def lincomb(pairs) -> dict:
     """sum_k s_k * v_k for scalars s_k (Scalar, int or Fraction) and sparse
     maps v_k: index -> Scalar, summed in ints over one shared denominator."""
-    return lincomb_split((s, split_slots(v)) for s, v in pairs)
-
-
-def lincomb_split(pairs) -> dict:
-    """lincomb over maps already split: pairs (s_k, (slots_k, den_k)) as
-    split_slots returns them.  The slot lists are only read, so a caller may
-    split a fixed map once and pass the same slots to every call."""
-    staged = []
-    den = 1
-    for s, (v_slots, dv) in pairs:
-        terms = Scalar.of(s).terms
-        # a multiple of q.denominator * dv for every term, so the // below is exact
-        den =lcm(den, *(q.denominator * dv for q in terms.values()))
-        staged.append((terms, v_slots, dv))
-    acc: dict[Key, dict] = {}
-    for terms, v_slots, dv in staged:
-        for ks, q in terms.items():
-            ns = q.numerator * (den // (q.denominator * dv))
-            for kv, slot in v_slots.items():
-                key, factor = key_product(ks, kv)
-                out = acc.setdefault(key, {})
-                get = out.get
-                nf = ns * factor
-                for i, nv in slot:
-                    out[i] = get(i, 0) + nf * nv
-    return join_slots(acc, den)
+    pairs = dict(enumerate(pairs))
+    return apply_map({k: Scalar.of(s) for k, (s, _) in pairs.items()},
+                     split_map({k: v for k, (_, v) in pairs.items()}))
 
 
 # -- rendering shared by every str and latex method ----------------------

@@ -106,22 +106,35 @@ def _ck_relations(check_id: str, anchor: str, failing: list[str],
     return Check(check_id, anchor, PASS, detail)
 
 
+# every value Fraction(p, q) a draw can take, so a draw builds no Fraction
+_FRACTIONS = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)}
+
+
 def random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return _FRACTIONS[rng.randint(-9, 9), rng.randint(1, 9)]
+
+
+def _random_terms(rng: random.Random, complex_: bool) -> dict:
+    """The term dict of one random scalar: the rational part is drawn
+    first, then the j part when complex_; zero parts are left out."""
+    re = random_fraction(rng)
+    terms = {(1, False): re} if re else {}
+    if complex_:
+        im = random_fraction(rng)
+        if im:
+            terms[(1, True)] = im
+    return terms
 
 
 def random_scalar(rng: random.Random, complex_: bool = False) -> Scalar:
-    s = Scalar.of(random_fraction(rng))
-    if complex_:
-        s = s + Scalar.j(random_fraction(rng))
-    return s
+    return Scalar(_random_terms(rng, complex_))
 
 
 def random_multivector(sig, rng: random.Random,
                        complex_: bool = False) -> Multivector:
     # one draw per mask in ascending order, so seeded reports stay fixed
-    draws = {mask: random_scalar(rng, complex_) for mask in range(sig.dim)}
-    return Multivector(sig, {mask: s for mask, s in draws.items() if s})
+    draws = {mask: _random_terms(rng, complex_) for mask in range(sig.dim)}
+    return Multivector(sig, {mask: Scalar(t) for mask, t in draws.items() if t})
 
 
 def _sample_pairs(sig, rng: random.Random, samples: int,

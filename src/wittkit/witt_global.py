@@ -26,7 +26,7 @@ from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, blade_product, g_nn, gp, gp_chain,
                  sym_dot)
-from .scalars import Scalar, _is_int, lincomb_split, pmatrix, split_slots
+from .scalars import Scalar, _is_int, apply_map, pmatrix, split_map
 
 
 def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
@@ -66,10 +66,10 @@ class MvMatrix:
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix sizes differ")
-        # row i of the product is sum_k a_ik (row k of other); each row of
-        # other is split once, not once per row of self
-        rows = [split_slots(dict(enumerate(row))) for row in other.entries]
-        out = [lincomb_split(zip(row, rows)) for row in self.entries]
+        # row i of the product is sum_k a_ik (row k of other); other is
+        # split once, not once per row of self
+        rows = split_map({k: dict(enumerate(row)) for k, row in enumerate(other.entries)})
+        out = [apply_map(dict(enumerate(row)), rows) for row in self.entries]
         return MvMatrix([[r.get(j, Scalar()) for j in range(self.dim)] for r in out])
 
     def __add__(self, other):
@@ -244,6 +244,7 @@ class SpectralBasis:
                   for rc in (gp(r, center) for r in self.rows)]
         self._extraction = None
         self._split_units = None
+        self._unit_blades = set()     # the blades t that _split_units covers
 
     @property
     def dim(self) -> int:
@@ -296,10 +297,10 @@ class SpectralBasis:
 
         The table maps each blade mask b to the flat indices it feeds and
         their weights, idx = (p n + i) n + j for part p, so the coordinates
-        are one scalars.lincomb_split over the input's terms: x_ij = n <E_ji g>_t
-        sums E_ji[a] g[b] over the masks a = b ^ t.  Each row {idx: w} is
-        stored split once, as the (slots, den) of scalars.split_slots, so no
-        conversion splits the table again.
+        are one scalars.apply_map of the input's terms: x_ij = n <E_ji g>_t
+        sums E_ji[a] g[b] over the masks a = b ^ t.  The whole table is
+        stored split once by scalars.split_map, so no conversion splits it
+        again.
         """
         n, sig, u, cu = self.dim, self.sig, self.center, self.central_unit
         count = n * n if cu is None else 2 * n * n
@@ -337,7 +338,7 @@ class SpectralBasis:
                         if blade_product(a, a ^ t, sig)[0] < 0:
                             v = -v
                         table.setdefault(a ^ t, {})[idx] = v
-        self._extraction = {b: split_slots(row) for b, row in table.items()}
+        self._extraction = split_map(table)
 
     def mv_to_matrix(self, g: Multivector):
         """x_ij = n <E_ji g>_0, plus the central-blade part over a central unit."""
@@ -345,9 +346,8 @@ class SpectralBasis:
             raise SignatureMismatchError("multivector belongs to a different algebra")
         if self._extraction is None:
             self._build_extraction()
-        table = self._extraction
         n = self.dim
-        xs = lincomb_split((gb, table[b]) for b, gb in g.terms.items() if b in table)
+        xs = apply_map(g.terms, self._extraction)
         x = [xs.get(idx, Scalar()) for idx in range(self.sig.dim)]
         if self.central_unit is None:
             return MvMatrix([[x[i * n + j] for j in range(n)] for i in range(n)])
@@ -358,18 +358,33 @@ class SpectralBasis:
                               for i in range(n)])
 
     def matrix_to_mv(self, mat) -> Multivector:
+        """sum x_ij E_ij; a central-unit entry x_ij contributes x_ij E_ij as a
+        geometric product, blade by blade."""
         if mat.dim != self.dim:
             raise DimensionMismatchError("matrix size does not match basis dimension")
-        # the matrix units split once per basis; no certificate is needed to
-        # expand sum x_ij E_ij, so this never builds the trace table
-        if self._split_units is None:
-            self._split_units = [[split_slots(u.terms) for u in row] for row in self.E]
-        # a central-unit entry contributes gp(entry, E_ij), a scalar entry s E_ij
-        return Multivector(self.sig, lincomb_split(
-            (1, split_slots(gp(e, unit).terms)) if isinstance(e, Multivector)
-            else (e, split)
-            for row, units, splits in zip(mat.entries, self.E, self._split_units)
-            for e, unit, split in zip(row, units, splits)))
+        n = self.dim
+        # blade t of entry (i, j) feeds the row t E_ij, keyed (t n + i) n + j;
+        # a scalar entry is all blade 0
+        vec = {}
+        for i, row in enumerate(mat.entries):
+            for j, e in enumerate(row):
+                if isinstance(e, Multivector):
+                    for t, c in e.terms.items():
+                        vec[(t * n + i) * n + j] = c
+                else:
+                    vec[i * n + j] = e
+        blades = {k // (n * n) for k in vec} | {0}
+        if not blades <= self._unit_blades:
+            # the products t E_ij are fixed per basis: split them once, for
+            # every blade t seen so far; no certificate is needed to expand
+            # sum x_ij E_ij, so this never builds the trace table
+            self._unit_blades |= blades
+            self._split_units = split_map({
+                (t * n + i) * n + j: (u if t == 0 else
+                                      gp(Multivector.blade(self.sig, t), u)).terms
+                for t in self._unit_blades
+                for i, row in enumerate(self.E) for j, u in enumerate(row)})
+        return Multivector(self.sig, apply_map(vec, self._split_units))
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)

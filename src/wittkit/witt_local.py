@@ -284,21 +284,28 @@ def no_identification_g12() -> NegativeSearchReport:
     lambda*sqrt(d), d in {1,2,3,6}, lambda a positive rational, asking for an
     orthonormal g(1,2) frame: one square +1, two squares -1, all pairs
     anticommuting.  None exists, even though single unit vectors do.
+
+    Row r of sign matrix bits is one of only 8 sign vectors, v = bits >> 3r
+    & 7 (bit s set: +c_s, else -c_s).  The 8 rows, their squares and all 64
+    ordered anticommutators are computed once and indexed by v; the search
+    still visits every one of the 512 matrices and 64 radicand choices.
     """
     lw = make_local_witt(3)
     c = lw.c
     radicands = (1, 2, 3, 6)
     zero = Multivector.zero(lw.sig)
 
+    vectors = [c[0].scale(1 if v & 1 else -1) + c[1].scale(1 if v & 2 else -1)
+               + c[2].scale(1 if v & 4 else -1) for v in range(8)]
+    vector_squares = [gp(x, x).scalar_part().as_fraction() for x in vectors]
+    anticommute = [[anticommutator(x, y) == zero for y in vectors] for x in vectors]
+
     found = 0
     checked = 0
     for bits in range(1 << 9):
-        rows_signs = [[1 if bits >> (3 * r + s) & 1 else -1 for s in range(3)]
-                      for r in range(3)]
-        rows = [c[0].scale(rs[0]) + c[1].scale(rs[1]) + c[2].scale(rs[2])
-                for rs in rows_signs]
-        squares = [gp(v, v).scalar_part().as_fraction() for v in rows]
-        anti_ok = all(anticommutator(rows[i], rows[k]) == zero
+        vs = [bits >> 3 * r & 7 for r in range(3)]
+        squares = [vector_squares[v] for v in vs]
+        anti_ok = all(anticommute[vs[i]][vs[k]]
                       for i in range(3) for k in range(i + 1, 3))
         for d0 in radicands:
             for d1 in radicands:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wittkit.errors import NonMonomialError
-from wittkit.scalars import Scalar, key_product, lincomb, lincomb_split, split_slots
+from wittkit.scalars import Scalar, apply_map, key_product, lincomb, split_map
 
 fractions = st.fractions(
     min_value=-9, max_value=9,
@@ -224,15 +224,47 @@ class TestKernel:
         assert lincomb([]) == {}
         assert lincomb([(0, {0: Scalar.of(1)}), (Scalar.j(), {})]) == {}
 
+    @given(st.dictionaries(st.integers(min_value=0, max_value=5), ring_scalars,
+                           max_size=5),
+           st.dictionaries(st.integers(min_value=0, max_value=5), sparse_maps,
+                           max_size=5))
+    def test_apply_map_matches_scalar_sum(self, vec, rows):
+        # keys of vec without a row, and rows without a key in vec, drop out
+        want = reference_lincomb((s, rows[k]) for k, s in vec.items() if k in rows)
+        assert apply_map(vec, split_map(rows)) == want
+
+    def test_apply_map_of_nothing_is_empty(self):
+        assert apply_map({}, split_map({})) == {}
+        assert apply_map({0: Scalar.of(1)}, split_map({})) == {}
+        assert apply_map({}, split_map({0: {0: Scalar.j()}})) == {}
+        assert apply_map({0: Scalar()}, split_map({0: {0: Scalar.j()}})) == {}
+
+    @given(st.dictionaries(st.integers(min_value=0, max_value=5), ring_scalars,
+                           max_size=5),
+           st.dictionaries(st.integers(min_value=0, max_value=5), sparse_maps,
+                           max_size=5))
+    def test_apply_map_cancels(self, vec, rows):
+        # v.r + (-v).r on shifted keys is 0, and v.(-r) = (-v).r
+        neg = {k: -s for k, s in vec.items()}
+        both = {**vec, **{k + 6: s for k, s in neg.items()}}
+        assert apply_map(both, split_map({**rows, **{k + 6: v for k, v in rows.items()}})) == {}
+        neg_rows = {k: {i: -c for i, c in v.items()} for k, v in rows.items()}
+        assert apply_map(vec, split_map(neg_rows)) == apply_map(neg, split_map(rows))
+
     @given(st.lists(st.tuples(coefficients, sparse_maps), max_size=5))
     def test_split_core_only_reads_its_slots(self, pairs):
-        # every split map goes in twice: a write on the first pass would
-        # change the second, and the slots must come back as they went in
-        split = [(s, split_slots(v)) for s, v in pairs]
-        before = [({k: list(slot) for k, slot in slots.items()}, den)
-                  for _, (slots, den) in split]
-        assert lincomb_split(split + split) == reference_lincomb(pairs + pairs)
-        assert [sd for _, sd in split] == before
+        # the same split map goes through apply_map twice: a write on the
+        # first pass would change the second, and the slots must come back
+        # as they went in
+        rows = {k: v for k, (_, v) in enumerate(pairs)}
+        vec = {k: Scalar.of(s) for k, (s, _) in enumerate(pairs)}
+        split = split_map(rows)
+        before = ({key: {k: list(slot) for k, slot in by_row.items()}
+                   for key, by_row in split[0].items()}, split[1])
+        want = reference_lincomb(pairs)
+        assert apply_map(vec, split) == want
+        assert apply_map(vec, split) == want
+        assert split == before
 
     @given(coefficients, sparse_maps)
     def test_cancelling_pairs_drop_out(self, s, v):

@@ -1,9 +1,13 @@
 """Report layer: suite registry, statuses, determinism, documented conflicts."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from wittkit import verify
-from wittkit.ga import Multivector
+from wittkit.ga import Multivector, g3, g13, g_nn
+from wittkit.scalars import Scalar
 from wittkit.verify import (SUITES, Check, VerifyReport, run_all, run_suite)
 from wittkit.witt_global import MvMatrix, SpectralBasis
 from wittkit.witt_local import ef_from_c
@@ -115,3 +119,29 @@ class TestFailingRows:
         status = {c.check_id: c.status for c in rep.checks}
         assert status["iso-g11-homomorphism"] == "FAIL"
         assert status["iso-g11-roundtrip"] == "FAIL"
+
+
+def reference_random_scalar(rng, complex_):
+    """A draw built as Fraction, Scalar.of, Scalar.j and Scalar +."""
+    s = Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    if complex_:
+        s = s + Scalar.j(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return s
+
+
+class TestSampling:
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("sig", [g3(), g_nn(1), g_nn(2), g13()],
+                             ids=["g3", "g11", "g22", "g13"])
+    def test_draws_match_reference(self, sig, complex_):
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            draws = {m: reference_random_scalar(ref, complex_) for m in range(sig.dim)}
+            want = Multivector(sig, {m: s for m, s in draws.items() if s})
+            got = verify.random_multivector(sig, rng, complex_)
+            assert got == want
+            assert all(got.terms.values())
+            assert rng.getstate() == ref.getstate()
+            assert verify.random_scalar(rng, complex_) == \
+                reference_random_scalar(ref, complex_)
+            assert rng.getstate() == ref.getstate()

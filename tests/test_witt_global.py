@@ -240,6 +240,27 @@ class TestConversionCaches:
             assert mat == other.mv_to_matrix(g)
             assert sb.matrix_to_mv(mat) == other.matrix_to_mv(mat) == g
 
+    def test_central_entries_match_products(self):
+        # one basis for every seed, so later calls read the cached split
+        # of t E_ij; an entry may lack either part or be zero
+        sb = fresh_basis("pauli")
+        sig, n = sb.sig, sb.dim
+        for seed in range(20):
+            rng = random.Random(seed)
+
+            def part():
+                if rng.random() < 0.25:
+                    return Scalar()
+                return Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9))) + \
+                    Scalar.sqrt(rng.choice([2, 3, 6]), Fraction(rng.randint(-9, 9), 7))
+
+            mat = CentralMatrix([[Multivector.blade(sig, 0, part())
+                                  + Multivector.blade(sig, sig.dim - 1, part())
+                                  for _ in range(n)] for _ in range(n)])
+            want = sum((gp(e, u) for row, units in zip(mat.entries, sb.E)
+                        for e, u in zip(row, units)), Multivector.zero(sig))
+            assert sb.matrix_to_mv(mat) == want
+
     @pytest.mark.parametrize("name", BASES)
     def test_matrix_to_mv_builds_no_trace_table(self, name, monkeypatch):
         p = named_basis(name)

@@ -4,17 +4,58 @@ from fractions import Fraction
 
 import pytest
 
+from wittkit import ga, witt_local
 from wittkit.errors import RangeError, UnsupportedError
 from wittkit.ga import Multivector, g_1n, gp, gp_chain, wedge_chain
 from wittkit.scalars import Scalar
 from wittkit.witt_global import check_duality_relations
-from wittkit.witt_local import (alpha_coeff, c8_complex_table,
+from wittkit.witt_local import (NegativeSearchReport, _rational_sqrt,
+                                alpha_coeff, c8_complex_table,
                                 c8_tabulated_coefficients,
                                 check_frame_relations, check_local_relations,
                                 complex_identification_g22, ef_from_c,
                                 hadamard_identification, hadamard_nilpotents,
                                 inv_alpha_coeff, make_local_witt,
                                 no_identification_g12, pseudoscalar_identity)
+
+
+def reference_no_identification_g12() -> NegativeSearchReport:
+    """The search with every sign matrix building its rows, their squares
+    and their anticommutators again: the loop the table lookup replaced.
+    It reads witt_local.anticommutator, so a test can patch both searches."""
+    lw = make_local_witt(3)
+    c = lw.c
+    radicands = (1, 2, 3, 6)
+    zero = Multivector.zero(lw.sig)
+    found = 0
+    checked = 0
+    for bits in range(1 << 9):
+        rows_signs = [[1 if bits >> (3 * r + s) & 1 else -1 for s in range(3)]
+                      for r in range(3)]
+        rows = [c[0].scale(rs[0]) + c[1].scale(rs[1]) + c[2].scale(rs[2])
+                for rs in rows_signs]
+        squares = [gp(v, v).scalar_part().as_fraction() for v in rows]
+        anti_ok = all(witt_local.anticommutator(rows[i], rows[k]) == zero
+                      for i in range(3) for k in range(i + 1, 3))
+        for ds in ((d0, d1, d2) for d0 in radicands for d1 in radicands
+                   for d2 in radicands):
+            checked += 1
+            if not anti_ok:
+                continue
+            for plus in range(3):
+                if all(squares[r] and _rational_sqrt(
+                        Fraction(1 if r == plus else -1) / (squares[r] * ds[r]))
+                        is not None for r in range(3)):
+                    found += 1
+                    break
+    report = NegativeSearchReport(1 << 9, len(radicands) ** 3, checked, found)
+    s3 = (c[0] + c[1] + c[2]).scale(Scalar.sqrt(3, coeff=Fraction(1, 3)))
+    if gp(s3, s3) == Multivector.scalar(lw.sig, 1):
+        report.unit_examples.append(("(c1+c2+c3)/sqrt(3)", 1))
+    d12 = c[0] - c[1]
+    if gp(d12, d12) == Multivector.scalar(lw.sig, -1):
+        report.unit_examples.append(("c1-c2", -1))
+    return report
 
 
 class TestLocalFamilies:
@@ -145,7 +186,37 @@ class TestNegativeSearch:
         assert rep.sign_matrices == 512
         assert rep.radicand_combos == 64
         assert rep.frames_found == 0
-        assert rep.candidates_checked > 0
+        assert rep.candidates_checked == 512 * 64
+
+    def test_matches_per_matrix_search(self):
+        assert no_identification_g12() == reference_no_identification_g12()
+
+    def test_matches_per_matrix_search_past_anticommutation(self, monkeypatch):
+        # no two sign rows anticommute, so the radicand test never runs on
+        # the real relations; with distinct rows declared anticommuting it
+        # runs, and frames appear where one row squares to 3, two to -1
+        def distinct_anticommute(x, y):
+            return Multivector.scalar(x.sig, int(x == y))
+
+        monkeypatch.setattr(witt_local, "anticommutator", distinct_anticommute)
+        rep = no_identification_g12()
+        assert rep.frames_found > 0
+        assert rep == reference_no_identification_g12()
+
+    def test_rows_are_built_once(self, monkeypatch):
+        # 8 squares, 64 ordered anticommutators and 2 unit examples: 138
+        # products; rebuilding every sign matrix's rows makes about 2,400
+        calls = []
+
+        def counted(x, y):
+            calls.append(1)
+            return gp(x, y)
+
+        monkeypatch.setattr(ga, "gp", counted)
+        monkeypatch.setattr(witt_local, "gp", counted)
+        rep = no_identification_g12()
+        assert rep.ok
+        assert 0 < len(calls) <= 150
 
     def test_unit_examples(self):
         rep = no_identification_g12()
