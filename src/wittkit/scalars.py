@@ -15,14 +15,19 @@ The integer kernel below serves every linear map of the package: maps
 index -> Scalar are split into integer slots per term key over one shared
 denominator, summed in ints, and joined back into one Fraction per output
 coefficient.  split_map splits a whole fixed map k -> (index -> Scalar) at
-once, and apply_map sums any vector against it, splitting only the vector.
+once; apply_slots sums a vector already in slots against it and returns
+the integer sums, and apply_map is apply_slots between split_slots and
+join_slots.  reduce_slots brings integer sums to one canonical form (zeros
+dropped, gcd(den, every numerator) == 1), the form in which
+witt_global.MvMatrix stores a coordinate matrix, so mv_to_matrix, matmul,
+== and matrix_to_mv pass slots along and build no Fraction in between.
 The operands split once are a spectral basis's trace table, its products
 t E_ij of a blade t with a matrix unit (t = 0 for scalar entries), the
-right factor of a coordinate matrix product (once per product, not per
-row), and a sign matrix's columns (per apply; real columns are built as
-slots directly).  lincomb splits its ad-hoc maps on every call, and
-ga._product splits both of its operands on every call, on purpose, since
-neither operand of a product is fixed.
+right factor of a coordinate matrix product (regrouped by row once per
+product, not per row), and a sign matrix's columns (per apply; real
+columns are built as slots directly).  lincomb splits its ad-hoc maps on
+every call, and ga._product splits both of its operands on every call, on
+purpose, since neither operand of a product is fixed.
 """
 
 from __future__ import annotations
@@ -386,14 +391,16 @@ def split_map(rows: dict) -> tuple[dict[Key, dict[object, list[tuple[object, int
     return split, den
 
 
-def apply_map(vec: dict, split) -> dict:
-    """sum_k vec[k] * row_k for Scalars vec[k] and a map split by split_map.
+def apply_slots(vs: dict, den_v: int, split) -> tuple[dict[Key, dict], int]:
+    """sum_k vec[k] * row_k on integer slots, for a vector already split.
 
-    vec is split once; the blade loop of ga._product has the same shape.
-    The split map is only read, so a caller may split a fixed map once and
-    pass it to every call.
+    vs holds the vector as {key: pairs (k, numerator)} over den_v, as
+    split_slots returns it (any iterable of pairs per key, such as a slot
+    dict's items()), and split is a map split by split_map.  Returns the sums
+    {key: {index: numerator}} over den_v * den_r, zero sums included; the
+    blade loop of ga._product has the same shape.  Neither operand is
+    written, so a caller may split a fixed map once and pass it to every call.
     """
-    vs, den_v = split_slots(vec)
     rows, den_r = split
     acc: dict[Key, dict] = {}
     for kv, v_slot in vs.items():
@@ -407,7 +414,30 @@ def apply_map(vec: dict, split) -> dict:
                     nv *= factor
                     for i, nr in row:
                         out[i] = get(i, 0) + nv * nr
-    return join_slots(acc, den_v * den_r)
+    return acc, den_v * den_r
+
+
+def apply_map(vec: dict, split) -> dict:
+    """sum_k vec[k] * row_k for Scalars vec[k] and a map split by split_map,
+    as index -> Scalar; vec is split once."""
+    return join_slots(*apply_slots(*split_slots(vec), split))
+
+
+def reduce_slots(acc: dict[Key, dict], den: int) -> tuple[dict[Key, dict], int]:
+    """Integer sums {key: {index: numerator}} over den > 0 in canonical form:
+    zero numerators and empty keys dropped and gcd(den, every numerator) ==
+    1, so two equal values have equal slots and denominators."""
+    slots: dict[Key, dict] = {}
+    g = den
+    for key, out in acc.items():
+        out = {i: v for i, v in out.items() if v}
+        if out:
+            slots[key] = out
+            g = gcd(g, *out.values())
+    if g != 1:
+        slots = {key: {i: v // g for i, v in out.items()} for key, out in slots.items()}
+        den //= g
+    return slots, den
 
 
 def lincomb(pairs) -> dict:

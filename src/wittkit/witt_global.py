@@ -26,7 +26,8 @@ from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, blade_product, g_nn, gp, gp_chain,
                  sym_dot)
-from .scalars import Scalar, _is_int, apply_map, pmatrix, split_map
+from .scalars import (Scalar, _is_int, apply_slots, join_slots, pmatrix,
+                      reduce_slots, split_map, split_slots)
 
 
 def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
@@ -44,33 +45,79 @@ def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
 
 
 class MvMatrix:
-    """Square matrix of exact scalars: the coordinate image of a multivector."""
+    """Square matrix of exact scalars: the coordinate image of a multivector.
 
-    __slots__ = ("entries",)
+    The value is stored the way the integer kernel computes it: slots
+    {key: {i*n + j: numerator}} over one denominator den, in canonical form
+    (zero numerators dropped, den > 0, gcd(den, every numerator) == 1), so
+    two matrices are equal exactly when dim, den and slots are.  matmul and
+    the coordinate maps of SpectralBasis read and write the slots directly;
+    entries, the rows of Scalars, is built from them on first read and
+    cached.  Treat slots, den and entries as read-only.
+    """
+
+    __slots__ = ("dim", "den", "slots", "_entries")
 
     def __init__(self, entries):
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise DimensionMismatchError("matrix must be square")
-        self.entries = [[Scalar.of(e) for e in row] for row in entries]
+        rows = [[Scalar.of(e) for e in row] for row in entries]
+        # the lcm of reduced Fraction denominators is already canonical
+        slots, self.den = split_slots({i * n + j: e for i, row in enumerate(rows)
+                                       for j, e in enumerate(row)})
+        self.slots = {key: dict(pairs) for key, pairs in slots.items()}
+        self.dim = n
+        self._entries = rows
+
+    @classmethod
+    def _of_sums(cls, n: int, acc, den: int) -> "MvMatrix":
+        """The n x n matrix of integer sums {key: {i*n + j: numerator}} over den."""
+        m = cls.__new__(cls)
+        m.dim = n
+        m.slots, m.den = reduce_slots(acc, den)
+        m._entries = None
+        return m
 
     @property
-    def dim(self) -> int:
-        return len(self.entries)
+    def entries(self) -> list[list[Scalar]]:
+        if self._entries is None:
+            x = join_slots(self.slots, self.den)
+            n, zero = self.dim, Scalar()
+            self._entries = [[x.get(i * n + j, zero) for j in range(n)] for i in range(n)]
+        return self._entries
 
     @classmethod
     def identity(cls, dim: int) -> "MvMatrix":
-        return cls([[Scalar.of(1 if i == j else 0) for j in range(dim)]
-                    for i in range(dim)])
+        return cls._of_sums(dim, {(1, False): {i * dim + i: 1 for i in range(dim)}}, 1)
+
+    def _by_row(self) -> dict:
+        """The slots regrouped by row, {key: {i: [(j, numerator), ...]}}."""
+        n = self.dim
+        rows: dict = {}
+        for key, slot in self.slots.items():
+            out = rows[key] = {}
+            for idx, v in slot.items():
+                i, j = divmod(idx, n)
+                out.setdefault(i, []).append((j, v))
+        return rows
 
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix sizes differ")
-        # row i of the product is sum_k a_ik (row k of other); other is
-        # split once, not once per row of self
-        rows = split_map({k: dict(enumerate(row)) for k, row in enumerate(other.entries)})
-        out = [apply_map(dict(enumerate(row)), rows) for row in self.entries]
-        return MvMatrix([[r.get(j, Scalar()) for j in range(self.dim)] for r in out])
+        # row i of the product is sum_k a_ik (row k of other): other is split
+        # by row once, and each row of self is one apply_slots against it
+        n = self.dim
+        a, b = self._by_row(), (other._by_row(), other.den)
+        acc: dict = {}
+        for i in range(n):
+            row = {key: r[i] for key, r in a.items() if i in r}
+            sums, _ = apply_slots(row, self.den, b)
+            for key, out in sums.items():
+                dst = acc.setdefault(key, {})
+                for j, v in out.items():
+                    dst[i * n + j] = v
+        return MvMatrix._of_sums(n, acc, self.den * other.den)
 
     def __add__(self, other):
         if not isinstance(other, MvMatrix) or self.dim != other.dim:
@@ -88,7 +135,7 @@ class MvMatrix:
     def __eq__(self, other):
         if not isinstance(other, MvMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return (self.dim, self.den, self.slots) == (other.dim, other.den, other.slots)
 
     def __repr__(self):
         rows = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
@@ -243,8 +290,8 @@ class SpectralBasis:
         self.E = [[gp(rc, c) for c in self.cols]
                   for rc in (gp(r, center) for r in self.rows)]
         self._extraction = None
-        self._split_units = None
-        self._unit_blades = set()     # the blades t that _split_units covers
+        self._units = None
+        self._unit_blades = set()     # the blades t that _units covers
 
     @property
     def dim(self) -> int:
@@ -297,7 +344,7 @@ class SpectralBasis:
 
         The table maps each blade mask b to the flat indices it feeds and
         their weights, idx = (p n + i) n + j for part p, so the coordinates
-        are one scalars.apply_map of the input's terms: x_ij = n <E_ji g>_t
+        are one scalars.apply_slots of the input's terms: x_ij = n <E_ji g>_t
         sums E_ji[a] g[b] over the masks a = b ^ t.  The whole table is
         stored split once by scalars.split_map, so no conversion splits it
         again.
@@ -347,15 +394,35 @@ class SpectralBasis:
         if self._extraction is None:
             self._build_extraction()
         n = self.dim
-        xs = apply_map(g.terms, self._extraction)
-        x = [xs.get(idx, Scalar()) for idx in range(self.sig.dim)]
+        sums, den = apply_slots(*split_slots(g.terms), self._extraction)
         if self.central_unit is None:
-            return MvMatrix([[x[i * n + j] for j in range(n)] for i in range(n)])
-        # x holds every plain part, then every central-unit part, row-major
+            return MvMatrix._of_sums(n, sums, den)
+        # the sums hold every plain part, then every central-unit part, row-major
+        xs = join_slots(sums, den)
+        x = [xs.get(idx, Scalar()) for idx in range(self.sig.dim)]
         cu, nn = self.central_unit, n * n
         return CentralMatrix([[Multivector.scalar(self.sig, x[i * n + j])
                                + cu.scale(x[nn + i * n + j]) for j in range(n)]
                               for i in range(n)])
+
+    def _split_units(self, blades: set[int]):
+        """The products t E_ij for every blade t in blades (and every blade
+        asked for before), split by split_map with the row index
+        (t n + i) n + j; blade 0 gives E_ij itself.
+
+        The products are fixed per basis, so they are split once, for every
+        blade seen so far, when a new blade appears.  No certificate is needed
+        to expand sum x_ij E_ij, so this never builds the trace table.
+        """
+        if not blades <= self._unit_blades:
+            n = self.dim
+            self._unit_blades |= blades
+            self._units = split_map({
+                (t * n + i) * n + j: (u if t == 0 else
+                                      gp(Multivector.blade(self.sig, t), u)).terms
+                for t in self._unit_blades
+                for i, row in enumerate(self.E) for j, u in enumerate(row)})
+        return self._units
 
     def matrix_to_mv(self, mat) -> Multivector:
         """sum x_ij E_ij; a central-unit entry x_ij contributes x_ij E_ij as a
@@ -363,28 +430,19 @@ class SpectralBasis:
         if mat.dim != self.dim:
             raise DimensionMismatchError("matrix size does not match basis dimension")
         n = self.dim
-        # blade t of entry (i, j) feeds the row t E_ij, keyed (t n + i) n + j;
-        # a scalar entry is all blade 0
-        vec = {}
-        for i, row in enumerate(mat.entries):
-            for j, e in enumerate(row):
-                if isinstance(e, Multivector):
-                    for t, c in e.terms.items():
-                        vec[(t * n + i) * n + j] = c
-                else:
-                    vec[i * n + j] = e
-        blades = {k // (n * n) for k in vec} | {0}
-        if not blades <= self._unit_blades:
-            # the products t E_ij are fixed per basis: split them once, for
-            # every blade t seen so far; no certificate is needed to expand
-            # sum x_ij E_ij, so this never builds the trace table
-            self._unit_blades |= blades
-            self._split_units = split_map({
-                (t * n + i) * n + j: (u if t == 0 else
-                                      gp(Multivector.blade(self.sig, t), u)).terms
-                for t in self._unit_blades
-                for i, row in enumerate(self.E) for j, u in enumerate(row)})
-        return Multivector(self.sig, apply_map(vec, self._split_units))
+        if isinstance(mat, MvMatrix):
+            # the slots already carry index i n + j, the row of E_ij (blade 0)
+            vs, den = {key: slot.items() for key, slot in mat.slots.items()}, mat.den
+            blades = {0}
+        else:
+            # blade t of central entry (i, j) feeds the row t E_ij, keyed
+            # (t n + i) n + j
+            vec = {(t * n + i) * n + j: c for i, row in enumerate(mat.entries)
+                   for j, e in enumerate(row) for t, c in e.terms.items()}
+            vs, den = split_slots(vec)
+            blades = {k // (n * n) for k in vec} | {0}
+        sums, den = apply_slots(vs, den, self._split_units(blades))
+        return Multivector(self.sig, join_slots(sums, den))
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)

@@ -289,6 +289,12 @@ def no_identification_g12() -> NegativeSearchReport:
     & 7 (bit s set: +c_s, else -c_s).  The 8 rows, their squares and all 64
     ordered anticommutators are computed once and indexed by v; the search
     still visits every one of the 512 matrices and 64 radicand choices.
+
+    With c_i^2 = 0 and c_i c_k + c_k c_i = 1, rows sum s_i c_i and sum t_k c_k
+    anticommute to the scalar (sum s)(sum t) - s.t, which is 2 mod 4 for
+    sign vectors of length 3, so never 0.  No sign matrix passes the
+    anticommutation test, and for this reason the radicand stage is never
+    reached: every candidate is counted and rejected there.
     """
     lw = make_local_witt(3)
     c = lw.c

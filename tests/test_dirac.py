@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from tests.conftest import bounded_fractions
 from wittkit.dirac import (DiracRep, dirac_frame, dirac_idempotents,
                            dirac_spectral_new, dirac_spectral_standard,
                            g11_embedding_check, gamma_anticommutation_check,
@@ -19,7 +20,7 @@ from wittkit.witt_global import CentralMatrix, MvMatrix, check_duality_relations
 J = Scalar.j()
 HALF = Fraction(1, 2)
 
-fractions = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+fractions = bounded_fractions(4, 4)
 
 
 def complex_mvs(sig):

@@ -4,6 +4,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+from tests.conftest import bounded_fractions
 from wittkit.errors import RangeError, SignatureMismatchError
 from wittkit.ga import (MAX_GENERATORS, Multivector, Signature, anticommutator,
                         blade_product, g3, g13, g_1n, g_nn, gp, gp_chain,
@@ -12,7 +13,7 @@ from wittkit.scalars import Scalar
 
 SIG = g_nn(2)
 
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+fractions = bounded_fractions(9, 9)
 
 SIGNATURES = [g3(), g_nn(1), g13(), g_nn(2), g_nn(3), g_nn(4)]
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.conftest import bounded_fractions
 from wittkit.errors import RangeError, UnsupportedError
 from wittkit.omega import (MAX_K_DET, MAX_K_REAL, bareiss_det, det_omega,
                            fast_apply, gram_check, omega)
@@ -12,7 +13,7 @@ from wittkit.scalars import Scalar
 
 J = Scalar.j()
 
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+fractions = bounded_fractions(9, 9)
 
 
 class TestLiterals:

@@ -1,16 +1,17 @@
 """Exact scalar ring: rationals with j and reduced square roots."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tests.conftest import bounded_fractions
 from wittkit.errors import NonMonomialError
-from wittkit.scalars import Scalar, apply_map, key_product, lincomb, split_map
+from wittkit.scalars import (Scalar, apply_map, join_slots, key_product, lincomb,
+                             reduce_slots, split_map)
 
-fractions = st.fractions(
-    min_value=-9, max_value=9,
-    max_denominator=9)
+fractions = bounded_fractions(9, 9)
 
 
 def rational_scalars():
@@ -270,3 +271,16 @@ class TestKernel:
     def test_cancelling_pairs_drop_out(self, s, v):
         assert lincomb([(s, v), (s, {i: -c for i, c in v.items()})]) == {}
         assert lincomb([(s, v), (-s, v)]) == {}
+
+    @given(st.dictionaries(st.sampled_from([(1, False), (1, True), (2, False), (6, True)]),
+                           st.dictionaries(st.integers(0, 7), st.integers(-40, 40),
+                                           max_size=5), max_size=4),
+           st.integers(1, 36), st.integers(1, 12))
+    def test_reduce_slots_is_canonical(self, acc, den, c):
+        slots, d = reduce_slots(acc, den)
+        nums = [v for slot in slots.values() for v in slot.values()]
+        assert d > 0 and all(nums) and all(slots.values())
+        assert gcd(d, *nums) == 1
+        assert join_slots(slots, d) == join_slots(acc, den)
+        scaled = {key: {i: c * v for i, v in slot.items()} for key, slot in acc.items()}
+        assert reduce_slots(scaled, c * den) == (slots, d)

@@ -3,10 +3,13 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests.conftest import bounded_fractions
+from wittkit import scalars, witt_global
 from wittkit.cli import _basis
 from wittkit.dirac import pauli_spectral
 from wittkit.errors import (ExtractorUnavailableError, RangeError,
@@ -17,7 +20,7 @@ from wittkit.witt_global import (CentralMatrix, MvMatrix, SpectralBasis,
                                  check_duality_relations, make_global_witt,
                                  spectral_basis_nn)
 
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+fractions = bounded_fractions(9, 9)
 
 # p + q j + r sqrt(d): rationals, Q(j) and a radical in one coefficient
 exact_scalars = st.tuples(fractions, fractions, fractions,
@@ -152,9 +155,8 @@ class TestIsomorphism:
     def test_homomorphism(self, name):
         sb = named_basis(name)
 
-        # drawing the exact operands costs about 25 ms an example, and a g44
-        # example also multiplies two 16 x 16 matrices: 7 sizes x 20 examples
-        # keep the test near 5 s
+        # a g44 example multiplies two 16 x 16 matrices, so it runs half
+        # the examples of the smaller sizes
         @settings(max_examples=10 if name == "g44" else 20)
         @given(multivectors(sb.sig, exact_scalars), multivectors(sb.sig, exact_scalars))
         def check(g, h):
@@ -345,13 +347,43 @@ def square_matrices(n):
     return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
 
 
+def assert_canonical(m):
+    """m's slots have no zero numerator or empty key, den > 0, and
+    gcd(den, every numerator) == 1."""
+    assert m.den > 0
+    nums = [v for slot in m.slots.values() for v in slot.values()]
+    assert all(nums) and all(m.slots.values())
+    assert gcd(m.den, *nums) == 1
+    assert all(0 <= idx < m.dim * m.dim for slot in m.slots.values() for idx in slot)
+
+
+def perturbed(a, data):
+    """a with up to two entries redrawn, each possibly to its old value."""
+    b = [list(row) for row in a]
+    n = len(a)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        b[i][j] = data.draw(st.one_of(st.just(a[i][j]), st.just(Scalar()), exact_scalars))
+    return b
+
+
 class TestMvMatrix:
     @settings(max_examples=30)
     @given(st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.tuples(square_matrices(n), square_matrices(n))))
-    def test_matmul_matches_scalar_reference(self, ab):
+        lambda n: st.tuples(square_matrices(n), square_matrices(n))), st.data())
+    def test_matmul_matches_scalar_reference(self, ab, data):
+        # the slot product against Scalar * and +, in the canonical form of
+        # the matrix built from the reference's entries; == against Scalar
+        # row equality on a copy that may differ in up to two entries
         a, b = ab
-        assert MvMatrix(a).matmul(MvMatrix(b)).entries == reference_matmul(a, b)
+        product = MvMatrix(a).matmul(MvMatrix(b))
+        assert product.entries == reference_matmul(a, b)
+        assert_canonical(product)
+        want = MvMatrix(reference_matmul(a, b))
+        assert (product.den, product.slots) == (want.den, want.slots)
+        c = perturbed(a, data)
+        assert (MvMatrix(a) == MvMatrix(c)) == (a == c)
+        assert (MvMatrix(a) != MvMatrix(c)) == (a != c)
 
     def test_inexact_entries_rejected(self):
         # a float would enter as its binary expansion, a string would be parsed
@@ -379,3 +411,94 @@ class TestMvMatrix:
     def test_from_json_shape_guard(self):
         with pytest.raises(ValueError):
             MvMatrix.from_json({"dim": 2, "entries": [[]]})
+
+
+PLAIN_BASES = ["g11", "g22", "g33", "g44", "g13", "g13new"]
+
+
+class TestSlotForm:
+    """MvMatrix keeps one canonical integer-slot form: zeros dropped,
+    den > 0, gcd(den, every numerator) == 1."""
+
+    @pytest.mark.parametrize("name", PLAIN_BASES)
+    def test_entries_and_mv_to_matrix_agree(self, name):
+        sb = named_basis(name)
+        for seed in range(10):
+            mat = sb.mv_to_matrix(seeded_multivector(sb.sig, seed))
+            assert_canonical(mat)
+            again = MvMatrix(mat.entries)
+            assert_canonical(again)
+            assert again == mat
+            assert (again.den, again.slots) == (mat.den, mat.slots)
+
+    def test_scaled_representation_reduces(self):
+        sb = named_basis("g22")
+        mat = sb.mv_to_matrix(seeded_multivector(sb.sig, 3))
+        assert mat.den > 1
+        tripled = {key: {idx: 3 * v for idx, v in slot.items()}
+                   for key, slot in mat.slots.items()}
+        tripled[(3, True)] = {0: 0}         # a zero sum is dropped too
+        again = MvMatrix._of_sums(mat.dim, tripled, 3 * mat.den)
+        assert_canonical(again)
+        assert again == mat
+        assert (again.den, again.slots) == (mat.den, mat.slots)
+        assert again.entries == mat.entries
+
+    def test_zero_matrix(self):
+        sb = named_basis("g22")
+        zero = MvMatrix([[0] * 4 for _ in range(4)])
+        assert (zero.den, zero.slots) == (1, {})
+        assert zero == sb.mv_to_matrix(Multivector.zero(sb.sig))
+        assert zero == MvMatrix._of_sums(4, {(1, False): {0: 0, 5: 0}, (2, True): {}}, 6)
+        assert zero == MvMatrix.identity(4).scale(0)
+        assert zero.matmul(MvMatrix.identity(4)) == zero
+        assert zero.entries == [[Scalar()] * 4 for _ in range(4)]
+        assert sb.matrix_to_mv(zero) == Multivector.zero(sb.sig)
+
+    def test_int_fraction_and_scalar_entries(self):
+        m = MvMatrix([[1, Fraction(-1, 2)],
+                      [Scalar.j(Fraction(2, 3)), Scalar.sqrt(8, Fraction(5, 4))]])
+        assert_canonical(m)
+        assert m.den == 6
+        assert m.slots == {(1, False): {0: 6, 1: -3}, (1, True): {2: 4},
+                           (2, False): {3: 15}}
+        assert m == MvMatrix([[Scalar.of(1), Scalar.rational(-2, 4)],
+                              [Scalar.j(Fraction(4, 6)), Scalar.sqrt(2, Fraction(5, 2))]])
+        assert m != MvMatrix([[1, Fraction(-1, 2)], [Scalar.j(Fraction(2, 3)), 0]])
+        assert MvMatrix([[3, 6], [9, 12]]).den == 1
+        assert MvMatrix([[Fraction(1, 3), 0], [0, Fraction(2, 3)]]).slots == \
+            {(1, False): {0: 1, 3: 2}}
+
+    def test_entries_built_once_and_cached(self, monkeypatch):
+        sb = named_basis("g33")
+        mat = sb.mv_to_matrix(seeded_multivector(sb.sig, 7))
+        calls = []
+
+        def counted(acc, den):
+            calls.append(1)
+            return scalars.join_slots(acc, den)
+
+        monkeypatch.setattr(witt_global, "join_slots", counted)
+        rows = mat.entries
+        assert mat.entries is rows
+        assert len(calls) == 1
+        assert MvMatrix(rows) == mat
+        with pytest.raises(AttributeError):
+            mat.entries = rows
+
+    @pytest.mark.parametrize("name", PLAIN_BASES)
+    def test_matrix_to_mv_reads_slots_without_splitting(self, name, monkeypatch):
+        sb = named_basis(name)
+        gs = [seeded_multivector(sb.sig, seed) for seed in range(5)]
+        mats = [sb.mv_to_matrix(g) for g in gs]
+        sb.matrix_to_mv(mats[0])            # the units are split on first use
+
+        def refuse(vec):
+            raise AssertionError("split_slots was called")
+
+        monkeypatch.setattr(scalars, "split_slots", refuse)
+        monkeypatch.setattr(witt_global, "split_slots", refuse)
+        for g, mat in zip(gs, mats):
+            assert sb.matrix_to_mv(mat) == g
+        with pytest.raises(AssertionError, match="split_slots"):
+            sb.mv_to_matrix(gs[0])          # the patch is live

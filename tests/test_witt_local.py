@@ -191,6 +191,24 @@ class TestNegativeSearch:
     def test_matches_per_matrix_search(self):
         assert no_identification_g12() == reference_no_identification_g12()
 
+    def test_sign_rows_never_anticommute(self):
+        # with c_i^2 = 0 and c_i c_k + c_k c_i = 1, rows sum s_i c_i and
+        # sum t_k c_k anticommute to sum_{i != k} s_i t_k = (sum s)(sum t) - s.t,
+        # which is 2 mod 4 for sign vectors of length 3: never 0, so no sign
+        # matrix passes the anticommutation test and no radicand is tried
+        lw = make_local_witt(3)
+        signs = [[1 if v >> s & 1 else -1 for s in range(3)] for v in range(8)]
+        pairs = 0
+        for s in signs:
+            for t in signs:
+                value = sum(s) * sum(t) - sum(a * b for a, b in zip(s, t))
+                x, y = (sum((ci.scale(w) for ci, w in zip(lw.c, u)), Multivector.zero(lw.sig))
+                        for u in (s, t))
+                assert witt_local.anticommutator(x, y) == Multivector.scalar(lw.sig, value)
+                assert value % 4 == 2
+                pairs += 1
+        assert pairs == 64
+
     def test_matches_per_matrix_search_past_anticommutation(self, monkeypatch):
         # no two sign rows anticommute, so the radicand test never runs on
         # the real relations; with distinct rows declared anticommuting it
