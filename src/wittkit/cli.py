@@ -8,10 +8,10 @@ Three subcommands:
             named spectral basis, JSON on stdin/stdout
   verify    run named identity suites and print a report
 
-Exit codes: 0 pass, 1 verification failure, 2 bad input, 3 unsupported
-conversion.  CONFLICT entries in reports never affect the exit code.
-The default seed for randomized checks is 0; the WITTKIT_SEED environment
-variable overrides it when --seed is absent.
+Exit codes: 0 pass, 1 verification failure or stdout closed early, 2 bad
+input, 3 unsupported conversion.  CONFLICT entries in reports never affect
+the exit code.  The default seed for randomized checks is 0; the
+WITTKIT_SEED environment variable overrides it when --seed is absent.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 from .dirac import (dirac_frame, dirac_spectral_new, dirac_spectral_standard,
@@ -174,12 +175,13 @@ def cmd_convert(args) -> int:
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("WITTKIT_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    """--seed, else WITTKIT_SEED, else 0: ASCII digits with an optional "-",
+    the rule scalars._exact applies to coefficient strings."""
+    name, raw = (("--seed", args.seed) if args.seed is not None
+                 else ("WITTKIT_SEED", os.environ.get("WITTKIT_SEED", "0")))
+    if not re.fullmatch(r"-?[0-9]+", raw):
+        raise ValueError(f"{name} {raw!r} is not an integer of the form -?[0-9]+")
+    return int(raw)
 
 
 def cmd_verify(args) -> int:
@@ -234,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run identity suites")
     ver.add_argument("--suite", choices=("all",) + tuple(SUITES),
                      default="all")
-    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument("--seed", default=None)
     ver.add_argument("--samples", type=int, default=100)
     ver.add_argument("--format", choices=("text", "json"), default="text")
     return p
@@ -243,11 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "convert":
-            return cmd_convert(args)
-        return cmd_verify(args)
+        code = {"generate": cmd_generate, "convert": cmd_convert,
+                "verify": cmd_verify}[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (say, `| head`): the rest of the
+        # output, flushed again at exit, goes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ExtractorUnavailableError, UnsupportedError) as exc:
         if args.command == "convert":
             print(f"wittkit: unsupported conversion: {exc}", file=sys.stderr)

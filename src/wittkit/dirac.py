@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .ga import Multivector, g3, g13, g_nn, gp, gp_chain
-from .scalars import Scalar, lincomb
+from .scalars import Scalar
 from .witt_global import CentralMatrix, MvMatrix, SpectralBasis
 
 HALF = Fraction(1, 2)
@@ -157,8 +157,7 @@ def g11_embedding_check() -> bool:
     src = {0b00: Multivector.scalar(s11, 1), 0b01: e, 0b10: f, 0b11: gp(e, f)}
 
     def lift(x: Multivector) -> Multivector:
-        return Multivector(s3, lincomb((coeff, phi[mask].terms)
-                                       for mask, coeff in x.terms.items()))
+        return Multivector.combine(s3, ((coeff, phi[mask]) for mask, coeff in x.terms.items()))
 
     for ma in src:
         for mb in src:

@@ -6,16 +6,14 @@ counting transpositions and applying the metric square of each shared
 generator; coefficients live in the exact scalar ring, so every identity in
 this package is checked with zero floating point error.
 
-A multivector keeps its coefficients as ``terms: dict[mask, Scalar]``, and
-Scalar is the type every caller, JSON, LaTeX and ``str`` see.  Linear maps
-on those terms are the scalars kernel: ``scale`` is one scalars.lincomb,
-and every coordinate map is one scalars.apply_map.
-``gp`` and ``wedge`` use the same integer kernel: each operand is split
-into (radicand, j) slots of (mask, int numerator) pairs by
-scalars.split_slots, each pair of slots multiplies its keys once by
-scalars.key_product, the blade loop runs on plain ints with signs read
-from a cached row per left blade, and scalars.join_slots turns every
-output coefficient into a Fraction once.
+A multivector stores its coefficients as integer slots {(radicand, j):
+{mask: numerator}} over one denominator, in the canonical form of
+scalars.reduce_slots, so == compares slots and every linear map and product
+runs on ints: ``+``, ``-`` and ``scale`` are scalars.combine_slots, and
+``gp`` and ``wedge`` multiply the keys of each pair of slots once by
+scalars.key_product and run the blade loop on plain ints, with signs read
+from a cached row per left blade.  ``terms: dict[mask, Scalar]``, the view
+every caller, JSON, LaTeX and ``str`` see, is built on first read.
 """
 
 from __future__ import annotations
@@ -26,8 +24,8 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import NotAVectorError, RangeError, SignatureMismatchError
-from .scalars import (Key, Scalar, _is_int, join_signed, join_slots, key_product,
-                      lincomb, split_slots)
+from .scalars import (Key, Scalar, _is_int, combine_slots, join_signed, join_slots,
+                      key_product, reduce_slots, split_slots)
 
 MAX_GENERATORS = 12
 
@@ -134,13 +132,33 @@ def _compat(x: "Multivector", y: "Multivector"):
 
 
 class Multivector:
-    """Immutable sparse multivector: blade mask -> exact scalar coefficient."""
+    """Immutable sparse multivector: blade mask -> exact scalar coefficient,
+    stored as den and slots {key: {mask: numerator}} in canonical form.
+    terms is built from the slots on first read and cached; given terms are
+    split once and kept as that cache.  Treat den, slots and terms as read-only.
+    """
 
-    __slots__ = ("sig", "terms")
+    __slots__ = ("sig", "den", "slots", "_terms")
 
     def __init__(self, sig: Signature, terms: dict[int, Scalar] | None = None):
         self.sig = sig
-        self.terms: dict[int, Scalar] = terms if terms else {}
+        self._terms = {m: c for m, c in terms.items() if c} if terms else {}
+        self.slots, self.den = split_slots(self._terms)
+
+    @classmethod
+    def _of_sums(cls, sig: Signature, acc, den: int) -> "Multivector":
+        """The multivector of integer sums {key: {mask: numerator}} over den."""
+        x = cls.__new__(cls)
+        x.sig = sig
+        x.slots, x.den = reduce_slots(acc, den)
+        x._terms = None
+        return x
+
+    @property
+    def terms(self) -> dict[int, Scalar]:
+        if self._terms is None:
+            self._terms = join_slots(self.slots, self.den)
+        return self._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -150,15 +168,13 @@ class Multivector:
 
     @classmethod
     def scalar(cls, sig: Signature, value) -> "Multivector":
-        s = Scalar.of(value)
-        return cls(sig, {0: s} if s else {})
+        return cls(sig, {0: Scalar.of(value)})
 
     @classmethod
     def blade(cls, sig: Signature, mask: int, coeff=1) -> "Multivector":
         if mask >> sig.m or mask < 0:
             raise RangeError("blade mask out of range for signature")
-        s = Scalar.of(coeff)
-        return cls(sig, {mask: s} if s else {})
+        return cls(sig, {mask: Scalar.of(coeff)})
 
     @classmethod
     def generator(cls, sig: Signature, i: int) -> "Multivector":
@@ -168,43 +184,31 @@ class Multivector:
 
     # -- linear structure --------------------------------------------------
 
-    def __add__(self, other):
+    @classmethod
+    def combine(cls, sig: Signature, pairs) -> "Multivector":
+        """sum s * x over pairs (s, x) of exact scalars and multivectors of sig."""
+        return cls._of_sums(sig, *combine_slots((s, x.slots, x.den) for s, x in pairs))
+
+    def __add__(self, other, sign=1):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         _compat(self, other)
-        merged = dict(self.terms)
-        for m, c in other.terms.items():
-            s = merged.get(m)
-            if s is None:
-                merged[m] = c
-            else:
-                s = s + c
-                if s:
-                    merged[m] = s
-                else:
-                    del merged[m]
-        return Multivector(self.sig, merged)
+        return Multivector.combine(self.sig, [(1, self), (sign, other)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector(self.sig, {m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def scale(self, factor) -> "Multivector":
-        return Multivector(self.sig, lincomb([(factor, self.terms)]))
+        return Multivector.combine(self.sig, [(factor, self)])
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -227,11 +231,6 @@ class Multivector:
             return self.scale(Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def __xor__(self, other):
-        if isinstance(other, Multivector):
-            return wedge(self, other)
-        return NotImplemented
-
     def _coerce(self, other):
         if isinstance(other, Multivector):
             return other
@@ -242,19 +241,22 @@ class Multivector:
     # -- structure queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.slots
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.slots)
+
+    def _masks(self) -> set[int]:
+        return {m for slot in self.slots.values() for m in slot}
 
     def grades(self) -> set[int]:
-        return {m.bit_count() for m in self.terms}
+        return {m.bit_count() for m in self._masks()}
 
     def is_vector(self) -> bool:
-        return all(m.bit_count() == 1 for m in self.terms)
+        return all(m.bit_count() == 1 for m in self._masks())
 
     def scalar_part(self) -> Scalar:
-        return self.terms.get(0, Scalar())
+        return self.coeff(0)
 
     def coeff(self, mask: int) -> Scalar:
         return self.terms.get(mask, Scalar())
@@ -263,14 +265,17 @@ class Multivector:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.sig.squares == other.sig.squares and self.terms == other.terms
+        return (self.sig.squares, self.den, self.slots) == \
+            (other.sig.squares, other.den, other.slots)
 
     def __hash__(self):
         # equal to a Scalar, int or Fraction exactly when only the scalar
         # part is set: hash like that Scalar
-        if self.terms.keys() <= {0}:
+        if self._masks() <= {0}:
             return hash(self.scalar_part())
-        return hash((self.sig.squares, frozenset(self.terms.items())))
+        return hash((self.sig.squares, self.den,
+                     frozenset((key, frozenset(slot.items()))
+                               for key, slot in self.slots.items())))
 
     # -- rendering and serialization ---------------------------------------
 
@@ -380,21 +385,20 @@ def _product(x: Multivector, y: Multivector, outer: bool) -> Multivector:
     """Blade-pair product of x and y on the integer slots of both operands."""
     _compat(x, y)
     squares = x.sig.squares
-    xs, den_x = split_slots(x.terms)
-    ys, den_y = split_slots(y.terms)
     acc: dict[Key, dict[int, int]] = {}
-    for kx, x_slot in xs.items():
-        for ky, y_slot in ys.items():
+    for kx, x_slot in x.slots.items():
+        for ky, y_slot in y.slots.items():
             key, factor = key_product(kx, ky)
             out = acc.setdefault(key, {})
             get = out.get
-            for ma, na in x_slot:
+            y_pairs = y_slot.items()
+            for ma, na in x_slot.items():
                 row = _sign_row(squares, ma, outer)
                 na *= factor
-                for mb, nb in y_slot:
+                for mb, nb in y_pairs:
                     m = ma ^ mb
                     out[m] = get(m, 0) + row[mb] * na * nb
-    return Multivector(x.sig, join_slots(acc, den_x * den_y))
+    return Multivector._of_sums(x.sig, acc, x.den * y.den)
 
 
 def gp(x: Multivector, y: Multivector) -> Multivector:
@@ -415,18 +419,18 @@ def sym_dot(x: Multivector, y: Multivector) -> Multivector:
 
 
 def reverse(x: Multivector) -> Multivector:
-    """Reverse the factor order of every blade."""
-    out = {}
-    for m, c in x.terms.items():
-        k = m.bit_count()
-        out[m] = -c if k % 4 in (2, 3) else c
-    return Multivector(x.sig, out)
+    """Reverse the factor order of every blade: grades 2 and 3 mod 4 flip sign."""
+    return Multivector._of_sums(x.sig, {key: {m: -v if m.bit_count() & 2 else v
+                                              for m, v in slot.items()}
+                                        for key, slot in x.slots.items()}, x.den)
 
 
 def grade_project(x: Multivector, k: int) -> Multivector:
     if not 0 <= k <= x.sig.m:
         raise RangeError("grade out of range")
-    return Multivector(x.sig, {m: c for m, c in x.terms.items() if m.bit_count() == k})
+    return Multivector._of_sums(x.sig, {key: {m: v for m, v in slot.items()
+                                              if m.bit_count() == k}
+                                        for key, slot in x.slots.items()}, x.den)
 
 
 def gp_chain(vs) -> Multivector:

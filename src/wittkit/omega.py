@@ -20,7 +20,7 @@ from enum import Enum
 from operator import mul
 
 from .errors import DimensionMismatchError, RangeError, UnsupportedError
-from .scalars import Scalar, apply_map, pmatrix, split_map
+from .scalars import Scalar, apply_slots, join_slots, pmatrix, split_map, split_slots
 
 MAX_K_REAL = 6
 MAX_K_DET = 5
@@ -112,7 +112,8 @@ class OmegaMatrix:
             split = ({(1, False): {t: list(enumerate(col)) for t, col in cols.items()}}, 1)
         else:
             split = split_map({t: dict(enumerate(col)) for t, col in cols.items()})
-        out = apply_map({t: Scalar.of(x) for t, x in enumerate(xs)}, split)
+        out = join_slots(*apply_slots(*split_slots({t: Scalar.of(x) for t, x in enumerate(xs)}),
+                                      split))
         return [out.get(i, Scalar()) for i in range(self.dim)]
 
     def __eq__(self, other):

@@ -11,23 +11,17 @@ defined only for monomials, which is all the constructions here divide by.
 Negative radicands enter through j: sqrt(-d) is represented as j*sqrt(d).
 The constructors take ints and Fractions only, never floats or strings.
 
-The integer kernel below serves every linear map of the package: maps
-index -> Scalar are split into integer slots per term key over one shared
-denominator, summed in ints, and joined back into one Fraction per output
-coefficient.  split_map splits a whole fixed map k -> (index -> Scalar) at
-once; apply_slots sums a vector already in slots against it and returns
-the integer sums, and apply_map is apply_slots between split_slots and
-join_slots.  reduce_slots brings integer sums to one canonical form (zeros
-dropped, gcd(den, every numerator) == 1), the form in which
-witt_global.MvMatrix stores a coordinate matrix, so mv_to_matrix, matmul,
-== and matrix_to_mv pass slots along and build no Fraction in between.
-The operands split once are a spectral basis's trace table, its products
-t E_ij of a blade t with a matrix unit (t = 0 for scalar entries), the
-right factor of a coordinate matrix product (regrouped by row once per
-product, not per row), and a sign matrix's columns (per apply; real
-columns are built as slots directly).  lincomb splits its ad-hoc maps on
-every call, and ga._product splits both of its operands on every call, on
-purpose, since neither operand of a product is fixed.
+The integer kernel below serves every linear map of the package.  A value
+indexed by masks or matrix positions is stored as slots {key: {index:
+numerator}} over one denominator den, in the canonical form reduce_slots
+gives (zeros dropped, gcd(den, every numerator) == 1), so two equal values
+have equal slots and dens: ga.Multivector and witt_global.MvMatrix both
+store this form.  split_slots brings index -> Scalar into slots, join_slots
+turns slots back into Scalars for rendering, combine_slots sums scalar
+multiples of slot values (+, -, scale and every fixed linear combination),
+and apply_slots sums a vector against a fixed map split once by split_map
+(both coordinate maps, matmul and dense_apply).  ga._product runs the same
+loop on the slots of its two operands.
 """
 
 from __future__ import annotations
@@ -347,18 +341,19 @@ def key_product(k1: Key, k2: Key) -> tuple[Key, int]:
     return (d1 // g * (d2 // g), i1 != i2), (-g if i1 and i2 else g)
 
 
-def split_slots(vec: dict) -> tuple[dict[Key, list[tuple[object, int]]], int]:
+def split_slots(vec: dict) -> tuple[dict[Key, dict], int]:
     """A sparse map index -> Scalar as integer slots over one denominator.
 
-    Returns ({key: [(index, numerator), ...]}, den), where den is the lcm of
-    every Fraction denominator in vec, so the coefficient q of term key on
-    index is stored as the int q * den.
+    Returns ({key: {index: numerator}}, den), where den is the lcm of every
+    Fraction denominator in vec, so the coefficient q of term key on index
+    is stored as the int q * den.  The lcm of reduced denominators leaves
+    the slots in canonical form.
     """
     den = lcm(*(q.denominator for c in vec.values() for q in c.terms.values()))
-    slots: dict[Key, list[tuple[object, int]]] = {}
+    slots: dict[Key, dict] = {}
     for i, c in vec.items():
         for key, q in c.terms.items():
-            slots.setdefault(key, []).append((i, q.numerator * (den // q.denominator)))
+            slots.setdefault(key, {})[i] = q.numerator * (den // q.denominator)
     return slots, den
 
 
@@ -378,7 +373,7 @@ def split_map(rows: dict) -> tuple[dict[Key, dict[object, list[tuple[object, int
 
     Returns ({key: {k: [(index, numerator), ...]}}, den): every row of the
     map in one structure over one shared denominator, the lcm of all its
-    Fraction denominators, so apply_map can sum any vector against it.
+    Fraction denominators, so apply_slots can sum any vector against it.
     """
     den = lcm(*(q.denominator for row in rows.values()
                 for c in row.values() for q in c.terms.values()))
@@ -392,15 +387,10 @@ def split_map(rows: dict) -> tuple[dict[Key, dict[object, list[tuple[object, int
 
 
 def apply_slots(vs: dict, den_v: int, split) -> tuple[dict[Key, dict], int]:
-    """sum_k vec[k] * row_k on integer slots, for a vector already split.
-
-    vs holds the vector as {key: pairs (k, numerator)} over den_v, as
-    split_slots returns it (any iterable of pairs per key, such as a slot
-    dict's items()), and split is a map split by split_map.  Returns the sums
-    {key: {index: numerator}} over den_v * den_r, zero sums included; the
-    blade loop of ga._product has the same shape.  Neither operand is
-    written, so a caller may split a fixed map once and pass it to every call.
-    """
+    """sum_k vec[k] * row_k for a vector vs in slots {key: {k: numerator}}
+    over den_v and a map split by split_map, which is never written, so a
+    fixed map is split once for every call.  Returns the sums {key: {index:
+    numerator}} over den_v * den_r, zero sums included, for reduce_slots."""
     rows, den_r = split
     acc: dict[Key, dict] = {}
     for kv, v_slot in vs.items():
@@ -408,19 +398,13 @@ def apply_slots(vs: dict, den_v: int, split) -> tuple[dict[Key, dict], int]:
             key, factor = key_product(kv, kr)
             out = acc.setdefault(key, {})
             get = out.get
-            for k, nv in v_slot:
+            for k, nv in v_slot.items():
                 row = r_rows.get(k)
                 if row is not None:
                     nv *= factor
                     for i, nr in row:
                         out[i] = get(i, 0) + nv * nr
     return acc, den_v * den_r
-
-
-def apply_map(vec: dict, split) -> dict:
-    """sum_k vec[k] * row_k for Scalars vec[k] and a map split by split_map,
-    as index -> Scalar; vec is split once."""
-    return join_slots(*apply_slots(*split_slots(vec), split))
 
 
 def reduce_slots(acc: dict[Key, dict], den: int) -> tuple[dict[Key, dict], int]:
@@ -440,12 +424,20 @@ def reduce_slots(acc: dict[Key, dict], den: int) -> tuple[dict[Key, dict], int]:
     return slots, den
 
 
-def lincomb(pairs) -> dict:
-    """sum_k s_k * v_k for scalars s_k (Scalar, int or Fraction) and sparse
-    maps v_k: index -> Scalar, summed in ints over one shared denominator."""
-    pairs = dict(enumerate(pairs))
-    return apply_map({k: Scalar.of(s) for k, (s, _) in pairs.items()},
-                     split_map({k: v for k, (_, v) in pairs.items()}))
+def combine_slots(terms) -> tuple[dict[Key, dict], int]:
+    """sum_k s_k * v_k for terms (s_k, slots_k, den_k) of exact scalars s_k
+    (Scalar, int or Fraction) and values v_k in slots: one apply_slots of the
+    s_k against the v_k rescaled to the lcm of their dens.  Returns the sums,
+    zero sums included, for reduce_slots."""
+    terms = list(terms)
+    den = lcm(*(d for _, _, d in terms))
+    rows: dict[Key, dict] = {}
+    for k, (_, slots, d) in enumerate(terms):
+        f = den // d
+        for key, slot in slots.items():
+            rows.setdefault(key, {})[k] = [(i, v * f) for i, v in slot.items()]
+    coeffs, den_s = split_slots({k: Scalar.of(s) for k, (s, _, _) in enumerate(terms)})
+    return apply_slots(coeffs, den_s, (rows, den))
 
 
 # -- rendering shared by every str and latex method ----------------------

@@ -106,35 +106,30 @@ def _ck_relations(check_id: str, anchor: str, failing: list[str],
     return Check(check_id, anchor, PASS, detail)
 
 
-# every value Fraction(p, q) a draw can take, so a draw builds no Fraction
-_FRACTIONS = {(p, q): Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)}
+# lcm(1, ..., 9): a draw p/q with 1 <= q <= 9 is the int p * (DRAW_DEN // q)
+# over it, so sampling builds no Fraction
+DRAW_DEN = 2520
 
 
-def random_fraction(rng: random.Random) -> Fraction:
-    return _FRACTIONS[rng.randint(-9, 9), rng.randint(1, 9)]
-
-
-def _random_terms(rng: random.Random, complex_: bool) -> dict:
-    """The term dict of one random scalar: the rational part is drawn
-    first, then the j part when complex_; zero parts are left out."""
-    re = random_fraction(rng)
-    terms = {(1, False): re} if re else {}
-    if complex_:
-        im = random_fraction(rng)
-        if im:
-            terms[(1, True)] = im
-    return terms
+def _draw(rng: random.Random, complex_: bool) -> dict:
+    """One random coefficient p/q as {key: numerator over DRAW_DEN}: the
+    rational part first, then the j part when complex_, p before q."""
+    return {key: rng.randint(-9, 9) * (DRAW_DEN // rng.randint(1, 9))
+            for key in ((1, False), (1, True))[:1 + complex_]}
 
 
 def random_scalar(rng: random.Random, complex_: bool = False) -> Scalar:
-    return Scalar(_random_terms(rng, complex_))
+    return Scalar({k: Fraction(v, DRAW_DEN) for k, v in _draw(rng, complex_).items() if v})
 
 
 def random_multivector(sig, rng: random.Random,
                        complex_: bool = False) -> Multivector:
     # one draw per mask in ascending order, so seeded reports stay fixed
-    draws = {mask: _random_terms(rng, complex_) for mask in range(sig.dim)}
-    return Multivector(sig, {mask: Scalar(t) for mask, t in draws.items() if t})
+    acc: dict = {}
+    for mask in range(sig.dim):
+        for key, v in _draw(rng, complex_).items():
+            acc.setdefault(key, {})[mask] = v
+    return Multivector._of_sums(sig, acc, DRAW_DEN)
 
 
 def _sample_pairs(sig, rng: random.Random, samples: int,

@@ -26,8 +26,8 @@ from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, blade_product, g_nn, gp, gp_chain,
                  sym_dot)
-from .scalars import (Scalar, _is_int, apply_slots, join_slots, pmatrix,
-                      reduce_slots, split_map, split_slots)
+from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
+                      pmatrix, reduce_slots, split_map, split_slots)
 
 
 def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
@@ -50,10 +50,10 @@ class MvMatrix:
     The value is stored the way the integer kernel computes it: slots
     {key: {i*n + j: numerator}} over one denominator den, in canonical form
     (zero numerators dropped, den > 0, gcd(den, every numerator) == 1), so
-    two matrices are equal exactly when dim, den and slots are.  matmul and
-    the coordinate maps of SpectralBasis read and write the slots directly;
-    entries, the rows of Scalars, is built from them on first read and
-    cached.  Treat slots, den and entries as read-only.
+    two matrices are equal exactly when dim, den and slots are.  matmul, +,
+    scale and the coordinate maps of SpectralBasis read and write the slots
+    directly; entries, the rows of Scalars, is built from them on first read
+    and cached.  Treat slots, den and entries as read-only.
     """
 
     __slots__ = ("dim", "den", "slots", "_entries")
@@ -63,10 +63,8 @@ class MvMatrix:
         if any(len(row) != n for row in entries):
             raise DimensionMismatchError("matrix must be square")
         rows = [[Scalar.of(e) for e in row] for row in entries]
-        # the lcm of reduced Fraction denominators is already canonical
-        slots, self.den = split_slots({i * n + j: e for i, row in enumerate(rows)
-                                       for j, e in enumerate(row)})
-        self.slots = {key: dict(pairs) for key, pairs in slots.items()}
+        self.slots, self.den = split_slots({i * n + j: e for i, row in enumerate(rows)
+                                            for j, e in enumerate(row)})
         self.dim = n
         self._entries = rows
 
@@ -111,7 +109,7 @@ class MvMatrix:
         a, b = self._by_row(), (other._by_row(), other.den)
         acc: dict = {}
         for i in range(n):
-            row = {key: r[i] for key, r in a.items() if i in r}
+            row = {key: dict(r[i]) for key, r in a.items() if i in r}
             sums, _ = apply_slots(row, self.den, b)
             for key, out in sums.items():
                 dst = acc.setdefault(key, {})
@@ -122,12 +120,11 @@ class MvMatrix:
     def __add__(self, other):
         if not isinstance(other, MvMatrix) or self.dim != other.dim:
             return NotImplemented
-        return MvMatrix([[a + b for a, b in zip(r1, r2)]
-                         for r1, r2 in zip(self.entries, other.entries)])
+        return MvMatrix._of_sums(self.dim, *combine_slots(
+            [(1, self.slots, self.den), (1, other.slots, other.den)]))
 
     def scale(self, factor) -> "MvMatrix":
-        s = Scalar.of(factor)
-        return MvMatrix([[e * s for e in row] for row in self.entries])
+        return MvMatrix._of_sums(self.dim, *combine_slots([(factor, self.slots, self.den)]))
 
     def transpose(self) -> "MvMatrix":
         return MvMatrix([list(col) for col in zip(*self.entries)])
@@ -344,7 +341,7 @@ class SpectralBasis:
 
         The table maps each blade mask b to the flat indices it feeds and
         their weights, idx = (p n + i) n + j for part p, so the coordinates
-        are one scalars.apply_slots of the input's terms: x_ij = n <E_ji g>_t
+        are one scalars.apply_slots of the input's slots: x_ij = n <E_ji g>_t
         sums E_ji[a] g[b] over the masks a = b ^ t.  The whole table is
         stored split once by scalars.split_map, so no conversion splits it
         again.
@@ -394,7 +391,7 @@ class SpectralBasis:
         if self._extraction is None:
             self._build_extraction()
         n = self.dim
-        sums, den = apply_slots(*split_slots(g.terms), self._extraction)
+        sums, den = apply_slots(g.slots, g.den, self._extraction)
         if self.central_unit is None:
             return MvMatrix._of_sums(n, sums, den)
         # the sums hold every plain part, then every central-unit part, row-major
@@ -432,17 +429,18 @@ class SpectralBasis:
         n = self.dim
         if isinstance(mat, MvMatrix):
             # the slots already carry index i n + j, the row of E_ij (blade 0)
-            vs, den = {key: slot.items() for key, slot in mat.slots.items()}, mat.den
+            vs, den = mat.slots, mat.den
             blades = {0}
         else:
             # blade t of central entry (i, j) feeds the row t E_ij, keyed
             # (t n + i) n + j
-            vec = {(t * n + i) * n + j: c for i, row in enumerate(mat.entries)
-                   for j, e in enumerate(row) for t, c in e.terms.items()}
-            vs, den = split_slots(vec)
-            blades = {k // (n * n) for k in vec} | {0}
+            vs, den = combine_slots(
+                (1, {key: {t * n * n + i * n + j: v for t, v in slot.items()}
+                     for key, slot in e.slots.items()}, e.den)
+                for i, row in enumerate(mat.entries) for j, e in enumerate(row))
+            blades = {k // (n * n) for slot in vs.values() for k in slot} | {0}
         sums, den = apply_slots(vs, den, self._split_units(blades))
-        return Multivector(self.sig, join_slots(sums, den))
+        return Multivector._of_sums(self.sig, sums, den)
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)

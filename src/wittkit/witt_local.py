@@ -25,7 +25,7 @@ from .errors import RangeError, UnsupportedError
 from .ga import (Multivector, Signature, anticommutator, g_1n, gp, gp_chain,
                  wedge_chain)
 from .omega import OmegaVariant, omega
-from .scalars import Scalar, lincomb, pmatrix
+from .scalars import Scalar, pmatrix
 
 
 def alpha_coeff(k: int) -> Scalar:
@@ -141,8 +141,7 @@ class FrameMap:
     expected_squares: list[int]
 
     def row_combination(self, r: int) -> Multivector:
-        return Multivector(self.sources[0].sig, lincomb(
-            (coeff, src.terms) for coeff, src in zip(self.signs[r], self.sources)))
+        return Multivector.combine(self.sources[0].sig, zip(self.signs[r], self.sources))
 
     def verify_rows(self) -> bool:
         return all(self.targets[r].scale(self.scales[r]) == self.row_combination(r)
@@ -188,8 +187,7 @@ def hadamard_nilpotents(k: int) -> LocalWitt:
     scales = _hadamard_scales(k)
     w = omega(k, OmegaVariant.PLAIN).rows
     scaled = [frame[r].scale(scales[r]) for r in range(n)]
-    c = [Multivector(sig, lincomb((Fraction(w[r][i], n), scaled[r].terms)
-                                  for r in range(n)))
+    c = [Multivector.combine(sig, ((Fraction(w[r][i], n), scaled[r]) for r in range(n)))
          for i in range(n)]
     return LocalWitt(n, sig, c)
 

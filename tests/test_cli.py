@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -275,3 +279,63 @@ class TestVerify:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
+
+
+class TestSeedParsing:
+    # int() takes all of these; a seed is ASCII digits with an optional "-"
+    BAD = [" 7", "7 ", "1_000", "\u0663", "+3", "0x10", ""]
+
+    @pytest.mark.parametrize("raw", BAD)
+    def test_bad_env_seed_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("WITTKIT_SEED", raw)
+        code, out, err = run_cli(capsys, ["verify", "--suite", "table1"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "WITTKIT_SEED" in err
+
+    @pytest.mark.parametrize("raw", BAD)
+    def test_bad_flag_seed_exits_2(self, capsys, raw):
+        code, out, err = run_cli(capsys, ["verify", "--suite", "table1", f"--seed={raw}"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--seed" in err
+
+    @pytest.mark.parametrize("raw,seed", [("-4", -4), ("007", 7)])
+    def test_plain_digits_accepted(self, capsys, monkeypatch, raw, seed):
+        monkeypatch.setenv("WITTKIT_SEED", raw)
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "table1", "--format", "json"])
+        assert code == 0 and json.loads(out)["seed"] == seed
+        code, out, _ = run_cli(capsys, ["verify", "--suite", "table1", "--format", "json",
+                                        f"--seed={raw}"])
+        assert code == 0 and json.loads(out)["seed"] == seed
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early ends the run with exit 1 and
+    nothing on stderr, not a BrokenPipeError traceback."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def spawn(self, argv, stdout):
+        return subprocess.Popen([sys.executable, "-m", "wittkit.cli", *argv],
+                                stdout=stdout, stderr=subprocess.PIPE, env=self.ENV)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "table1", "--format", "json"],
+        ["generate", "omega", "--k", "2"],
+    ], ids=["verify", "generate"])
+    def test_reader_gone_before_the_first_write(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = self.spawn(argv, write_end)
+        os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (1, b"")
+
+    def test_reader_stops_after_one_line(self):
+        # about 1 MB of JSON: far more than a pipe holds
+        proc = self.spawn(["generate", "spectral", "--algebra", "g44"], subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b"")

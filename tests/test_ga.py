@@ -2,14 +2,16 @@
 
 import pytest
 from fractions import Fraction
+from math import gcd
 from hypothesis import given, strategies as st
 
 from tests.conftest import bounded_fractions
+from wittkit import ga
 from wittkit.errors import RangeError, SignatureMismatchError
 from wittkit.ga import (MAX_GENERATORS, Multivector, Signature, anticommutator,
                         blade_product, g3, g13, g_1n, g_nn, gp, gp_chain,
                         grade_project, reverse, sym_dot, wedge, wedge_chain)
-from wittkit.scalars import Scalar
+from wittkit.scalars import Scalar, join_slots
 
 SIG = g_nn(2)
 
@@ -144,6 +146,117 @@ class TestProductOracle:
         # v ^ v = 0 for a vector v
         v = grade_project(z, 1)
         assert wedge(v, v).terms == reference_product(v, v, outer=True).terms == {}
+
+
+def reference_sum(x, y, sign=1):
+    """x + sign * y as a dict of Scalar sums, zero coefficients dropped."""
+    acc = dict(x.terms)
+    for m, c in y.terms.items():
+        acc[m] = acc.get(m, Scalar()) + c * sign
+    return {m: c for m, c in acc.items() if c}
+
+
+def assert_matches(got, want_terms):
+    """got has the reference's terms, canonical slots, and the den and slots
+    of the multivector split from the reference's Scalars, so == and hash
+    agree with it."""
+    assert got.terms == want_terms
+    nums = [v for slot in got.slots.values() for v in slot.values()]
+    assert got.den > 0 and all(nums) and all(got.slots.values())
+    assert gcd(got.den, *nums) == 1
+    want = Multivector(got.sig, want_terms)
+    assert (got.den, got.slots) == (want.den, want.slots)
+    assert got == want and hash(got) == hash(want)
+
+
+def tripled(x):
+    """x from sums with every numerator and the den times 3, plus a key whose
+    sums are all zero."""
+    acc = {key: {m: 3 * v for m, v in slot.items()} for key, slot in x.slots.items()}
+    acc[(7, True)] = {0: 0}
+    return Multivector._of_sums(x.sig, acc, 3 * x.den)
+
+
+# scale factors: ints, Fractions and ring elements over Q, Q(j) and radicals
+factors = st.one_of(st.integers(min_value=-3, max_value=3), fractions,
+                    st.tuples(st.sampled_from(UNITS), fractions).map(lambda t: t[0] * t[1]))
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: s.name)
+class TestSlotForm:
+    """Multivectors stored as canonical integer slots agree with a reference
+    on Scalar dicts, signature by signature."""
+
+    @given(data=st.data())
+    def test_linear_ops_match_reference(self, sig, data):
+        x = data.draw(ring_multivectors(sig))
+        # y may cancel x outright, or everywhere but on a few blades
+        y = data.draw(st.sampled_from([
+            data.draw(ring_multivectors(sig)),
+            Multivector(sig, {m: -c for m, c in x.terms.items()}),
+            Multivector(sig, reference_sum(data.draw(ring_multivectors(sig)), x, -1))]))
+        s = data.draw(factors)
+        assert_matches(x + y, reference_sum(x, y))
+        assert_matches(x - y, reference_sum(x, y, -1))
+        assert_matches(-x, {m: -c for m, c in x.terms.items()})
+        assert_matches(x.scale(s), {m: c * s for m, c in x.terms.items() if c * s})
+        assert_matches(reverse(x), {m: -c if m.bit_count() % 4 in (2, 3) else c
+                                    for m, c in x.terms.items()})
+        for k in range(sig.m + 1):
+            assert_matches(grade_project(x, k),
+                           {m: c for m, c in x.terms.items() if m.bit_count() == k})
+
+    @given(data=st.data())
+    def test_products_match_reference(self, sig, data):
+        x, y = data.draw(ring_multivectors(sig)), data.draw(ring_multivectors(sig))
+        assert_matches(gp(x, y), reference_product(x, y).terms)
+        assert_matches(wedge(x, y), reference_product(x, y, outer=True).terms)
+
+    @given(data=st.data())
+    def test_equality_and_hash_match_reference(self, sig, data):
+        x = data.draw(ring_multivectors(sig))
+        z = data.draw(ring_multivectors(sig))
+        # one value built four ways: split from Scalars, from sums over a
+        # larger den, from kernel sums, and the reference
+        for again in (Multivector(sig, dict(x.terms)), tripled(x), (x + z) - z):
+            assert (again.den, again.slots) == (x.den, x.slots)
+            assert again == x and hash(again) == hash(x)
+        # 2x and x/2 can keep x's slots over another den
+        for y in (z, x.scale(2), x.scale(Fraction(1, 2)), x + Multivector.blade(
+                sig, data.draw(st.integers(0, sig.dim - 1)), data.draw(factors))):
+            assert (x == y) == (x.terms == y.terms)
+            assert (x != y) == (x.terms != y.terms)
+
+    @given(data=st.data())
+    def test_scalar_only_hashes_like_its_scalar(self, sig, data):
+        s = data.draw(factors)
+        s = Scalar.of(s)
+        v = Multivector.generator(sig, 0)
+        # built from the Scalar, and built by the kernel: v v = 1
+        for x in (Multivector.scalar(sig, s), gp(v, v).scale(s), tripled(gp(v, v)).scale(s)):
+            assert x == s and hash(x) == hash(s)
+            assert len({x, s}) == 1
+        if s.is_rational():
+            assert hash(Multivector.scalar(sig, s)) == hash(s.as_fraction())
+
+    def test_terms_built_once_and_read_only(self, sig, monkeypatch):
+        calls = []
+
+        def counted(acc, den):
+            calls.append(1)
+            return join_slots(acc, den)
+
+        monkeypatch.setattr(ga, "join_slots", counted)
+        v = Multivector.generator(sig, 0) + Multivector.scalar(sig, Scalar.j(Fraction(1, 3)))
+        assert calls == []                  # given terms are kept, not joined
+        x = gp(v, v)
+        terms = x.terms
+        assert x.terms is terms and len(calls) == 1
+        assert terms == reference_product(v, v).terms
+        with pytest.raises(AttributeError):
+            x.terms = {}
+        with pytest.raises(AttributeError):
+            x.extra = 1
 
 
 class TestProductStructure:

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from tests.conftest import bounded_fractions
 from wittkit.errors import NonMonomialError
-from wittkit.scalars import (Scalar, apply_map, join_slots, key_product, lincomb,
-                             reduce_slots, split_map)
+from wittkit.scalars import (Scalar, apply_slots, combine_slots, join_slots, key_product,
+                             reduce_slots, split_map, split_slots)
 
 fractions = bounded_fractions(9, 9)
 
@@ -30,10 +30,22 @@ def radical_scalars():
 
 
 ring_scalars = st.one_of(rational_scalars(), qj_scalars(), radical_scalars())
-# lincomb takes ints, Fractions and Scalars as coefficients
+# combine_slots takes ints, Fractions and Scalars as coefficients
 coefficients = st.one_of(st.integers(min_value=-9, max_value=9), fractions, ring_scalars)
 sparse_maps = st.dictionaries(st.integers(min_value=0, max_value=7), ring_scalars,
                               max_size=5)
+
+
+def lincomb(pairs):
+    """sum_k s_k * v_k for sparse maps v_k: index -> Scalar, through
+    split_slots, combine_slots and join_slots."""
+    return join_slots(*combine_slots((s, *split_slots(v)) for s, v in pairs))
+
+
+def apply_map(vec, split):
+    """sum_k vec[k] * row_k for a map split by split_map, the way a
+    coordinate map runs it: vec split once, summed, joined."""
+    return join_slots(*apply_slots(*split_slots(vec), split))
 
 
 def reference_lincomb(pairs):

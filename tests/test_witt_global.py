@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import bounded_fractions
-from wittkit import scalars, witt_global
+from wittkit import ga, scalars, witt_global
 from wittkit.cli import _basis
 from wittkit.dirac import pauli_spectral
 from wittkit.errors import (ExtractorUnavailableError, RangeError,
@@ -385,6 +385,25 @@ class TestMvMatrix:
         assert (MvMatrix(a) == MvMatrix(c)) == (a == c)
         assert (MvMatrix(a) != MvMatrix(c)) == (a != c)
 
+    @settings(max_examples=30)
+    @given(st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(square_matrices(n), square_matrices(n))), st.data())
+    def test_add_and_scale_match_scalar_reference(self, ab, data):
+        # + and scale on slots against Scalar + and * entry by entry, in the
+        # canonical form of the matrix built from the reference's entries;
+        # b may be -a or a minus up to two entries, so sums can cancel
+        a, b = ab
+        b = data.draw(st.sampled_from([b, [[-e for e in row] for row in a],
+                                       [[-e for e in row] for row in perturbed(a, data)]]))
+        s = data.draw(st.one_of(st.integers(-3, 3), fractions, exact_scalars))
+        for got, want in ((MvMatrix(a) + MvMatrix(b),
+                           [[x + y for x, y in zip(r, q)] for r, q in zip(a, b)]),
+                          (MvMatrix(a).scale(s), [[x * s for x in row] for row in a])):
+            assert got.entries == want
+            assert_canonical(got)
+            want = MvMatrix(want)
+            assert (got.den, got.slots) == (want.den, want.slots)
+
     def test_inexact_entries_rejected(self):
         # a float would enter as its binary expansion, a string would be parsed
         with pytest.raises(TypeError):
@@ -488,17 +507,18 @@ class TestSlotForm:
 
     @pytest.mark.parametrize("name", PLAIN_BASES)
     def test_matrix_to_mv_reads_slots_without_splitting(self, name, monkeypatch):
+        # both maps and == run on the stored slots: no split, no join
         sb = named_basis(name)
         gs = [seeded_multivector(sb.sig, seed) for seed in range(5)]
-        mats = [sb.mv_to_matrix(g) for g in gs]
-        sb.matrix_to_mv(mats[0])            # the units are split on first use
+        sb.matrix_to_mv(sb.mv_to_matrix(gs[0]))   # the units are split on first use
 
-        def refuse(vec):
-            raise AssertionError("split_slots was called")
+        def refuse(*args):
+            raise AssertionError("the slots were split or joined")
 
-        monkeypatch.setattr(scalars, "split_slots", refuse)
-        monkeypatch.setattr(witt_global, "split_slots", refuse)
-        for g, mat in zip(gs, mats):
-            assert sb.matrix_to_mv(mat) == g
-        with pytest.raises(AssertionError, match="split_slots"):
-            sb.mv_to_matrix(gs[0])          # the patch is live
+        for module in (scalars, ga, witt_global):
+            monkeypatch.setattr(module, "split_slots", refuse)
+            monkeypatch.setattr(module, "join_slots", refuse)
+        for g in gs:
+            assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
+        with pytest.raises(AssertionError, match="split or joined"):
+            Multivector(sb.sig, gs[0].terms)      # the patch is live
