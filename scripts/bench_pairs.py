@@ -2,22 +2,24 @@
 """Alternating parent/change benchmark pairs, written as a BENCH_<n>.json record.
 
     python scripts/bench_pairs.py PARENT_REV WORKLOAD PAIRS FIRST_SEED \\
-        --out BENCH_11.json [--seconds 35] [--claim ops_per_s] [--change TEXT]
+        --out BENCH_11.json [--claim ops_per_s]
 
 The parent's src/, perfbench/ and BENCHMARK.json are exported with
 `git archive PARENT_REV` into a temp dir, and the working tree's copies of
 the same paths into another, so each side runs from its own copy.  Pair i
 runs `python3 perfbench/run.py --workload WORKLOAD --seed FIRST_SEED + i
---seconds S --trace 0` once per side: odd seeds parent first, even seeds
-change first.  For every end-to-end metric of the workload the record holds
-both sides' quartiles (statistics.quantiles, method 'inclusive'), the pairs
-the change wins, the ratio of the medians and the parent's IQR, plus the
-attempted and failed operation counts.  An existing --out file keeps its
-other workloads, so one file can collect several runs of this script.
---claim METRIC marks METRIC of WORKLOAD as claimed: met when the change
-wins at least 9 of 10 pairs (rounded up) and the medians differ, in the
-better direction, by more than the parent's IQR.  Only the standard
-library is used.
+--seconds 35 --trace 0` once per side: odd seeds parent first, even seeds
+change first.  35 s is the run length of the protocol in
+perfbench/README.md, so every record compares runs of one length.  For
+every end-to-end metric of the workload the record holds both sides'
+quartiles (statistics.quantiles, method 'inclusive'), the pairs the change
+wins, the ratio of the medians and the parent's IQR, plus the attempted and
+failed operation counts.  An existing --out file keeps its other workloads
+and its other keys (such as a hand-written "change" line), so one file can
+collect several runs of this script.  --claim METRIC marks METRIC of
+WORKLOAD as claimed: met when the change wins at least 9 of 10 pairs
+(rounded up) and the medians differ, in the better direction, by more than
+the parent's IQR.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PATHS = ("src", "perfbench", "BENCHMARK.json")
+SECONDS = 35
 
 
 def export_rev(rev: str, dest: Path) -> str:
@@ -61,10 +64,10 @@ def copy_tree(dest: Path) -> None:
             shutil.copy2(src, dest / name)
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     """One benchmark run in tree: its last stdout line, the result object."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -112,9 +115,7 @@ def main(argv=None) -> int:
     p.add_argument("pairs", type=int)
     p.add_argument("first_seed", type=int)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--seconds", type=float, default=35.0)
     p.add_argument("--claim", metavar="METRIC")
-    p.add_argument("--change", default="", help="one line describing the change")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("quartiles need at least 2 pairs")
@@ -130,7 +131,7 @@ def main(argv=None) -> int:
         copy_tree(trees["change"])
         for seed in seeds:
             order = ("parent", "change") if seed % 2 else ("change", "parent")
-            pair = {s: run_once(trees[s], args.workload, seed, args.seconds) for s in order}
+            pair = {s: run_once(trees[s], args.workload, seed) for s in order}
             runs.append(pair)
             print(f"seed {seed}: " + ", ".join(
                 f"{s} {json.dumps({k: round(v['value'], 4) for k, v in pair[s]['metrics'].items()})}"
@@ -138,9 +139,8 @@ def main(argv=None) -> int:
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record.update({
-        "change": args.change or record.get("change", ""),
         "parent": commit,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "method": (f"{args.pairs} pairs per workload on consecutive seeds, odd seeds parent "
                    "first, even seeds change first; parent and change each run from their "
                    "own copy of src/, perfbench/ and BENCHMARK.json; a pair is won when the "

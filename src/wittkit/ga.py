@@ -12,20 +12,20 @@ scalars.reduce_slots, so == compares slots and every linear map and product
 runs on ints: ``+``, ``-`` and ``scale`` are scalars.combine_slots, and
 ``gp`` and ``wedge`` multiply the keys of each pair of slots once by
 scalars.key_product and run the blade loop on plain ints, with signs read
-from a cached row per left blade.  ``terms: dict[mask, Scalar]``, the view
-every caller, JSON, LaTeX and ``str`` see, is built on first read.
+from a cached row per left blade.  to_json renders the slots; ``terms:
+dict[mask, Scalar]``, for LaTeX, ``str`` and callers, is built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import mul
 
 from .errors import NotAVectorError, RangeError, SignatureMismatchError
 from .scalars import (Key, Scalar, _is_int, combine_slots, join_signed, join_slots,
-                      key_product, reduce_slots, split_slots)
+                      json_slots, key_product, reduce_slots, split_slots)
 
 MAX_GENERATORS = 12
 
@@ -231,6 +231,11 @@ class Multivector:
             return self.scale(Fraction(1) / Fraction(other))
         return NotImplemented
 
+    def __xor__(self, other):
+        if isinstance(other, Multivector):
+            return wedge(self, other)
+        return NotImplemented
+
     def _coerce(self, other):
         if isinstance(other, Multivector):
             return other
@@ -318,11 +323,11 @@ class Multivector:
         return self._render(Scalar.latex, "\\left({}\\right)", "\\,", label)
 
     def to_json(self) -> dict:
-        terms = []
-        for m in sorted(self.terms, key=lambda k: (k.bit_count(), k)):
-            blade = [i for i in range(self.sig.m) if m >> i & 1]
-            terms.append({"blade": blade, "coeff": self.terms[m].to_json()})
-        return {"signature": list(self.sig.squares), "terms": terms}
+        coeffs = json_slots(self.slots, self.den)
+        return {"signature": list(self.sig.squares),
+                "terms": [{"blade": [i for i in range(self.sig.m) if m >> i & 1],
+                           "coeff": coeffs[m]}
+                          for m in sorted(coeffs, key=lambda k: (k.bit_count(), k))]}
 
     @classmethod
     def from_json(cls, data, sig: Signature | None = None) -> "Multivector":
@@ -435,20 +440,12 @@ def grade_project(x: Multivector, k: int) -> Multivector:
 
 def gp_chain(vs) -> Multivector:
     """Left-to-right geometric product of a nonempty sequence."""
-    vs = list(vs)
-    out = vs[0]
-    for v in vs[1:]:
-        out = gp(out, v)
-    return out
+    return reduce(gp, vs)
 
 
 def wedge_chain(vs) -> Multivector:
     """Left-to-right outer product of a nonempty sequence."""
-    vs = list(vs)
-    out = vs[0]
-    for v in vs[1:]:
-        out = wedge(out, v)
-    return out
+    return reduce(wedge, vs)
 
 
 def anticommutator(x: Multivector, y: Multivector) -> Multivector:

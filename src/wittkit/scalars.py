@@ -17,11 +17,11 @@ numerator}} over one denominator den, in the canonical form reduce_slots
 gives (zeros dropped, gcd(den, every numerator) == 1), so two equal values
 have equal slots and dens: ga.Multivector and witt_global.MvMatrix both
 store this form.  split_slots brings index -> Scalar into slots, join_slots
-turns slots back into Scalars for rendering, combine_slots sums scalar
-multiples of slot values (+, -, scale and every fixed linear combination),
-and apply_slots sums a vector against a fixed map split once by split_map
-(both coordinate maps, matmul and dense_apply).  ga._product runs the same
-loop on the slots of its two operands.
+turns them back into Scalars and json_slots into JSON, with no Fraction;
+combine_slots sums scalar multiples of slot values (+, -, scale and every
+fixed linear combination), and apply_slots sums a vector against a fixed
+map split once by split_map (both coordinate maps, matmul and dense_apply).
+ga._product runs the same loop on the slots of its two operands.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ MAX_RADICAND = 10**12
 
 # the only coefficient strings JSON may carry: Fraction alone would also take
 # "1e999999999" and build 10**999999999
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def split_square(n: int) -> tuple[int, int]:
@@ -221,12 +221,9 @@ class Scalar:
 
     # -- rendering and serialization ---------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-
     def __str__(self):
         parts = []
-        for (d, imag), q in self._sorted_terms():
+        for (d, imag), q in sorted(self.terms.items()):
             body = []
             if imag:
                 body.append("j")
@@ -250,7 +247,7 @@ class Scalar:
 
     def latex(self) -> str:
         parts = []
-        for (d, imag), q in self._sorted_terms():
+        for (d, imag), q in sorted(self.terms.items()):
             mag = ("j" if imag else "") + (f"\\sqrt{{{d}}}" if d != 1 else "")
             neg = q < 0
             aq = -q if neg else q
@@ -264,11 +261,7 @@ class Scalar:
         return join_signed(parts)
 
     def to_json(self) -> list[dict]:
-        groups: dict[int, dict] = {}
-        for (d, imag), q in self._sorted_terms():
-            entry = groups.setdefault(d, {"d": d})
-            entry["im" if imag else "re"] = str(q)
-        return [groups[d] for d in sorted(groups)]
+        return json_slots(*split_slots({0: self})).get(0, [])
 
     @classmethod
     def from_json(cls, data) -> "Scalar":
@@ -302,12 +295,15 @@ def _is_int(x) -> bool:
 def _exact(value) -> Fraction:
     """An exact JSON coefficient: an int, or a string "p" or "p/q" of
     decimal digits with an optional leading "-", such as "-3/4"."""
-    if not (_is_int(value) or isinstance(value, str)):
+    if _is_int(value):
+        return Fraction(value)
+    if not isinstance(value, str):
         raise ValueError(f"coefficient {value!r} must be an integer or a string")
-    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+    m = _RATIONAL.fullmatch(value)
+    if not m:
         raise ValueError(f"coefficient {value!r} is not of the form p or p/q")
     try:
-        return Fraction(value)
+        return Fraction(int(m[1]), int(m[2] or 1))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"coefficient {value!r} is not an exact rational") from None
 
@@ -366,6 +362,18 @@ def join_slots(acc: dict[Key, dict], den: int) -> dict:
             if v:
                 terms.setdefault(i, {})[key] = Fraction(v, den)
     return {i: Scalar(t) for i, t in terms.items()}
+
+
+def json_slots(slots: dict[Key, dict], den: int) -> dict:
+    """Integer slots over den as index -> Scalar.to_json(), with no Fraction:
+    terms by radicand, "re" before "im", each "p" or "p/q" in lowest terms."""
+    out: dict = {}
+    for (d, imag), slot in sorted(slots.items()):
+        for i, v in slot.items():
+            g = gcd(v, den)
+            out.setdefault(i, {}).setdefault(d, {"d": d})["im" if imag else "re"] = (
+                str(v // g) if g == den else f"{v // g}/{den // g}")
+    return {i: list(c.values()) for i, c in out.items()}
 
 
 def split_map(rows: dict) -> tuple[dict[Key, dict[object, list[tuple[object, int]]]], int]:

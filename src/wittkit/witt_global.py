@@ -27,7 +27,7 @@ from .errors import (DimensionMismatchError, ExtractorUnavailableError,
 from .ga import (Multivector, Signature, blade_product, g_nn, gp, gp_chain,
                  sym_dot)
 from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
-                      pmatrix, reduce_slots, split_map, split_slots)
+                      json_slots, pmatrix, reduce_slots, split_map, split_slots)
 
 
 def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
@@ -90,26 +90,26 @@ class MvMatrix:
         return cls._of_sums(dim, {(1, False): {i * dim + i: 1 for i in range(dim)}}, 1)
 
     def _by_row(self) -> dict:
-        """The slots regrouped by row, {key: {i: [(j, numerator), ...]}}."""
-        n = self.dim
+        """The slots regrouped by row, {i: {key: {j: numerator}}}."""
         rows: dict = {}
         for key, slot in self.slots.items():
-            out = rows[key] = {}
             for idx, v in slot.items():
-                i, j = divmod(idx, n)
-                out.setdefault(i, []).append((j, v))
+                i, j = divmod(idx, self.dim)
+                rows.setdefault(i, {}).setdefault(key, {})[j] = v
         return rows
 
     def matmul(self, other: "MvMatrix") -> "MvMatrix":
         if self.dim != other.dim:
             raise DimensionMismatchError("matrix sizes differ")
-        # row i of the product is sum_k a_ik (row k of other): other is split
-        # by row once, and each row of self is one apply_slots against it
+        # row i of the product is sum_k a_ik (row k of other): both factors
+        # are regrouped by row once, other's rows as split_map's (j, v) pairs,
+        # and each row of self is one apply_slots against them
         n = self.dim
-        a, b = self._by_row(), (other._by_row(), other.den)
+        a, b = self._by_row(), other._by_row()
+        b = ({key: {k: list(r[key].items()) for k, r in b.items() if key in r}
+              for key in other.slots}, other.den)
         acc: dict = {}
-        for i in range(n):
-            row = {key: dict(r[i]) for key, r in a.items() if i in r}
+        for i, row in a.items():
             sums, _ = apply_slots(row, self.den, b)
             for key, out in sums.items():
                 dst = acc.setdefault(key, {})
@@ -139,8 +139,8 @@ class MvMatrix:
         return f"MvMatrix[{rows}]"
 
     def to_json(self) -> dict:
-        return {"dim": self.dim,
-                "entries": [[e.to_json() for e in row] for row in self.entries]}
+        x, n = json_slots(self.slots, self.den), self.dim
+        return {"dim": n, "entries": [[x.get(i * n + j, []) for j in range(n)] for i in range(n)]}
 
     @classmethod
     def from_json(cls, data) -> "MvMatrix":

@@ -293,6 +293,12 @@ class TestProductStructure:
         assert wedge(x, y) == -wedge(y, x)
 
     @given(multivectors(), multivectors())
+    def test_xor_operator_is_wedge(self, x, y):
+        assert x ^ y == wedge(x, y)
+        with pytest.raises(TypeError):
+            x ^ 1
+
+    @given(multivectors(), multivectors())
     def test_reverse_antiautomorphism(self, x, y):
         assert reverse(gp(x, y)) == gp(reverse(y), reverse(x))
 
@@ -392,6 +398,18 @@ class TestJson:
     @given(multivectors())
     def test_roundtrip(self, x):
         assert Multivector.from_json(x.to_json()) == x
+
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: s.name)
+    @given(data=st.data())
+    def test_matches_scalar_rendering(self, sig, data):
+        # to_json renders from the slots; the terms' Scalar.to_json is the reference
+        x = data.draw(ring_multivectors(sig))
+        assert x.to_json() == {
+            "signature": list(sig.squares),
+            "terms": [{"blade": [i for i in range(sig.m) if m >> i & 1],
+                       "coeff": x.terms[m].to_json()}
+                      for m in sorted(x.terms, key=lambda k: (k.bit_count(), k))]}
+        assert Multivector.from_json(x.to_json(), sig=sig) == x
 
     def test_roundtrip_radical_coeffs(self):
         x = Multivector.blade(SIG, 0b101, Scalar.sqrt(6, coeff=Fraction(1, 2)))

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from tests.conftest import bounded_fractions
 from wittkit.errors import NonMonomialError
-from wittkit.scalars import (Scalar, apply_slots, combine_slots, join_slots, key_product,
-                             reduce_slots, split_map, split_slots)
+from wittkit.scalars import (Scalar, apply_slots, combine_slots, join_slots, json_slots,
+                             key_product, reduce_slots, split_map, split_slots)
 
 fractions = bounded_fractions(9, 9)
 
@@ -205,6 +205,35 @@ class TestJson:
         s = Scalar.sqrt(7) + Scalar.of(1) + Scalar.sqrt(3)
         ds = [t["d"] for t in s.to_json()]
         assert ds == sorted(ds)
+
+    @given(ring_scalars)
+    def test_matches_fraction_rendering(self, s):
+        # to_json renders from integer slots; str(Fraction) per term, grouped
+        # by radicand with "re" before "im", is the reference
+        groups = {}
+        for (d, imag), q in sorted(s.terms.items()):
+            groups.setdefault(d, {"d": d})["im" if imag else "re"] = str(q)
+        assert s.to_json() == [groups[d] for d in sorted(groups)]
+
+    def test_json_slots_reduces_each_coefficient(self):
+        # slots that are not canonical as a whole: each value still comes out
+        # in lowest terms, and an index with no term is absent
+        slots = {(2, True): {0: 9}, (1, False): {0: 6, 1: -4, 2: 12}}
+        assert json_slots(slots, 12) == {
+            0: [{"d": 1, "re": "1/2"}, {"d": 2, "im": "3/4"}],
+            1: [{"d": 1, "re": "-1/3"}],
+            2: [{"d": 1, "re": "1"}]}
+        assert json_slots({}, 1) == {}
+        assert Scalar().to_json() == []
+
+    @pytest.mark.parametrize("text, value", [
+        ("007/014", Fraction(1, 2)), ("-0", 0), ("-12/8", Fraction(-3, 2)), ("5", 5)])
+    def test_coefficient_strings(self, text, value):
+        assert Scalar.from_json([{"d": 1, "re": text}]) == Scalar.of(value)
+
+    def test_coefficient_past_int_digit_limit_rejected(self):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            Scalar.from_json([{"d": 1, "re": "1" * 5000}])
 
 
 class TestHash:

@@ -450,6 +450,18 @@ class TestSlotForm:
             assert again == mat
             assert (again.den, again.slots) == (mat.den, mat.slots)
 
+    @pytest.mark.parametrize("name", PLAIN_BASES)
+    def test_json_matches_entry_rendering(self, name):
+        # to_json renders from the slots, a zero entry as []; each entry's
+        # Scalar.to_json is the reference
+        sb = named_basis(name)
+        for seed in range(5):
+            mat = sb.mv_to_matrix(seeded_multivector(sb.sig, seed))
+            want = {"dim": mat.dim, "entries": [[e.to_json() for e in row]
+                                                for row in MvMatrix(mat.entries).entries]}
+            assert mat.to_json() == want
+            assert MvMatrix.from_json(want) == mat
+
     def test_scaled_representation_reduces(self):
         sb = named_basis("g22")
         mat = sb.mv_to_matrix(seeded_multivector(sb.sig, 3))
