@@ -174,18 +174,19 @@ def cmd_convert(args) -> int:
     return 0
 
 
-def _resolve_seed(args) -> int:
-    """--seed, else WITTKIT_SEED, else 0: ASCII digits with an optional "-",
-    the rule scalars._exact applies to coefficient strings."""
-    name, raw = (("--seed", args.seed) if args.seed is not None
-                 else ("WITTKIT_SEED", os.environ.get("WITTKIT_SEED", "0")))
+def _integer(name: str, raw: str) -> int:
+    """The integer option name spelled raw: ASCII digits with an optional
+    "-", the rule scalars._exact applies to coefficient strings.  int()
+    alone would also take "1_0", " 2", "+3" and digits such as "\u0663"."""
     if not re.fullmatch(r"-?[0-9]+", raw):
         raise ValueError(f"{name} {raw!r} is not an integer of the form -?[0-9]+")
     return int(raw)
 
 
 def cmd_verify(args) -> int:
-    seed = _resolve_seed(args)
+    # --seed, else WITTKIT_SEED, else 0
+    seed = (_integer("--seed", args.seed) if args.seed is not None
+            else _integer("WITTKIT_SEED", os.environ.get("WITTKIT_SEED", "0")))
     if args.suite == "all":
         reports = run_all(seed=seed, samples=args.samples)
     else:
@@ -220,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", choices=("json", "latex", "csv"),
                      default="json")
     gen.add_argument("--algebra", choices=_ALGEBRAS, default="g11")
-    gen.add_argument("--k", type=int, default=2,
+    gen.add_argument("--k", default="2",
                      help="recursion depth for omega / frame-map")
-    gen.add_argument("--n", type=int, default=2,
+    gen.add_argument("--n", default="2",
                      help="pair count for global-witt")
-    gen.add_argument("--m", type=int, default=4,
+    gen.add_argument("--m", default="4",
                      help="generator count for local-witt")
     gen.add_argument("--variant", choices=_VARIANTS, default="plain")
 
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=("all",) + tuple(SUITES),
                      default="all")
     ver.add_argument("--seed", default=None)
-    ver.add_argument("--samples", type=int, default=100)
+    ver.add_argument("--samples", default="100")
     ver.add_argument("--format", choices=("text", "json"), default="text")
     return p
 
@@ -245,6 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # the integer options reach the parser as strings
+        for flag in ("k", "n", "m", "samples"):
+            if hasattr(args, flag):
+                setattr(args, flag, _integer(f"--{flag}", getattr(args, flag)))
         code = {"generate": cmd_generate, "convert": cmd_convert,
                 "verify": cmd_verify}[args.command](args)
         sys.stdout.flush()

@@ -11,12 +11,16 @@ arise as the change-of-basis between an orthonormal frame and a null frame
 whose elements pairwise half-anticommute.  Small complex variants (entries
 in {1,-1,j,-j}) exist for k = 1, 2 and satisfy W W* = 2**k * I.
 
-The butterfly in fast_apply evaluates W @ x in O(k 2**k) exact operations.
+The butterfly in fast_apply evaluates W @ x in O(k 2**k) integer additions:
+the entries are split once into integer slots over one denominator
+(scalars.split_slots), each slot key is one lane of plain ints through the
+butterfly, and the lanes are joined back into exact values once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from operator import mul
 
 from .errors import DimensionMismatchError, RangeError, UnsupportedError
@@ -219,5 +223,16 @@ def fast_apply(k: int, variant: OmegaVariant | str, xs: list) -> list:
         minus = [a + b for a, b in zip(mt, pb)] + [b - a for a, b in zip(pt, mb)]
         return plain, minus
 
-    p, m = apply_both(k, list(xs))
-    return p if variant is OmegaVariant.PLAIN else m
+    # W is +-1, so each slot key is one lane of integer numerators over the
+    # common den, run through the butterfly alone and joined once at the end
+    n, side = len(xs), variant is OmegaVariant.MINUS
+    slots, den = split_slots({t: Scalar.of(x) for t, x in enumerate(xs)})
+    lanes = {key: [slot.get(t, 0) for t in range(n)] for key, slot in slots.items()}
+    out = join_slots({key: dict(enumerate(apply_both(k, lane)[side]))
+                      for key, lane in lanes.items()}, den)
+    ys = [out.get(i, Scalar()) for i in range(n)]
+    if any(isinstance(x, Scalar) for x in xs):
+        return ys
+    # ints and Fractions in, exact rationals out: ints when every input is one
+    rational = int if all(isinstance(x, int) for x in xs) else Fraction
+    return [rational(y.as_fraction()) for y in ys]

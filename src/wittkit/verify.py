@@ -111,25 +111,35 @@ def _ck_relations(check_id: str, anchor: str, failing: list[str],
 DRAW_DEN = 2520
 
 
-def _draw(rng: random.Random, complex_: bool) -> dict:
-    """One random coefficient p/q as {key: numerator over DRAW_DEN}: the
-    rational part first, then the j part when complex_, p before q."""
-    return {key: rng.randint(-9, 9) * (DRAW_DEN // rng.randint(1, 9))
-            for key in ((1, False), (1, True))[:1 + complex_]}
+def _draw(rng: random.Random, count: int, complex_: bool) -> dict:
+    """count random coefficients p/q as {key: {index: numerator over
+    DRAW_DEN}}, index by index: the rational part first, then the j part
+    when complex_, p before q.  p and q are what rng.randint(-9, 9) and
+    rng.randint(1, 9) return, by randint's own rejection loop on
+    getrandbits: 5 bits for the 19 values of p, 4 for the 9 of q."""
+    bits, acc = rng.getrandbits, {}
+    keys = ((1, False), (1, True))[:1 + complex_]
+    for i in range(count):
+        for key in keys:
+            p = bits(5)
+            while p >= 19:
+                p = bits(5)
+            q = bits(4)
+            while q >= 9:
+                q = bits(4)
+            acc.setdefault(key, {})[i] = (p - 9) * (DRAW_DEN // (q + 1))
+    return acc
 
 
 def random_scalar(rng: random.Random, complex_: bool = False) -> Scalar:
-    return Scalar({k: Fraction(v, DRAW_DEN) for k, v in _draw(rng, complex_).items() if v})
+    return Scalar({k: Fraction(v[0], DRAW_DEN)
+                   for k, v in _draw(rng, 1, complex_).items() if v[0]})
 
 
 def random_multivector(sig, rng: random.Random,
                        complex_: bool = False) -> Multivector:
     # one draw per mask in ascending order, so seeded reports stay fixed
-    acc: dict = {}
-    for mask in range(sig.dim):
-        for key, v in _draw(rng, complex_).items():
-            acc.setdefault(key, {})[mask] = v
-    return Multivector._of_sums(sig, acc, DRAW_DEN)
+    return Multivector._of_sums(sig, _draw(rng, sig.dim, complex_), DRAW_DEN)
 
 
 def _sample_pairs(sig, rng: random.Random, samples: int,

@@ -10,9 +10,13 @@ the rational-plus-j subfield.
 
 Coordinates come from the trace: for matrix units the scalar part is the
 normalized trace, so the (i, j) coordinate of g is x_ij = n <E[j][i] g>_0
-(plus the central-blade part when the basis is taken over a central unit).
-Each basis certifies once that its family really is a complete set of
-matrix units before mv_to_matrix reads any coordinates; see
+(plus n <E[j][i] g>_t on the central blade t when the basis is taken over a
+central unit).  A coordinate matrix stores blade t of entry (i, j) at the
+index (t n + i) n + j of integer slots over one denominator: MvMatrix is the
+scalar case t = 0 and CentralMatrix carries the central blade too, so each
+coordinate map is one scalars.apply_slots and builds no Scalar.  Each
+basis certifies once that its family really is a complete set of matrix
+units before mv_to_matrix reads any coordinates; see
 SpectralBasis._build_extraction.  matrix_to_mv only expands sum x_ij E_ij
 and needs no certificate.  Inputs and basis entries may carry radicals.
 """
@@ -24,8 +28,8 @@ from fractions import Fraction
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
-from .ga import (Multivector, Signature, blade_product, g_nn, gp, gp_chain,
-                 sym_dot)
+from .ga import (Multivector, Signature, _blade_product, blade_product, g_nn, gp,
+                 gp_chain, sym_dot)
 from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
                       json_slots, pmatrix, reduce_slots, split_map, split_slots)
 
@@ -44,19 +48,93 @@ def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
 # -- coordinate matrices ---------------------------------------------------
 
 
-class MvMatrix:
-    """Square matrix of exact scalars: the coordinate image of a multivector.
-
-    The value is stored the way the integer kernel computes it: slots
-    {key: {i*n + j: numerator}} over one denominator den, in canonical form
-    (zero numerators dropped, den > 0, gcd(den, every numerator) == 1), so
-    two matrices are equal exactly when dim, den and slots are.  matmul, +,
-    scale and the coordinate maps of SpectralBasis read and write the slots
-    directly; entries, the rows of Scalars, is built from them on first read
-    and cached.  Treat slots, den and entries as read-only.
+class _SlotMatrix:
+    """Square matrix stored as the integer kernel computes it: slots {key:
+    {(t n + i) n + j: numerator}} for blade t of entry (i, j), over one den,
+    in canonical form (zero numerators dropped, den > 0, gcd(den, every
+    numerator) == 1), so two matrices over one ring are equal exactly when
+    dim, den and slots are.  entries, the rows of cells, is built from the
+    slots on first read and cached.  Treat sig, slots, den and entries as
+    read-only.
     """
 
-    __slots__ = ("dim", "den", "slots", "_entries")
+    __slots__ = ("dim", "sig", "den", "slots", "_entries")
+
+    @classmethod
+    def _of_sums(cls, n: int, acc, den: int, sig: Signature | None = None):
+        """The n x n matrix of integer sums {key: {(t n + i) n + j: numerator}}
+        over den; sig is the algebra of the central blades t, or None."""
+        m = cls.__new__(cls)
+        m.dim, m.sig = n, sig
+        m.slots, m.den = reduce_slots(acc, den)
+        m._entries = None
+        return m
+
+    @property
+    def entries(self) -> list[list]:
+        if self._entries is None:
+            n = self.dim
+            parts = [[{} for _ in range(n)] for _ in range(n)]
+            for idx, c in join_slots(self.slots, self.den).items():
+                t, ij = divmod(idx, n * n)
+                parts[ij // n][ij % n][t] = c
+            self._entries = [[self._cell(p) for p in row] for row in parts]
+        return self._entries
+
+    def _ring(self):
+        """What an entry is: the class, and the generator squares of sig."""
+        return type(self), self.sig and self.sig.squares
+
+    def matmul(self, other):
+        if self.dim != other.dim:
+            raise DimensionMismatchError("matrix sizes differ")
+        if self._ring() != other._ring():
+            raise SignatureMismatchError("matrix entries belong to different rings")
+        # blade s of a_ik times blade t of b_kj is sign(s, t) times blade
+        # u = s ^ t of entry (i, j): other is split once into the map from
+        # index (s n + i) n + k of self to (u n + i) n + j, for every blade s
+        # of self, so the product is one apply_slots of self against it
+        n, nn, squares = self.dim, self.dim ** 2, self.sig.squares if self.sig else ()
+        blades = {idx // nn for slot in self.slots.values() for idx in slot}
+        split: dict = {}
+        for key, slot in other.slots.items():
+            dst = split[key] = {}
+            for idx, v in slot.items():
+                t, kj = divmod(idx, nn)
+                k, j = divmod(kj, n)
+                for s in blades:
+                    sign, u = _blade_product(s, t, squares)
+                    for i in range(0, nn, n):           # i runs over i n
+                        dst.setdefault(s * nn + i + k, []).append((u * nn + i + j, sign * v))
+        return self._of_sums(n, *apply_slots(self.slots, self.den, (split, other.den)),
+                             self.sig)
+
+    def __add__(self, other):
+        if not isinstance(other, _SlotMatrix) or \
+                (self._ring(), self.dim) != (other._ring(), other.dim):
+            return NotImplemented
+        return self._of_sums(self.dim, *combine_slots(
+            [(1, self.slots, self.den), (1, other.slots, other.den)]), self.sig)
+
+    def scale(self, factor):
+        return self._of_sums(self.dim, *combine_slots([(factor, self.slots, self.den)]),
+                             self.sig)
+
+    def __eq__(self, other):
+        if not isinstance(other, _SlotMatrix):
+            return NotImplemented
+        return (self._ring(), self.dim, self.den, self.slots) == \
+            (other._ring(), other.dim, other.den, other.slots)
+
+    def __repr__(self):
+        rows = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
+        return f"{type(self).__name__}[{rows}]"
+
+
+class MvMatrix(_SlotMatrix):
+    """Square matrix of exact scalars: the coordinate image of a multivector."""
+
+    __slots__ = ()
 
     def __init__(self, entries):
         n = len(entries)
@@ -65,78 +143,22 @@ class MvMatrix:
         rows = [[Scalar.of(e) for e in row] for row in entries]
         self.slots, self.den = split_slots({i * n + j: e for i, row in enumerate(rows)
                                             for j, e in enumerate(row)})
-        self.dim = n
-        self._entries = rows
+        self.dim, self.sig, self._entries = n, None, rows
 
-    @classmethod
-    def _of_sums(cls, n: int, acc, den: int) -> "MvMatrix":
-        """The n x n matrix of integer sums {key: {i*n + j: numerator}} over den."""
-        m = cls.__new__(cls)
-        m.dim = n
-        m.slots, m.den = reduce_slots(acc, den)
-        m._entries = None
-        return m
-
-    @property
-    def entries(self) -> list[list[Scalar]]:
-        if self._entries is None:
-            x = join_slots(self.slots, self.den)
-            n, zero = self.dim, Scalar()
-            self._entries = [[x.get(i * n + j, zero) for j in range(n)] for i in range(n)]
-        return self._entries
+    @staticmethod
+    def _cell(parts: dict) -> Scalar:
+        return parts.get(0, Scalar())
 
     @classmethod
     def identity(cls, dim: int) -> "MvMatrix":
         return cls._of_sums(dim, {(1, False): {i * dim + i: 1 for i in range(dim)}}, 1)
 
-    def _by_row(self) -> dict:
-        """The slots regrouped by row, {i: {key: {j: numerator}}}."""
-        rows: dict = {}
-        for key, slot in self.slots.items():
-            for idx, v in slot.items():
-                i, j = divmod(idx, self.dim)
-                rows.setdefault(i, {}).setdefault(key, {})[j] = v
-        return rows
-
-    def matmul(self, other: "MvMatrix") -> "MvMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatchError("matrix sizes differ")
-        # row i of the product is sum_k a_ik (row k of other): both factors
-        # are regrouped by row once, other's rows as split_map's (j, v) pairs,
-        # and each row of self is one apply_slots against them
-        n = self.dim
-        a, b = self._by_row(), other._by_row()
-        b = ({key: {k: list(r[key].items()) for k, r in b.items() if key in r}
-              for key in other.slots}, other.den)
-        acc: dict = {}
-        for i, row in a.items():
-            sums, _ = apply_slots(row, self.den, b)
-            for key, out in sums.items():
-                dst = acc.setdefault(key, {})
-                for j, v in out.items():
-                    dst[i * n + j] = v
-        return MvMatrix._of_sums(n, acc, self.den * other.den)
-
-    def __add__(self, other):
-        if not isinstance(other, MvMatrix) or self.dim != other.dim:
-            return NotImplemented
-        return MvMatrix._of_sums(self.dim, *combine_slots(
-            [(1, self.slots, self.den), (1, other.slots, other.den)]))
-
-    def scale(self, factor) -> "MvMatrix":
-        return MvMatrix._of_sums(self.dim, *combine_slots([(factor, self.slots, self.den)]))
+    # matmul and to_json are set on each class itself, where
+    # perfbench/tracer.py looks them up
+    matmul = _SlotMatrix.matmul
 
     def transpose(self) -> "MvMatrix":
         return MvMatrix([list(col) for col in zip(*self.entries)])
-
-    def __eq__(self, other):
-        if not isinstance(other, MvMatrix):
-            return NotImplemented
-        return (self.dim, self.den, self.slots) == (other.dim, other.den, other.slots)
-
-    def __repr__(self):
-        rows = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
-        return f"MvMatrix[{rows}]"
 
     def to_json(self) -> dict:
         x, n = json_slots(self.slots, self.den), self.dim
@@ -161,43 +183,30 @@ class MvMatrix:
         return pmatrix(self.entries, Scalar.latex)
 
 
-class CentralMatrix:
-    """Square matrix whose entries are central multivectors.
+class CentralMatrix(_SlotMatrix):
+    """Square matrix whose entries are central multivectors of one algebra.
 
     Used when the coordinate subfield is generated by a central blade (the
-    unit pseudoscalar of g(3)) instead of the scalar j.
+    unit pseudoscalar of g(3)) instead of the scalar j.  Blade t of entry
+    (i, j) is stored at the slot index (t n + i) n + j.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
     def __init__(self, entries):
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise DimensionMismatchError("matrix must be square")
-        self.entries = list(map(list, entries))
+        self.slots, self.den = split_slots({(t * n + i) * n + j: c
+                                            for i, row in enumerate(entries)
+                                            for j, e in enumerate(row)
+                                            for t, c in e.terms.items()})
+        self.dim, self.sig, self._entries = n, entries[0][0].sig, list(map(list, entries))
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
+    def _cell(self, parts: dict) -> Multivector:
+        return Multivector(self.sig, parts)
 
-    def matmul(self, other: "CentralMatrix") -> "CentralMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatchError("matrix sizes differ")
-        cols = list(zip(*other.entries))
-        return CentralMatrix([[sum(map(gp, row, col)) for col in cols]
-                              for row in self.entries])
-
-    def scale(self, factor) -> "CentralMatrix":
-        return CentralMatrix([[e.scale(factor) for e in row] for row in self.entries])
-
-    def __eq__(self, other):
-        if not isinstance(other, CentralMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        rows = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
-        return f"CentralMatrix[{rows}]"
+    matmul = _SlotMatrix.matmul
 
     def to_json(self) -> dict:
         return {"dim": self.dim,
@@ -317,13 +326,13 @@ class SpectralBasis:
     def _build_extraction(self):
         """Certify the family as matrix units, then cache the trace table.
 
-        With tau(X) = n * sum_t <X>_t, where t runs over the scalar blade and,
-        for a basis over a central unit, the central blade (whose part is
-        read as a multiple of the central unit), the certificate is:
+        With tau(X) = n * sum_t <X>_t e_t, where t runs over the scalar blade
+        and, for a basis over a central unit, the unit's central blade, the
+        certificate is:
 
         1. there are sig.dim elements: n**2, or 2 n**2 with a central unit;
-        2. the central unit is one non-scalar blade (monomial coefficient)
-           that commutes with every generator;
+        2. the central unit is one non-scalar blade that commutes with every
+           generator;
         3. u = center satisfies u u = u and tau(u) = 1;
         4. tau(u c_i r_k) = delta_ik for all i, k.
 
@@ -340,67 +349,59 @@ class SpectralBasis:
         basis; expanding g = sum z_kl E_kl gives tau(E_ji g) = z_ij exactly.
 
         The table maps each blade mask b to the flat indices it feeds and
-        their weights, idx = (p n + i) n + j for part p, so the coordinates
-        are one scalars.apply_slots of the input's slots: x_ij = n <E_ji g>_t
-        sums E_ji[a] g[b] over the masks a = b ^ t.  The whole table is
-        stored split once by scalars.split_map, so no conversion splits it
-        again.
+        their weights, idx = (t n + i) n + j for blade t, so the coordinates
+        are one scalars.apply_slots of the input's slots: blade t of entry
+        (i, j) is n <E_ji g>_t, the sum of n E_ji[a] g[b] over the masks
+        a = b ^ t.  These are the slots of the matrix as they stand, so
+        mv_to_matrix only reduces them.  The whole table is stored split once
+        by scalars.split_map, so no conversion splits it again.
         """
         n, sig, u, cu = self.dim, self.sig, self.center, self.central_unit
         count = n * n if cu is None else 2 * n * n
         if count != sig.dim:
             raise ExtractorUnavailableError(
                 f"{count} basis elements cannot span a {sig.dim}-dimensional algebra")
-        parts = [(0, Scalar.of(n))]      # tau(X) = (w <X>_t for t, w in parts)
+        blades = [0]                     # tau(X) = (n <X>_t for t in blades)
         if cu is not None:
-            mask, coeff = next(iter(cu.terms.items()), (0, Scalar()))
-            if (len(cu.terms) != 1 or not mask or len(coeff.terms) != 1
+            if (len(cu.terms) != 1 or 0 in cu.terms
                     or any(gp(cu, e) != gp(e, cu) for e in
                            (Multivector.generator(sig, k) for k in range(sig.m)))):
                 raise ExtractorUnavailableError(
                     "the central unit must be a single non-scalar blade that "
                     "commutes with every generator")
-            parts.append((mask, Scalar.of(n) / coeff))
-        zeros = (0,) * (len(parts) - 1)
-        if gp(u, u) != u or tuple(w * u.coeff(t) for t, w in parts) != (1,) + zeros:
+            blades.extend(cu.terms)
+        zeros = (0,) * (len(blades) - 1)
+        if gp(u, u) != u or tuple(n * u.coeff(t) for t in blades) != (1,) + zeros:
             raise ExtractorUnavailableError("the center is not an idempotent of trace 1")
         for i, c in enumerate(self.cols):
             uc = gp(u, c)
             for k, r in enumerate(self.rows):
-                if tuple(w * _product_part(uc, r, t) for t, w in parts) != \
+                if tuple(n * _product_part(uc, r, t) for t in blades) != \
                         (int(i == k),) + zeros:
                     raise ExtractorUnavailableError(
                         f"tau(u c{i} r{k}) is not {int(i == k)}: "
                         "the family breaks the matrix-unit law")
         table: dict[int, dict[int, Scalar]] = {}
-        for p, (t, w) in enumerate(parts):
+        for t in blades:
             for i in range(n):
                 for j in range(n):
-                    idx = (p * n + i) * n + j
+                    idx = (t * n + i) * n + j
                     for a, c in self.E[j][i].terms.items():
-                        v = w * c
-                        if blade_product(a, a ^ t, sig)[0] < 0:
-                            v = -v
-                        table.setdefault(a ^ t, {})[idx] = v
+                        table.setdefault(a ^ t, {})[idx] = \
+                            blade_product(a, a ^ t, sig)[0] * n * c
         self._extraction = split_map(table)
 
     def mv_to_matrix(self, g: Multivector):
-        """x_ij = n <E_ji g>_0, plus the central-blade part over a central unit."""
+        """x_ij = n <E_ji g>_0, plus n <E_ji g>_t on the central blade t over
+        a central unit."""
         if g.sig.squares != self.sig.squares:
             raise SignatureMismatchError("multivector belongs to a different algebra")
         if self._extraction is None:
             self._build_extraction()
-        n = self.dim
         sums, den = apply_slots(g.slots, g.den, self._extraction)
         if self.central_unit is None:
-            return MvMatrix._of_sums(n, sums, den)
-        # the sums hold every plain part, then every central-unit part, row-major
-        xs = join_slots(sums, den)
-        x = [xs.get(idx, Scalar()) for idx in range(self.sig.dim)]
-        cu, nn = self.central_unit, n * n
-        return CentralMatrix([[Multivector.scalar(self.sig, x[i * n + j])
-                               + cu.scale(x[nn + i * n + j]) for j in range(n)]
-                              for i in range(n)])
+            return MvMatrix._of_sums(self.dim, sums, den)
+        return CentralMatrix._of_sums(self.dim, sums, den, self.sig)
 
     def _split_units(self, blades: set[int]):
         """The products t E_ij for every blade t in blades (and every blade
@@ -422,24 +423,14 @@ class SpectralBasis:
         return self._units
 
     def matrix_to_mv(self, mat) -> Multivector:
-        """sum x_ij E_ij; a central-unit entry x_ij contributes x_ij E_ij as a
+        """sum x_ij E_ij; a central entry x_ij contributes x_ij E_ij as a
         geometric product, blade by blade."""
         if mat.dim != self.dim:
             raise DimensionMismatchError("matrix size does not match basis dimension")
-        n = self.dim
-        if isinstance(mat, MvMatrix):
-            # the slots already carry index i n + j, the row of E_ij (blade 0)
-            vs, den = mat.slots, mat.den
-            blades = {0}
-        else:
-            # blade t of central entry (i, j) feeds the row t E_ij, keyed
-            # (t n + i) n + j
-            vs, den = combine_slots(
-                (1, {key: {t * n * n + i * n + j: v for t, v in slot.items()}
-                     for key, slot in e.slots.items()}, e.den)
-                for i, row in enumerate(mat.entries) for j, e in enumerate(row))
-            blades = {k // (n * n) for slot in vs.values() for k in slot} | {0}
-        sums, den = apply_slots(vs, den, self._split_units(blades))
+        # blade t of entry (i, j) sits at index (t n + i) n + j, the row of t E_ij
+        nn = self.dim * self.dim
+        blades = {idx // nn for slot in mat.slots.values() for idx in slot} | {0}
+        sums, den = apply_slots(mat.slots, mat.den, self._split_units(blades))
         return Multivector._of_sums(self.sig, sums, den)
 
     def latex(self) -> str:

@@ -310,6 +310,27 @@ class TestSeedParsing:
         assert code == 0 and json.loads(out)["seed"] == seed
 
 
+class TestIntegerFlags:
+    # the seed's rule on every integer option: int() takes all of these
+    BAD = ["1_0", " 2", "+3", "\u0663"]
+    FLAGS = {"--k": ["generate", "omega"], "--n": ["generate", "global-witt"],
+             "--m": ["generate", "local-witt"], "--samples": ["verify", "--suite", "table1"]}
+
+    @pytest.mark.parametrize("raw", BAD)
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_bad_value_exits_2(self, capsys, flag, raw):
+        code, out, err = run_cli(capsys, self.FLAGS[flag] + [f"{flag}={raw}"])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("wittkit: bad input: ") and flag in err
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_plain_digits_accepted(self, capsys, flag):
+        code, out, err = run_cli(capsys, self.FLAGS[flag] + [f"{flag}=02"])
+        assert (code, err) == (0, "") and out
+
+
 class TestClosedStdout:
     """A reader that closes the pipe early ends the run with exit 1 and
     nothing on stderr, not a BrokenPipeError traceback."""

@@ -1,5 +1,6 @@
 """Recursive sign-matrix family: literals, Gram identities, determinants."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -130,6 +131,40 @@ class TestFastApply:
         xs = [Scalar.of(data.draw(fractions)) for _ in range(1 << k)]
         w = omega(k, variant)
         assert fast_apply(k, variant, xs) == w.dense_apply(xs)
+
+    @pytest.mark.parametrize("variant", ["plain", "minus"])
+    @pytest.mark.parametrize("k", range(1, MAX_K_REAL + 1))
+    def test_integer_lanes_match_dense_on_every_key(self, k, variant):
+        # rational, j and radical parts: each key is its own integer lane
+        rng = random.Random(k)
+
+        def q():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+        w = omega(k, variant)
+        for _ in range(3):
+            xs = [Scalar.of(q()) + Scalar.j(q()) + Scalar.sqrt(rng.choice([2, 3, 6]), q())
+                  + Scalar.j() * Scalar.sqrt(6, q()) for _ in range(1 << k)]
+            got = fast_apply(k, variant, xs)
+            assert got == w.dense_apply(xs)
+            assert all(isinstance(y, Scalar) for y in got)
+
+    @pytest.mark.parametrize("variant", ["plain", "minus"])
+    def test_exact_numbers_keep_their_types(self, variant):
+        ints = [3, -1, 0, 7, 2, 2, -5, 1]
+        got = fast_apply(3, variant, ints)
+        assert got == [sum(e * x for e, x in zip(row, ints))
+                       for row in omega(3, variant).rows]
+        assert all(type(y) is int for y in got)
+        mixed = [Fraction(1, 2), 3, Fraction(-2, 3), 0]
+        got = fast_apply(2, variant, mixed)
+        assert got == [sum(e * x for e, x in zip(row, mixed))
+                       for row in omega(2, variant).rows]
+        assert all(type(y) is Fraction for y in got)
+        # one Scalar makes every entry a Scalar
+        got = fast_apply(1, variant, [Scalar.of(1), 2])
+        assert got == omega(1, variant).dense_apply([1, 2])
+        assert all(isinstance(y, Scalar) for y in got)
 
     def test_length_guard(self):
         with pytest.raises(ValueError):

@@ -280,6 +280,75 @@ class TestConversionCaches:
             sb.mv_to_matrix(Multivector.scalar(sb.sig, 1))
 
 
+def reference_central_matmul(a, b):
+    """The product of two square lists of central multivectors, entry by
+    entry as sum(map(gp, row, col)): the old CentralMatrix.matmul."""
+    cols = list(zip(*b))
+    return [[sum(map(gp, row, col)) for col in cols] for row in a]
+
+
+def central_matrices(n, sig=g3()):
+    """n x n matrices over the center span{1, e123} of g(3), each part a
+    rational, Q(j) or sqrt(2|3|6) coefficient, or zero."""
+    part = st.one_of(st.just(Scalar()), fractions.map(Scalar.of), exact_scalars)
+    entry = st.tuples(part, part).map(
+        lambda p: Multivector(sig, {m: c for m, c in zip((0, sig.dim - 1), p) if c}))
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+class TestCentralMatrix:
+    """CentralMatrix stores blade t of entry (i, j) at (t n + i) n + j."""
+
+    @settings(max_examples=30)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(central_matrices(n), central_matrices(n))))
+    def test_matmul_matches_entrywise_reference(self, ab):
+        a, b = ab
+        product = CentralMatrix(a).matmul(CentralMatrix(b))
+        want = reference_central_matmul(a, b)
+        assert product.entries == want
+        assert product == CentralMatrix(want)
+        assert (product.den, product.slots) == \
+            (CentralMatrix(want).den, CentralMatrix(want).slots)
+        assert product.den > 0 and gcd(product.den, *(
+            v for slot in product.slots.values() for v in slot.values())) == 1
+
+    @given(central_matrices(2))
+    def test_pauli_round_trip_from_both_sides(self, rows):
+        sb = named_basis("pauli")
+        mat = CentralMatrix(rows)
+        x = sb.matrix_to_mv(mat)
+        assert sb.mv_to_matrix(x) == mat
+        assert sb.matrix_to_mv(sb.mv_to_matrix(x)) == x
+
+    def test_slot_layout(self):
+        sig = g3()
+        one, iota = Multivector.scalar(sig, 1), Multivector.blade(sig, 7)
+        m = CentralMatrix([[one, iota.scale(Fraction(1, 2))],
+                           [iota.scale(Scalar.j()), Multivector.zero(sig)]])
+        assert (m.dim, m.den) == (2, 2)
+        assert m.slots == {(1, False): {0: 2, 7 * 4 + 1: 1}, (1, True): {7 * 4 + 2: 2}}
+        assert CentralMatrix._of_sums(2, m.slots, m.den, sig).entries == m.entries
+
+    def test_never_equals_an_mv_matrix_with_the_same_slots(self):
+        mv = MvMatrix([[1, Scalar.j()], [Fraction(1, 3), Scalar.sqrt(2)]])
+        central = CentralMatrix._of_sums(2, mv.slots, mv.den, g3())
+        assert (central.dim, central.den, central.slots) == (mv.dim, mv.den, mv.slots)
+        assert central != mv and mv != central
+        assert not central == mv and not mv == central
+        assert central.entries[0][1] == Multivector.scalar(g3(), Scalar.j())
+        with pytest.raises(TypeError):
+            central + mv
+        with pytest.raises(SignatureMismatchError):
+            central.matmul(mv)
+        with pytest.raises(SignatureMismatchError):
+            mv.matmul(central)
+        # the same slots over another algebra are another matrix too
+        other = CentralMatrix._of_sums(2, mv.slots, mv.den, ga.g_nn(1))
+        assert other != central
+        assert central == CentralMatrix._of_sums(2, mv.slots, mv.den, g3())
+
+
 class TestExtractorGuards:
     def test_radical_basis_entries_rejected(self):
         # the sqrt(2)-scaled border squares to 2, so u c1 r1 has trace 2 and
