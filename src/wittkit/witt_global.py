@@ -104,8 +104,9 @@ class _SlotMatrix:
                 k, j = divmod(kj, n)
                 for s in blades:
                     sign, u = _blade_product(s, t, squares)
-                    for i in range(0, nn, n):           # i runs over i n
-                        dst.setdefault(s * nn + i + k, []).append((u * nn + i + j, sign * v))
+                    a_sk, c_uj, w = s * nn + k, u * nn + j, sign * v
+                    for i_n in range(0, nn, n):
+                        dst.setdefault(a_sk + i_n, []).append((c_uj + i_n, w))
         return self._of_sums(n, *apply_slots(self.slots, self.den, (split, other.den)),
                              self.sig)
 
@@ -201,7 +202,8 @@ class CentralMatrix(_SlotMatrix):
                                             for i, row in enumerate(entries)
                                             for j, e in enumerate(row)
                                             for t, c in e.terms.items()})
-        self.dim, self.sig, self._entries = n, entries[0][0].sig, list(map(list, entries))
+        self.sig = entries[0][0].sig if n else None
+        self.dim, self._entries = n, list(map(list, entries))
 
     def _cell(self, parts: dict) -> Multivector:
         return Multivector(self.sig, parts)
@@ -352,9 +354,9 @@ class SpectralBasis:
         their weights, idx = (t n + i) n + j for blade t, so the coordinates
         are one scalars.apply_slots of the input's slots: blade t of entry
         (i, j) is n <E_ji g>_t, the sum of n E_ji[a] g[b] over the masks
-        a = b ^ t.  These are the slots of the matrix as they stand, so
-        mv_to_matrix only reduces them.  The whole table is stored split once
-        by scalars.split_map, so no conversion splits it again.
+        a = b ^ t, already at its slot index in the matrix.  The whole table
+        is stored split once by scalars.split_map, so no conversion splits
+        it again.
         """
         n, sig, u, cu = self.dim, self.sig, self.center, self.central_unit
         count = n * n if cu is None else 2 * n * n
@@ -392,8 +394,7 @@ class SpectralBasis:
         self._extraction = split_map(table)
 
     def mv_to_matrix(self, g: Multivector):
-        """x_ij = n <E_ji g>_0, plus n <E_ji g>_t on the central blade t over
-        a central unit."""
+        """x_ij = n <E_ji g>_0, plus n <E_ji g>_t on a central unit's blade t."""
         if g.sig.squares != self.sig.squares:
             raise SignatureMismatchError("multivector belongs to a different algebra")
         if self._extraction is None:
