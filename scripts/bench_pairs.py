@@ -14,7 +14,9 @@ perfbench/README.md, so every record compares runs of one length.  For
 every end-to-end metric of the workload the record holds both sides'
 quartiles (statistics.quantiles, method 'inclusive'), the pairs the change
 wins, the ratio of the medians and the parent's IQR, plus the attempted and
-failed operation counts.  An existing --out file keeps its other workloads
+failed operation counts.  The machine line records the Python version, the
+usable cores and PYTHONDONTWRITEBYTECODE, which decides whether each fresh
+child compiles src/ again.  An existing --out file keeps its other workloads
 and its other keys (such as a hand-written "change" line), so one file can
 collect several runs of this script.  --claim METRIC marks METRIC of
 WORKLOAD as claimed: met when the change wins at least 9 of 10 pairs
@@ -146,8 +148,10 @@ def main(argv=None) -> int:
                    "own copy of src/, perfbench/ and BENCHMARK.json; a pair is won when the "
                    "change's value is better; quartiles by "
                    "statistics.quantiles(method='inclusive')"),
+        # import cost depends on whether the children may cache bytecode
         "machine": f"Python {platform.python_version()}, "
-                   f"{len(os.sched_getaffinity(0))} usable cores"})
+                   f"{len(os.sched_getaffinity(0))} usable cores, PYTHONDONTWRITEBYTECODE="
+                   f"{os.environ.get('PYTHONDONTWRITEBYTECODE', 'unset')}"})
     entry = summarize(runs, seeds, spec)
     record.setdefault("workloads", {})[args.workload] = entry
     if args.claim:

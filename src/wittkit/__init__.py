@@ -3,62 +3,53 @@
 Everything is computed over rationals extended by j and by square roots of
 small integers, so every identity check is an exact equality, never a
 floating-point comparison.
+
+Submodules load on first use: ``import wittkit`` runs only ``omega`` (and
+what it imports), and every other exported name imports its home module
+the first time it is read (PEP 562).
 """
 
-from .errors import (DimensionMismatchError, ExtractorUnavailableError,
-                     NonMonomialError, NotAVectorError, RangeError,
-                     SignatureMismatchError, UnsupportedError)
-from .scalars import Scalar
-from .ga import (Multivector, Signature, anticommutator, g3, g13, g_1n, g_nn,
-                 gp, gp_chain, grade_project, reverse, sym_dot, wedge,
-                 wedge_chain)
-from .witt_global import (CentralMatrix, GlobalWitt, MvMatrix, SpectralBasis,
-                          check_duality_relations, make_global_witt,
-                          spectral_basis_nn)
-from .omega import (OmegaMatrix, OmegaVariant, bareiss_det, det_omega,
-                    fast_apply, gram_check, omega)
-from .witt_local import (C8Table, FrameMap, LocalWitt, NegativeSearchReport,
-                         c8_complex_table, c8_tabulated_coefficients,
-                         check_frame_relations, check_local_relations,
-                         complex_identification_g22, ef_from_c,
-                         hadamard_identification, hadamard_nilpotents,
-                         make_local_witt, no_identification_g12,
-                         pseudoscalar_identity)
-from .dirac import (DiracFrame, DiracIdempotents, DiracRep, NewDiracData,
-                    dirac_frame, dirac_idempotents, dirac_spectral_new,
-                    dirac_spectral_standard, g11_embedding_check,
-                    gamma_anticommutation_check, idempotent_orders_agree,
-                    intertwining_relations, new_border_form,
-                    new_rep_extra_matrices, new_witt_pair, pauli_impostor_check,
-                    pauli_spectral, pseudoscalar_anticommutes)
-from .verify import Check, VerifyReport, run_all, run_suite
+import importlib
+
+# omega is bound eagerly: importing the submodule wittkit.omega binds the
+# module to the package attribute of the same name, which a lazy name would
+# then never replace
+from .omega import omega
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Scalar",
-    "Signature", "Multivector", "g_nn", "g_1n", "g3", "g13",
-    "gp", "wedge", "sym_dot", "reverse", "grade_project", "gp_chain",
-    "wedge_chain", "anticommutator",
-    "GlobalWitt", "make_global_witt", "check_duality_relations",
-    "SpectralBasis", "spectral_basis_nn", "MvMatrix", "CentralMatrix",
-    "OmegaMatrix", "OmegaVariant", "omega", "gram_check", "det_omega",
-    "bareiss_det", "fast_apply",
-    "LocalWitt", "make_local_witt", "check_local_relations", "ef_from_c",
-    "check_frame_relations", "FrameMap", "hadamard_nilpotents",
-    "hadamard_identification", "pseudoscalar_identity",
-    "no_identification_g12", "complex_identification_g22",
-    "NegativeSearchReport", "C8Table", "c8_complex_table",
-    "c8_tabulated_coefficients",
-    "DiracFrame", "DiracIdempotents", "DiracRep", "NewDiracData",
-    "dirac_frame", "dirac_idempotents", "idempotent_orders_agree",
-    "intertwining_relations", "dirac_spectral_standard", "dirac_spectral_new",
-    "new_witt_pair", "new_border_form", "new_rep_extra_matrices",
-    "gamma_anticommutation_check",
-    "pseudoscalar_anticommutes", "pauli_spectral", "pauli_impostor_check",
-    "g11_embedding_check",
-    "Check", "VerifyReport", "run_suite", "run_all",
-    "RangeError", "SignatureMismatchError", "NotAVectorError",
-    "NonMonomialError", "DimensionMismatchError", "ExtractorUnavailableError",
-    "UnsupportedError",
-]
+# each exported name by its home module; __all__ is this table in order
+_HOMES = {
+    "scalars": "Scalar",
+    "ga": "Signature Multivector g_nn g_1n g3 g13 gp wedge sym_dot reverse grade_project "
+          "gp_chain wedge_chain anticommutator",
+    "witt_global": "GlobalWitt make_global_witt check_duality_relations SpectralBasis "
+                   "spectral_basis_nn MvMatrix CentralMatrix",
+    "omega": "OmegaMatrix OmegaVariant omega gram_check det_omega bareiss_det fast_apply",
+    "witt_local": "LocalWitt make_local_witt check_local_relations ef_from_c "
+                  "check_frame_relations FrameMap hadamard_nilpotents "
+                  "hadamard_identification pseudoscalar_identity no_identification_g12 "
+                  "complex_identification_g22 NegativeSearchReport C8Table "
+                  "c8_complex_table c8_tabulated_coefficients",
+    "dirac": "DiracFrame DiracIdempotents DiracRep NewDiracData dirac_frame "
+             "dirac_idempotents idempotent_orders_agree intertwining_relations "
+             "dirac_spectral_standard dirac_spectral_new new_witt_pair new_border_form "
+             "new_rep_extra_matrices gamma_anticommutation_check pseudoscalar_anticommutes "
+             "pauli_spectral pauli_impostor_check g11_embedding_check",
+    "verify": "Check VerifyReport run_suite run_all",
+    "errors": "RangeError SignatureMismatchError NotAVectorError NonMonomialError "
+              "DimensionMismatchError ExtractorUnavailableError UnsupportedError",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOMES:          # wittkit.ga and the like, as the eager package had them
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

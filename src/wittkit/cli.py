@@ -17,41 +17,33 @@ WITTKIT_SEED environment variable overrides it when --seed is absent.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
 import sys
 
-from .dirac import (dirac_frame, dirac_spectral_new, dirac_spectral_standard,
-                    new_rep_extra_matrices, pauli_spectral)
+# each command imports the modules it runs, so a process compiles no other
 from .errors import (ExtractorUnavailableError, RangeError,
                      SignatureMismatchError, UnsupportedError)
-from .ga import Multivector
-from .omega import omega
-from .verify import SUITES, run_all, run_suite
-from .witt_global import MvMatrix, make_global_witt, spectral_basis_nn
-from .witt_local import c8_complex_table, hadamard_identification, make_local_witt
 
 _GENERATE_OBJECTS = ("global-witt", "local-witt", "spectral", "omega",
                      "dirac-standard", "dirac-new", "pauli", "frame-map",
                      "c8-table")
 _ALGEBRAS = ("g11", "g22", "g33", "g44", "g13", "g13new")
 _VARIANTS = ("plain", "minus", "complex-plain", "complex-minus")
+# verify.SUITES, by name: parsing --suite imports no suite
+_SUITES = ("table1", "witt-global", "witt-local", "omega", "dirac", "pauli",
+           "negative-g12")
 
 
 def _basis(name: str):
     if name in ("g11", "g22", "g33", "g44"):
+        from .witt_global import spectral_basis_nn
         return spectral_basis_nn(int(name[1]))
+    from .dirac import dirac_spectral_new, dirac_spectral_standard
     if name == "g13":
         return dirac_spectral_standard()[0]
     return dirac_spectral_new().basis
-
-
-def _print_csv(rows) -> None:
-    w = csv.writer(sys.stdout)
-    for row in rows:
-        w.writerow(row)
 
 
 def _labeled_family(fmt: str, labels_mvs, header: dict, key: str):
@@ -77,9 +69,9 @@ def _matrix_family(fmt: str, labels_mats, header: dict):
 
 def cmd_generate(args) -> int:
     """Build the object, then render only the requested format."""
-    fmt = args.format
-    obj = args.object
+    fmt, obj = args.format, args.object
     if obj == "global-witt":
+        from .witt_global import make_global_witt
         w = make_global_witt(args.n)
         pairs = [(f"a{i+1}", g) for i, g in enumerate(w.a)] + \
                 [(f"b{i+1}", g) for i, g in enumerate(w.b)]
@@ -87,6 +79,7 @@ def cmd_generate(args) -> int:
                               {"n": w.n, "signature": list(w.sig.squares)},
                               "family")
     elif obj == "local-witt":
+        from .witt_local import make_local_witt
         w = make_local_witt(args.m)
         pairs = [(f"c{i+1}", g) for i, g in enumerate(w.c)]
         out = _labeled_family(fmt, pairs,
@@ -99,12 +92,14 @@ def cmd_generate(args) -> int:
         else:
             out = sb.to_json() if fmt == "json" else [sb.latex()]
     elif obj == "omega":
+        from .omega import omega
         w = omega(args.k, args.variant)
         if fmt == "csv":
             sys.stdout.write(w.to_csv())
             return 0
         out = w.to_json() if fmt == "json" else [w.latex()]
     elif obj == "dirac-standard":
+        from .dirac import dirac_frame, dirac_spectral_standard
         sb, mats = dirac_spectral_standard()
         fr = dirac_frame()
         named = [(f"gamma{mu}", mats[mu]) for mu in range(4)]
@@ -113,6 +108,7 @@ def cmd_generate(args) -> int:
         out = _matrix_family(fmt, named,
                              {"algebra": "g13", "representation": "standard"})
     elif obj == "dirac-new":
+        from .dirac import dirac_spectral_new, new_rep_extra_matrices
         nd = dirac_spectral_new()
         extra = new_rep_extra_matrices(nd)
         named = [(f"gamma{mu}", nd.gamma_mats[mu]) for mu in range(4)]
@@ -121,6 +117,7 @@ def cmd_generate(args) -> int:
         out = _matrix_family(fmt, named,
                              {"algebra": "g13", "representation": "new"})
     elif obj == "pauli":
+        from .dirac import pauli_spectral
         _, mats = pauli_spectral()
         if fmt == "latex":    # subscripted labels [e_1], unlike json/csv
             out = [f"[e_{k+1}] = {m.latex()}" for k, m in enumerate(mats)]
@@ -128,6 +125,7 @@ def cmd_generate(args) -> int:
             out = _matrix_family(fmt, [(f"e{k+1}", m) for k, m in enumerate(mats)],
                                  {"algebra": "g3"})
     elif obj == "frame-map":
+        from .witt_local import hadamard_identification
         fm = hadamard_identification(args.k)
         if fmt == "csv":
             out = [["scales"] + [str(s) for s in fm.scales]]
@@ -136,6 +134,7 @@ def cmd_generate(args) -> int:
         else:
             out = fm.to_json() if fmt == "json" else [fm.latex()]
     else:  # c8-table
+        from .witt_local import c8_complex_table
         tab = c8_complex_table()
         out = _labeled_family(fmt, tab.rows(),
                               {"m": 8, "signature": list(tab.witt.sig.squares)},
@@ -147,27 +146,27 @@ def cmd_generate(args) -> int:
     elif fmt == "latex":
         sys.stdout.write("\n".join(out) + "\n")
     else:
-        _print_csv(out)
+        import csv
+        csv.writer(sys.stdout).writerows(out)
     return 0
 
 
 def cmd_convert(args) -> int:
-    raw = sys.stdin.read()
     try:
-        data = json.loads(raw)
+        data = json.loads(sys.stdin.read())
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: arrays or objects nested deeper than the parser goes
         print(f"wittkit: invalid JSON input: {exc}", file=sys.stderr)
         return 2
     sb = _basis(args.algebra)
     if args.direction == "mv2mat":
-        mv = Multivector.from_json(data, sig=sb.sig)
-        out = sb.mv_to_matrix(mv)
+        from .ga import Multivector
+        out = sb.mv_to_matrix(Multivector.from_json(data, sig=sb.sig))
     else:
+        from .witt_global import MvMatrix
         mat = MvMatrix.from_json(data)
         if mat.dim != sb.dim:
-            raise ValueError(
-                f"matrix dim {mat.dim} does not match basis dim {sb.dim}")
+            raise ValueError(f"matrix dim {mat.dim} does not match basis dim {sb.dim}")
         out = sb.matrix_to_mv(mat)
     json.dump(out.to_json(), sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -187,6 +186,7 @@ def cmd_verify(args) -> int:
     # --seed, else WITTKIT_SEED, else 0
     seed = (_integer("--seed", args.seed) if args.seed is not None
             else _integer("WITTKIT_SEED", os.environ.get("WITTKIT_SEED", "0")))
+    from .verify import run_all, run_suite
     if args.suite == "all":
         reports = run_all(seed=seed, samples=args.samples)
     else:
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--algebra", choices=_ALGEBRAS, default="g11")
 
     ver = sub.add_parser("verify", help="run identity suites")
-    ver.add_argument("--suite", choices=("all",) + tuple(SUITES),
+    ver.add_argument("--suite", choices=("all",) + _SUITES,
                      default="all")
     ver.add_argument("--seed", default=None)
     ver.add_argument("--samples", default="100")

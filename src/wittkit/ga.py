@@ -352,9 +352,7 @@ class Multivector:
                     or not all(_is_int(i) and 0 <= i < sig.m for i in idx)
                     or idx != sorted(set(idx))):
                 raise ValueError("blade must list distinct ascending generator indices")
-            mask = 0
-            for i in idx:
-                mask |= 1 << i
+            mask = sum(1 << i for i in idx)
             c = Scalar.from_json(t["coeff"])
             if c:
                 if mask in terms:

@@ -77,14 +77,16 @@ def _complex_rows(k: int, variant: OmegaVariant):
 
 
 class OmegaMatrix:
-    """Sign matrix: int entries for the real variants, Scalars for the complex."""
+    """Sign matrix: int entries for the real variants, Scalars for the complex.
+    Treat rows as read-only: dense_apply caches their column split."""
 
-    __slots__ = ("rows", "k", "variant")
+    __slots__ = ("rows", "k", "variant", "_split")
 
     def __init__(self, rows, k: int, variant: OmegaVariant):
         self.k = k
         self.variant = variant
         self.rows = [list(r) for r in rows]
+        self._split = None
 
     @property
     def dim(self) -> int:
@@ -109,15 +111,16 @@ class OmegaMatrix:
         """W x for entries x_t that are Scalars, ints or Fractions."""
         if len(xs) != self.dim:
             raise DimensionMismatchError("vector length does not match matrix")
-        # W x = sum_t x_t (column t of W), in one integer sum; real columns
-        # are already one rational slot of +-1 numerators over 1
-        cols = dict(enumerate(zip(*self.rows)))
-        if self.variant in (OmegaVariant.PLAIN, OmegaVariant.MINUS):
-            split = ({(1, False): {t: list(enumerate(col)) for t, col in cols.items()}}, 1)
-        else:
-            split = split_map({t: dict(enumerate(col)) for t, col in cols.items()})
+        # W x = sum_t x_t (column t of W), in one integer sum against the
+        # columns, split on the first call; real columns are already one
+        # rational slot of +-1 numerators over 1
+        if self._split is None:
+            cols = list(enumerate(zip(*self.rows)))
+            self._split = (({(1, False): {t: list(enumerate(c)) for t, c in cols}}, 1)
+                           if self.variant in (OmegaVariant.PLAIN, OmegaVariant.MINUS)
+                           else split_map({t: dict(enumerate(c)) for t, c in cols}))
         out = join_slots(*apply_slots(*split_slots({t: Scalar.of(x) for t, x in enumerate(xs)}),
-                                      split))
+                                      self._split))
         return [out.get(i, Scalar()) for i in range(self.dim)]
 
     def __eq__(self, other):

@@ -271,6 +271,9 @@ class Scalar:
         for entry in data:
             if not isinstance(entry, dict) or "d" not in entry:
                 raise ValueError("scalar term must be an object with a 'd' key")
+            if not entry.keys() <= {"d", "re", "im"}:
+                unknown = min(entry.keys() - {"d", "re", "im"})
+                raise ValueError(f"scalar term has an unknown key {unknown!r}")
             d = entry["d"]
             if _is_int(d) and d > MAX_RADICAND:
                 raise ValueError(f"radicand exceeds the bound {MAX_RADICAND}")

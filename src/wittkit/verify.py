@@ -365,9 +365,10 @@ def suite_omega(seed: int = 0, samples: int = 100) -> VerifyReport:
     for variant in ("plain", "minus"):
         ok = True
         for k in range(1, 7):
+            w = omega(k, variant)       # one matrix, split once, for the 5 draws
             for _ in range(5):
                 xs = [random_scalar(rng) for _ in range(1 << k)]
-                if fast_apply(k, variant, xs) != omega(k, variant).dense_apply(xs):
+                if fast_apply(k, variant, xs) != w.dense_apply(xs):
                     ok = False
         checks.append(_ck(f"omega-fastapply-{variant}",
                           "butterfly equals dense product", ok))

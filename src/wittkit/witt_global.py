@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
@@ -354,9 +356,10 @@ class SpectralBasis:
         their weights, idx = (t n + i) n + j for blade t, so the coordinates
         are one scalars.apply_slots of the input's slots: blade t of entry
         (i, j) is n <E_ji g>_t, the sum of n E_ji[a] g[b] over the masks
-        a = b ^ t, already at its slot index in the matrix.  The whole table
-        is stored split once by scalars.split_map, so no conversion splits
-        it again.
+        a = b ^ t, already at its slot index in the matrix.  The table is
+        split as scalars.split_map splits it, over the lcm of the reduced
+        weight dens E_ji.den / gcd(E_ji.den, n), but built straight from the
+        slots of the E_ji: no Scalar is formed and no conversion splits it.
         """
         n, sig, u, cu = self.dim, self.sig, self.center, self.central_unit
         count = n * n if cu is None else 2 * n * n
@@ -383,15 +386,15 @@ class SpectralBasis:
                     raise ExtractorUnavailableError(
                         f"tau(u c{i} r{k}) is not {int(i == k)}: "
                         "the family breaks the matrix-unit law")
-        table: dict[int, dict[int, Scalar]] = {}
-        for t in blades:
-            for i in range(n):
-                for j in range(n):
-                    idx = (t * n + i) * n + j
-                    for a, c in self.E[j][i].terms.items():
-                        table.setdefault(a ^ t, {})[idx] = \
-                            blade_product(a, a ^ t, sig)[0] * n * c
-        self._extraction = split_map(table)
+        den, split = lcm(*(e.den // gcd(e.den, n) for row in self.E for e in row)), {}
+        for t, i, j in product(blades, range(n), range(n)):
+            e, idx = self.E[j][i], (t * n + i) * n + j
+            for key, slot in e.slots.items():
+                rows, f = split.setdefault(key, {}), n * den // e.den
+                for a, v in slot.items():
+                    rows.setdefault(a ^ t, []).append(
+                        (idx, _blade_product(a, a ^ t, sig.squares)[0] * f * v))
+        self._extraction = split, den
 
     def mv_to_matrix(self, g: Multivector):
         """x_ij = n <E_ji g>_0, plus n <E_ji g>_t on a central unit's blade t."""

@@ -167,6 +167,17 @@ class TestConvert:
         assert err.startswith("wittkit: bad input: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("direction", ["mv2mat", "mat2mv"])
+    def test_unknown_scalar_key_exits_2(self, capsys, monkeypatch, direction):
+        # {"Re": "5"} once converted to zero and exited 0
+        coeff = [{"d": 1, "Re": "5"}]
+        payload = ({"signature": [1, -1], "terms": [{"blade": [], "coeff": coeff}]}
+                   if direction == "mv2mat" else {"dim": 2, "entries": [[coeff, []], [[], []]]})
+        code, out, err = run_cli(capsys, ["convert", direction, "--algebra", "g11"],
+                                 json.dumps(payload), monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "wittkit: bad input: scalar term has an unknown key 'Re'\n"
+
     def test_deep_nesting_exits_2(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, ["convert", "mv2mat", "--algebra", "g11"],
                                  "[" * 100000 + "]" * 100000, monkeypatch)

@@ -235,6 +235,14 @@ class TestJson:
         with pytest.raises(ValueError, match="not an exact rational"):
             Scalar.from_json([{"d": 1, "re": "1" * 5000}])
 
+    @pytest.mark.parametrize("term, key", [
+        ({"d": 1, "Re": "5"}, "Re"), ({"d": 1, "re": "5", "imag": "1"}, "imag"),
+        ({"d": 2, "re": "1", "zz": 0, "aa": 0}, "aa")])
+    def test_unknown_key_rejected(self, term, key):
+        # a misspelt "re" or "im" would otherwise drop its coefficient
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            Scalar.from_json([term])
+
 
 class TestHash:
     def test_rational_hashes_like_its_fraction(self):

@@ -231,6 +231,49 @@ def seeded_multivector(sig, seed):
     return Multivector(sig, {m: c for m, c in terms.items() if c})
 
 
+def reference_extraction(sb):
+    """The trace table as it was first built: n <E_ji g>_t as Scalar weights
+    sign(a, a ^ t) n E_ji[a] on blade a ^ t, split once by split_map."""
+    n, table = sb.dim, {}
+    for t in [0, *(sb.central_unit.terms if sb.central_unit else ())]:
+        for i in range(n):
+            for j in range(n):
+                for a, c in sb.E[j][i].terms.items():
+                    table.setdefault(a ^ t, {})[(t * n + i) * n + j] = \
+                        ga.blade_product(a, a ^ t, sb.sig)[0] * n * c
+    return scalars.split_map(table)
+
+
+def dense_multivector(sig, seed):
+    """Every blade, with a p + q j + r sqrt(d) coefficient drawn from seed."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    return Multivector(sig, {m: Scalar.of(q()) + Scalar.j(q())
+                             + Scalar.sqrt(rng.choice([2, 3, 6]), q())
+                             for m in range(sig.dim)})
+
+
+class TestTraceTable:
+    @pytest.mark.parametrize("name", BASES)
+    def test_matches_scalar_reference(self, name):
+        # the table built from integer slots against the Scalar-weight oracle
+        sb, ref = fresh_basis(name), fresh_basis(name)
+        ref._build_extraction()          # certify, then swap in the oracle
+        ref._extraction = reference_extraction(ref)
+        sb._build_extraction()
+        # the same rows over the same den, so no conversion reduces more
+        (split, den), (ref_split, ref_den) = sb._extraction, ref._extraction
+        assert den == ref_den
+        assert {key: {b: sorted(row) for b, row in rows.items()} for key, rows in split.items()} \
+            == {key: {b: sorted(row) for b, row in rows.items()} for key, rows in ref_split.items()}
+        for seed in range(3):
+            g = dense_multivector(sb.sig, seed)
+            assert sb.mv_to_matrix(g) == ref.mv_to_matrix(g)
+
+
 class TestConversionCaches:
     @pytest.mark.parametrize("name", ["g22", "g13", "pauli"])
     def test_reused_basis_matches_fresh(self, name):
