@@ -40,10 +40,12 @@ def _basis(name: str):
     if name in ("g11", "g22", "g33", "g44"):
         from .witt_global import spectral_basis_nn
         return spectral_basis_nn(int(name[1]))
-    from .dirac import dirac_spectral_new, dirac_spectral_standard
+    # the basis alone: its trace table is built on the first mv_to_matrix
+    from .dirac import _standard_basis, dirac_frame, new_witt_pair
     if name == "g13":
-        return dirac_spectral_standard()[0]
-    return dirac_spectral_new().basis
+        return _standard_basis(dirac_frame())
+    from .witt_global import spectral_basis_from_pairs
+    return spectral_basis_from_pairs(*new_witt_pair(dirac_frame())[1:])
 
 
 def _labeled_family(fmt: str, labels_mvs, header: dict, key: str):

@@ -8,8 +8,10 @@ scalar j; the two are kept distinct throughout.
 
 The Dirac algebra g(1,3) gets two 4x4 complex representations: the standard
 one from the idempotent u_pp = (1+g0)(1+j g12)/4 with borders in the rest
-frame bivectors, and a second one transported from the g(2,2) spectral
-basis by the substitution (27)-style pairing of gammas into nilpotents.
+frame bivectors, and a new one, spectral_basis_from_pairs on the nilpotent
+pairs (g0 -+ g3)/2 and (j g2 +- g1)/2 of gammas: the g(2,2) bordering of
+subset words, transported by that (27)-style pairing.  Pauli is the same
+bordering of the one pair (e1 +- e1 e3)/2 over the center of g(3).
 """
 
 from __future__ import annotations
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .ga import Multivector, g3, g13, g_nn, gp, gp_chain
+from .ga import Multivector, g3, g13, g_nn, gp, gp_chain, null_pair
 from .scalars import Scalar
-from .witt_global import CentralMatrix, MvMatrix, SpectralBasis
+from .witt_global import CentralMatrix, MvMatrix, SpectralBasis, spectral_basis_from_pairs
 
-HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
@@ -96,13 +97,8 @@ def pauli_spectral() -> tuple[SpectralBasis, list[CentralMatrix]]:
     """g(3) as 2x2 matrices over its center: returns the basis and [e1],[e2],[e3]."""
     sig = g3()
     e = Multivector.generator(sig, 0)
-    f = gp(e, Multivector.generator(sig, 2))        # e1 e3, squares to -1
-    a = (e + f).scale(HALF)
-    b = (e - f).scale(HALF)
-    one = Multivector.scalar(sig, 1)
-    iota = Multivector.blade(sig, 0b111)
-    sb = SpectralBasis([one, a], gp(b, a), [one, b], central_unit=iota,
-                       row_labels=["1", "a"], col_labels=["1", "b"])
+    a, b = null_pair(e, gp(e, Multivector.generator(sig, 2)))   # e1 e3 squares to -1
+    sb = spectral_basis_from_pairs([a], [b], central_unit=Multivector.blade(sig, 0b111))
     mats = [sb.mv_to_matrix(Multivector.generator(sig, k)) for k in range(3)]
     return sb, mats
 
@@ -169,20 +165,20 @@ def g11_embedding_check() -> bool:
 # -- dirac, standard representation ----------------------------------------
 
 
-def dirac_spectral_standard() -> tuple[SpectralBasis, list[MvMatrix]]:
-    fr = dirac_frame()
-    u = dirac_idempotents(fr)
-    sig = fr.gammas[0].sig
-    one = Multivector.scalar(sig, 1)
+def _standard_basis(fr: DiracFrame) -> SpectralBasis:
+    """Matrix units around u_pp, bordered by (1, e13, e3, e1) and (1, -e13, e3, e1)."""
+    one = Multivector.scalar(fr.gammas[0].sig, 1)
     e1, _, e3 = fr.rest
     e13 = gp(e1, e3)
-    rows = [one, e13, e3, e1]
-    cols = [one, -e13, e3, e1]
-    sb = SpectralBasis(rows, u.u_pp, cols,
-                       row_labels=["1", "e13", "e3", "e1"],
-                       col_labels=["1", "-e13", "e3", "e1"])
-    mats = [sb.mv_to_matrix(g) for g in fr.gammas]
-    return sb, mats
+    return SpectralBasis([one, e13, e3, e1], dirac_idempotents(fr).u_pp, [one, -e13, e3, e1],
+                         row_labels=["1", "e13", "e3", "e1"],
+                         col_labels=["1", "-e13", "e3", "e1"])
+
+
+def dirac_spectral_standard() -> tuple[SpectralBasis, list[MvMatrix]]:
+    fr = dirac_frame()
+    sb = _standard_basis(fr)
+    return sb, [sb.mv_to_matrix(g) for g in fr.gammas]
 
 
 # -- dirac, new representation from the neutral-signature basis ------------
@@ -200,28 +196,17 @@ class NewDiracData:
 
 
 def new_witt_pair(frame: DiracFrame):
+    """The pairs a1, b1 = (g0 -+ g3)/2 and a2, b2 = (j g2 +- g1)/2."""
     g0, g1, g2, g3v = frame.gammas
-    j = Scalar.j()
-    a1 = (g0 - g3v).scale(HALF)
-    a2 = (g2.scale(j) + g1).scale(HALF)
-    b1 = (g0 + g3v).scale(HALF)
-    b2 = (g2.scale(j) - g1).scale(HALF)
+    (a1, b1), (a2, b2) = null_pair(g0, -g3v), null_pair(g2.scale(Scalar.j()), g1)
     return frame, [a1, a2], [b1, b2]
 
 
 def dirac_spectral_new() -> NewDiracData:
     fr, a, b = new_witt_pair(dirac_frame())
-    sig = fr.gammas[0].sig
-    one = Multivector.scalar(sig, 1)
-    u1 = gp(b[0], a[0])
-    u2 = gp(b[1], a[1])
-    rows = [one, a[0], a[1], gp(a[0], a[1])]
-    cols = [one, b[0], b[1], gp(b[1], b[0])]
-    sb = SpectralBasis(rows, gp(u1, u2), cols,
-                       row_labels=["1", "a1", "a2", "a12"],
-                       col_labels=["1", "b1", "b2", "b21"])
+    sb = spectral_basis_from_pairs(a, b)
     mats = [sb.mv_to_matrix(g) for g in fr.gammas]
-    return NewDiracData(fr, a, b, u1, u2, sb, mats)
+    return NewDiracData(fr, a, b, gp(b[0], a[0]), gp(b[1], a[1]), sb, mats)
 
 
 def new_border_form(data: NewDiracData) -> SpectralBasis:

@@ -353,12 +353,10 @@ class Multivector:
                     or idx != sorted(set(idx))):
                 raise ValueError("blade must list distinct ascending generator indices")
             mask = sum(1 << i for i in idx)
-            c = Scalar.from_json(t["coeff"])
-            if c:
-                if mask in terms:
-                    raise ValueError("duplicate blade in multivector JSON")
-                terms[mask] = c
-        return cls(sig, terms)
+            if mask in terms:                # whatever either copy holds
+                raise ValueError(f"duplicate blade {idx} in multivector JSON")
+            terms[mask] = Scalar.from_json(t["coeff"])
+        return cls(sig, terms)               # the constructor drops zero terms
 
 
 # -- products and involutions ---------------------------------------------
@@ -448,3 +446,9 @@ def wedge_chain(vs) -> Multivector:
 
 def anticommutator(x: Multivector, y: Multivector) -> Multivector:
     return gp(x, y) + gp(y, x)
+
+
+def null_pair(e: Multivector, f: Multivector) -> tuple[Multivector, Multivector]:
+    """The nilpotent pair ((e + f)/2, (e - f)/2) of anticommuting e, f with
+    e^2 = -f^2 = 1."""
+    return (e + f) / 2, (e - f) / 2

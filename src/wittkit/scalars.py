@@ -268,6 +268,7 @@ class Scalar:
         if not isinstance(data, list):
             raise ValueError("scalar JSON must be a list of term objects")
         terms: dict[Key, Fraction] = {}
+        seen: set[int] = set()
         for entry in data:
             if not isinstance(entry, dict) or "d" not in entry:
                 raise ValueError("scalar term must be an object with a 'd' key")
@@ -279,14 +280,14 @@ class Scalar:
                 raise ValueError(f"radicand exceeds the bound {MAX_RADICAND}")
             if not _is_int(d) or not is_squarefree(d):
                 raise ValueError(f"radicand {d!r} is not a squarefree positive integer")
+            if d in seen:                    # whatever either copy holds
+                raise ValueError(f"duplicate term for d={d}")
+            seen.add(d)
             for part, imag in (("re", False), ("im", True)):
                 if part in entry:
                     q = _exact(entry[part])
                     if q:
-                        key = (d, imag)
-                        if key in terms:
-                            raise ValueError(f"duplicate term for d={d}")
-                        terms[key] = q
+                        terms[d, imag] = q
         return cls(terms)
 
 

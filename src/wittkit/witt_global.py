@@ -24,14 +24,13 @@ and needs no certificate.  Inputs and basis entries may carry radicals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, _blade_product, blade_product, g_nn, gp,
-                 gp_chain, sym_dot)
+                 gp_chain, null_pair, sym_dot)
 from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
                       json_slots, pmatrix, reduce_slots, split_map, split_slots)
 
@@ -247,14 +246,9 @@ def make_global_witt(n: int) -> GlobalWitt:
     if not 1 <= n <= 4:
         raise RangeError("global witt pairs are built for 1 <= n <= 4")
     sig = g_nn(n)
-    half = Fraction(1, 2)
-    a, b = [], []
-    for i in range(n):
-        e = Multivector.generator(sig, 2 * i)
-        f = Multivector.generator(sig, 2 * i + 1)
-        a.append((e + f).scale(half))
-        b.append((e - f).scale(half))
-    return GlobalWitt(n, sig, a, b)
+    a, b = zip(*(null_pair(Multivector.generator(sig, 2 * i),
+                           Multivector.generator(sig, 2 * i + 1)) for i in range(n)))
+    return GlobalWitt(n, sig, list(a), list(b))
 
 
 def check_duality_relations(a: list[Multivector], b: list[Multivector]) -> list[str]:
@@ -448,27 +442,30 @@ class SpectralBasis:
                 "entries": [[e.to_json() for e in row] for row in self.E]}
 
 
+def spectral_basis_from_pairs(a: list[Multivector], b: list[Multivector],
+                              central_unit: Multivector | None = None) -> SpectralBasis:
+    """Matrix units bordered from nilpotent pairs a_i, b_i: subset words in
+    the a's (rows, ascending inner index) against subset words in the b's
+    (columns, descending inner index), around the idempotent product
+    (b_1 a_1)...(b_n a_n).  Row and column 0 are the empty word 1."""
+    if not a or len(a) != len(b):
+        raise DimensionMismatchError("the pairs need one b for every a, and at least one a")
+    n, one = len(a), Multivector.scalar(a[0].sig, 1)
+    rows, cols, row_labels, col_labels = [one], [one], ["1"], ["1"]
+    for subset in range(1, 1 << n):
+        idx = [i for i in range(n) if subset >> i & 1]
+        rows.append(gp_chain([a[i] for i in idx]))
+        cols.append(gp_chain([b[i] for i in reversed(idx)]))
+        row_labels.append("a" + "".join(str(i + 1) for i in idx))
+        col_labels.append("b" + "".join(str(i + 1) for i in reversed(idx)))
+    center = gp_chain([gp(bi, ai) for ai, bi in zip(a, b)])
+    return SpectralBasis(rows, center, cols, central_unit,
+                         row_labels=row_labels, col_labels=col_labels)
+
+
 def spectral_basis_nn(n: int) -> SpectralBasis:
-    """Matrix units of g(n,n): subset words in the a's (rows, ascending inner
-    index) against subset words in the b's (columns, descending inner index),
-    around the idempotent product (b_1 a_1)...(b_n a_n)."""
+    """Matrix units of g(n,n), bordered from its global Witt pairs."""
     if not 1 <= n <= 4:
         raise RangeError("spectral bases are built for 1 <= n <= 4")
     w = make_global_witt(n)
-    one = Multivector.scalar(w.sig, 1)
-    rows, cols, row_labels, col_labels = [], [], [], []
-    for subset in range(1 << n):
-        idx = [i for i in range(n) if subset >> i & 1]
-        if idx:
-            rows.append(gp_chain([w.a[i] for i in idx]))
-            cols.append(gp_chain([w.b[i] for i in reversed(idx)]))
-            row_labels.append("a" + "".join(str(i + 1) for i in idx))
-            col_labels.append("b" + "".join(str(i + 1) for i in reversed(idx)))
-        else:
-            rows.append(one)
-            cols.append(one)
-            row_labels.append("1")
-            col_labels.append("1")
-    center = gp_chain([gp(w.b[i], w.a[i]) for i in range(n)]) if n > 1 else gp(w.b[0], w.a[0])
-    return SpectralBasis(rows, center, cols,
-                         row_labels=row_labels, col_labels=col_labels)
+    return spectral_basis_from_pairs(w.a, w.b)

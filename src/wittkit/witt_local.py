@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import RangeError, UnsupportedError
 from .ga import (Multivector, Signature, anticommutator, g_1n, gp, gp_chain,
-                 wedge_chain)
+                 null_pair, wedge_chain)
 from .omega import OmegaVariant, omega
 from .scalars import Scalar, pmatrix
 
@@ -57,10 +57,7 @@ def make_local_witt(m: int) -> LocalWitt:
     if not 2 <= m <= 8:
         raise RangeError("local witt families are built for 2 <= m <= 8")
     sig = g_1n(m - 1)
-    half = Fraction(1, 2)
-    e1 = Multivector.generator(sig, 0)
-    f1 = Multivector.generator(sig, 1)
-    c = [(e1 + f1).scale(half), (e1 - f1).scale(half)]
+    c = list(null_pair(Multivector.generator(sig, 0), Multivector.generator(sig, 1)))
     for k in range(2, m):
         ck_sum = c[0]
         for v in c[1:k]:
@@ -392,36 +389,25 @@ def c8_tabulated_coefficients() -> dict[str, tuple[Scalar, Scalar]]:
 
 def c8_complex_table() -> C8Table:
     lw = make_local_witt(8)
-    sig = lw.sig
     j = Scalar.j()
-    half = Fraction(1, 2)
-
-    gens = [Multivector.generator(sig, i) for i in range(8)]
     labels = ["e1", "f1", "f2", "jf3", "f4", "jf5", "f6", "jf7"]
-    entries = [gens[0], gens[1]]
-    for k in range(2, 8):
-        g = gens[k]
-        entries.append(g.scale(j) if k % 2 == 1 else g)
+    # element k of the frame, times j at odd k >= 3
+    entries = [Multivector.generator(lw.sig, k) for k in range(8)]
+    recursion_forms = ef_from_c(lw)
+    for k in (3, 5, 7):
+        entries[k], recursion_forms[k] = entries[k].scale(j), recursion_forms[k].scale(j)
 
     csum = [lw.c[0]]
     for v in lw.c[1:]:
         csum.append(csum[-1] + v)
-
-    recursion_forms = [lw.c[0] + lw.c[1], lw.c[0] - lw.c[1]]
-    tabulated_forms = list(recursion_forms)
+    tabulated_forms = recursion_forms[:2]
     for k in range(2, 8):
-        base = csum[k - 1] - lw.c[k].scale(k - 1)   # C_k - (k-1) c_{k+1}
-        coeff = alpha_coeff(k)
-        if k % 2 == 1:
-            coeff = coeff * j
-        recursion_forms.append(base.scale(coeff))
         x, y = _C8_TABULATED[labels[k]]
         tabulated_forms.append(csum[k - 1].scale(x) + lw.c[k].scale(y))
 
-    a = [lw.c[0]]
-    b = [lw.c[1]]
-    for i in (3, 5, 7):                              # (f_{i-1}, jf_i) pairs
-        fe, jf = entries[i - 1], entries[i]
-        a.append((jf + fe).scale(half))
-        b.append((jf - fe).scale(half))
+    a, b = [lw.c[0]], [lw.c[1]]
+    for i in (3, 5, 7):                              # (jf_i, f_{i-1}) pairs
+        ai, bi = null_pair(entries[i], entries[i - 1])
+        a.append(ai)
+        b.append(bi)
     return C8Table(lw, labels, entries, recursion_forms, tabulated_forms, a, b)

@@ -90,6 +90,19 @@ class TestGenerate:
             cli.main(["generate", "whatever"])
 
 
+ONE, ZERO, TWO = ([{"d": 1, "re": v}] for v in ("1", "0", "2"))
+
+
+def _mv(*terms):
+    """g11 multivector JSON of (blade, coeff) terms, in the order given."""
+    return {"signature": [1, -1], "terms": [{"blade": b, "coeff": c} for b, c in terms]}
+
+
+def _mat(coeff):
+    """2x2 matrix JSON with coeff at (0, 0)."""
+    return {"dim": 2, "entries": [[coeff, []], [[], []]]}
+
+
 class TestConvert:
     def test_identity_matrix_becomes_scalar_one(self, capsys, monkeypatch):
         payload = json.dumps(MvMatrix.identity(2).to_json())
@@ -177,6 +190,38 @@ class TestConvert:
                                  json.dumps(payload), monkeypatch)
         assert (code, out) == (2, "")
         assert err == "wittkit: bad input: scalar term has an unknown key 'Re'\n"
+
+    @pytest.mark.parametrize("direction, payload, message", [
+        ("mv2mat", _mv(([0], ONE), ([0], [])), "duplicate blade [0] in multivector JSON"),
+        ("mv2mat", _mv(([0], ZERO), ([0], TWO)), "duplicate blade [0] in multivector JSON"),
+        ("mv2mat", _mv(([0], ZERO + TWO)), "duplicate term for d=1"),
+        ("mat2mv", _mat(ZERO + TWO), "duplicate term for d=1"),
+        ("mat2mv", _mat(ONE + [{"d": 1}]), "duplicate term for d=1"),
+    ], ids=["blade-value-then-empty", "blade-zero-then-two", "mv-radicand-zero-then-two",
+            "mat-radicand-zero-then-two", "mat-radicand-value-then-empty"])
+    def test_repeated_key_exits_2(self, capsys, monkeypatch, direction, payload, message):
+        # a repeated blade or radicand with a zero or empty copy once exited
+        # 0, reading the other copy
+        code, out, err = run_cli(capsys, ["convert", direction, "--algebra", "g11"],
+                                 json.dumps(payload), monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == f"wittkit: bad input: {message}\n"
+
+    @pytest.mark.parametrize("algebra", ["g13", "g13new"])
+    @pytest.mark.parametrize("direction, builds", [("mat2mv", 0), ("mv2mat", 1)])
+    def test_trace_table_built_only_to_read_coordinates(self, capsys, monkeypatch,
+                                                        algebra, direction, builds):
+        # matrix_to_mv expands sum x_ij E_ij and reads no trace table
+        calls = []
+        build = SpectralBasis._build_extraction
+        monkeypatch.setattr(SpectralBasis, "_build_extraction",
+                            lambda sb: calls.append(sb) or build(sb))
+        payload = (MvMatrix.identity(4) if direction == "mat2mv"
+                   else Multivector.generator(g13(), 2)).to_json()
+        code, out, _ = run_cli(capsys, ["convert", direction, "--algebra", algebra],
+                               json.dumps(payload), monkeypatch)
+        assert code == 0 and out
+        assert len(calls) == builds
 
     def test_deep_nesting_exits_2(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, ["convert", "mv2mat", "--algebra", "g11"],

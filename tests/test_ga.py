@@ -328,6 +328,18 @@ class TestProductStructure:
             gp(Multivector.generator(g3(), 0), Multivector.generator(g13(), 0))
 
 
+class TestNullPair:
+    @pytest.mark.parametrize("sig", [g_nn(1), g_1n(2), g13()], ids=lambda s: s.name)
+    def test_halves_of_a_unit_and_an_antiunit(self, sig):
+        e, f = Multivector.generator(sig, 0), Multivector.generator(sig, 1)
+        a, b = ga.null_pair(e, f)
+        half = Fraction(1, 2)
+        assert (a, b) == ((e + f).scale(half), (e - f).scale(half))
+        zero = Multivector.zero(sig)
+        assert (gp(a, a), gp(b, b)) == (zero, zero)
+        assert anticommutator(a, b) == Multivector.scalar(sig, 1)
+
+
 class TestAccessors:
     def test_scalar_part_and_coeff(self):
         x = Multivector.scalar(SIG, Fraction(2, 3)) + \
@@ -424,3 +436,18 @@ class TestJson:
         x = Multivector.generator(g3(), 0)
         with pytest.raises(ValueError):
             Multivector.from_json(x.to_json(), sig=g13())
+
+    @pytest.mark.parametrize("coeffs", [
+        [[{"d": 1, "re": "1"}], []],
+        [[{"d": 1, "re": "0"}], [{"d": 1, "re": "2"}]],
+        [[], []]], ids=["value-then-empty", "zero-then-two", "both-empty"])
+    def test_repeated_blade_rejected(self, coeffs):
+        # one term object per blade, whatever the copies hold
+        data = {"signature": [1, -1], "terms": [{"blade": [0], "coeff": c} for c in coeffs]}
+        with pytest.raises(ValueError, match=r"duplicate blade \[0\]"):
+            Multivector.from_json(data)
+
+    def test_zero_terms_dropped(self):
+        data = {"signature": [1, -1], "terms": [{"blade": [0], "coeff": []},
+                                                {"blade": [1], "coeff": [{"d": 1, "re": "0"}]}]}
+        assert Multivector.from_json(data) == Multivector.zero(g_nn(1))

@@ -1,6 +1,7 @@
 """Package exports and import footprint, each checked in a fresh interpreter
 so that no module an earlier test imported hides a missing or extra load."""
 
+import ast
 import json
 import os
 import subprocess
@@ -90,3 +91,23 @@ class TestExports:
         suites = fresh("import json\nfrom wittkit import cli, verify\n"
                        "print(json.dumps([cli._SUITES, list(verify.SUITES)]))")
         assert suites[0] == suites[1]
+
+
+class TestSourceHygiene:
+    def test_no_module_imports_an_unused_name(self):
+        # every name a module binds by import is read somewhere in it;
+        # __init__ binds its eager export for the package namespace
+        unused = []
+        for path in sorted((SRC / "wittkit").glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imported = {(alias.asname or alias.name).split(".")[0]: node.lineno
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"
+                        for alias in node.names}
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                       if name not in used]
+        assert unused == []

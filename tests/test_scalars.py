@@ -243,6 +243,17 @@ class TestJson:
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             Scalar.from_json([term])
 
+    @pytest.mark.parametrize("terms", [
+        [{"d": 1, "re": "0"}, {"d": 1, "re": "2"}],
+        [{"d": 1, "re": "1"}, {"d": 1}],
+        [{"d": 3, "re": "1"}, {"d": 3, "im": "2"}],
+        [{"d": 2}, {"d": 1, "re": "1"}, {"d": 2}]],
+        ids=["zero-then-two", "value-then-empty", "re-then-im", "both-empty"])
+    def test_repeated_radicand_rejected(self, terms):
+        # one term object per radicand, as to_json writes it, whatever the values
+        with pytest.raises(ValueError, match=f"duplicate term for d={terms[-1]['d']}"):
+            Scalar.from_json(terms)
+
 
 class TestHash:
     def test_rational_hashes_like_its_fraction(self):

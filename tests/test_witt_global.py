@@ -11,14 +11,15 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import bounded_fractions
 from wittkit import ga, scalars, witt_global
 from wittkit.cli import _basis
-from wittkit.dirac import pauli_spectral
-from wittkit.errors import (ExtractorUnavailableError, RangeError,
-                            SignatureMismatchError)
-from wittkit.ga import Multivector, g3, gp, reverse
+from wittkit.dirac import (dirac_frame, dirac_spectral_new, dirac_spectral_standard,
+                           pauli_spectral)
+from wittkit.errors import (DimensionMismatchError, ExtractorUnavailableError,
+                            RangeError, SignatureMismatchError)
+from wittkit.ga import Multivector, g3, gp, gp_chain, reverse
 from wittkit.scalars import Scalar
 from wittkit.witt_global import (CentralMatrix, MvMatrix, SpectralBasis,
                                  check_duality_relations, make_global_witt,
-                                 spectral_basis_nn)
+                                 spectral_basis_from_pairs, spectral_basis_nn)
 
 fractions = bounded_fractions(9, 9)
 
@@ -145,6 +146,86 @@ class TestSpectralArrays:
         u_minus = one - u_plus
         alt = SpectralBasis([one, e], u_plus, [one, e])
         assert alt.E == [[u_plus, gp(e, u_minus)], [gp(e, u_plus), u_minus]]
+
+
+# the bases as each was bordered by hand before spectral_basis_from_pairs
+
+
+def reference_subset_basis(n):
+    """g(n,n): subset words of the a's against reversed words of the b's."""
+    w = make_global_witt(n)
+    one = Multivector.scalar(w.sig, 1)
+    rows, cols, row_labels, col_labels = [], [], [], []
+    for subset in range(1 << n):
+        idx = [i for i in range(n) if subset >> i & 1]
+        if idx:
+            rows.append(gp_chain([w.a[i] for i in idx]))
+            cols.append(gp_chain([w.b[i] for i in reversed(idx)]))
+            row_labels.append("a" + "".join(str(i + 1) for i in idx))
+            col_labels.append("b" + "".join(str(i + 1) for i in reversed(idx)))
+        else:
+            rows.append(one)
+            cols.append(one)
+            row_labels.append("1")
+            col_labels.append("1")
+    center = gp_chain([gp(w.b[i], w.a[i]) for i in range(n)]) if n > 1 else gp(w.b[0], w.a[0])
+    return SpectralBasis(rows, center, cols, row_labels=row_labels, col_labels=col_labels)
+
+
+def reference_g13new():
+    """g(1,3) from a1, b1 = (g0 -+ g3)/2 and a2, b2 = (j g2 +- g1)/2."""
+    g0, g1, g2, g3_ = dirac_frame().gammas
+    half, jg2 = Fraction(1, 2), g2.scale(Scalar.j())
+    a1, b1 = (g0 - g3_).scale(half), (g0 + g3_).scale(half)
+    a2, b2 = (jg2 + g1).scale(half), (jg2 - g1).scale(half)
+    one = Multivector.scalar(g0.sig, 1)
+    return SpectralBasis([one, a1, a2, gp(a1, a2)], gp(gp(b1, a1), gp(b2, a2)),
+                         [one, b1, b2, gp(b2, b1)],
+                         row_labels=["1", "a1", "a2", "a12"],
+                         col_labels=["1", "b1", "b2", "b21"])
+
+
+def reference_pauli():
+    """g(3) over its center iota = e123, from a, b = (e1 +- e1 e3)/2."""
+    sig = g3()
+    e = Multivector.generator(sig, 0)
+    f = gp(e, Multivector.generator(sig, 2))
+    a, b = (e + f).scale(Fraction(1, 2)), (e - f).scale(Fraction(1, 2))
+    one = Multivector.scalar(sig, 1)
+    return SpectralBasis([one, a], gp(b, a), [one, b], central_unit=Multivector.blade(sig, 7),
+                         row_labels=["1", "a"], col_labels=["1", "b"])
+
+
+class TestFromPairs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_neutral_matches_subset_words(self, n):
+        ref, w = reference_subset_basis(n), make_global_witt(n)
+        for sb in (spectral_basis_nn(n), spectral_basis_from_pairs(w.a, w.b)):
+            assert (sb.E, sb.center, sb.central_unit) == (ref.E, ref.center, None)
+            assert (sb.row_labels, sb.col_labels) == (ref.row_labels, ref.col_labels)
+
+    def test_g13new_matches_hand_bordering(self):
+        ref = reference_g13new()
+        for sb in (dirac_spectral_new().basis, _basis("g13new")):
+            assert (sb.E, sb.center) == (ref.E, ref.center)
+            assert (sb.row_labels, sb.col_labels) == (ref.row_labels, ref.col_labels)
+
+    def test_pauli_matches_hand_bordering(self):
+        ref, (sb, mats) = reference_pauli(), pauli_spectral()
+        assert (sb.E, sb.center, sb.central_unit) == (ref.E, ref.center, ref.central_unit)
+        assert mats == [ref.mv_to_matrix(Multivector.generator(sb.sig, k)) for k in range(3)]
+        # the labels are the pair words; no output prints them
+        assert (sb.row_labels, sb.col_labels) == (["1", "a1"], ["1", "b1"])
+
+    def test_cli_g13_is_the_standard_basis(self):
+        sb, ref = _basis("g13"), dirac_spectral_standard()[0]
+        assert (sb.E, sb.row_labels, sb.col_labels) == (ref.E, ref.row_labels, ref.col_labels)
+
+    @pytest.mark.parametrize("na, nb", [(2, 1), (1, 2), (0, 0)])
+    def test_unpaired_families_rejected(self, na, nb):
+        w = make_global_witt(2)
+        with pytest.raises(DimensionMismatchError):
+            spectral_basis_from_pairs(w.a[:na], w.b[:nb])
 
 
 BASES = ["g11", "g22", "g33", "g44", "g13", "g13new", "pauli"]

@@ -271,6 +271,16 @@ class TestC8Table:
             ["e1", "f1", "f2", "jf3", "f4", "jf5", "f6", "jf7"]
         assert tab.entries == tab.recursion_forms
 
+    def test_recursion_forms_match_alpha_recursion(self):
+        # alpha_k (C_k - (k-1) c_{k+1}), times j at odd k >= 3, written out
+        tab = c8_complex_table()
+        c = tab.witt.c
+        want = [c[0] + c[1], c[0] - c[1]]
+        for k in range(2, 8):
+            coeff = alpha_coeff(k) * (Scalar.j() if k % 2 else Scalar.of(1))
+            want.append((sum(c[1:k], c[0]) - c[k].scale(k - 1)).scale(coeff))
+        assert tab.recursion_forms == want
+
     def test_only_f4_tabulation_differs(self):
         tab = c8_complex_table()
         mismatch = [lab for lab, ent, tf in
