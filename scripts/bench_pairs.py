@@ -14,7 +14,8 @@ perfbench/README.md, so every record compares runs of one length.  For
 every end-to-end metric of the workload the record holds both sides'
 quartiles (statistics.quantiles, method 'inclusive'), the pairs the change
 wins, the ratio of the medians and the parent's IQR, plus the attempted and
-failed operation counts.  The machine line records the Python version, the
+failed operation counts; "runs" lists every run, pair by pair, with its
+seed, the side that ran first, and each side's metric values and counts.  The machine line records the Python version, the
 usable cores and PYTHONDONTWRITEBYTECODE, which decides whether each fresh
 child compiles src/ again.  An existing --out file keeps its other workloads
 and its other keys (such as a hand-written "change" line), so one file can
@@ -96,10 +97,15 @@ def summarize(runs: list[dict], seeds: list[int], spec: list[dict]) -> dict:
             "better": m["better"], "parent": parent, "change": change, "change_wins": wins,
             "median_ratio": round(change["median"] / parent["median"], 3),
             "parent_iqr": round(parent["q3"] - parent["q1"], 4)}
+    listed = [{"seed": seed, "first": "parent" if seed % 2 else "change",
+               **{s: {"attempted": r[s]["attempted"], "failed": r[s]["failed"],
+                      **{m["name"]: round(r[s]["metrics"][m["name"]]["value"], 6)
+                         for m in spec}} for s in side}}
+              for seed, r in zip(seeds, runs)]
     return {"pairs": len(runs), "seeds": seeds,
             "failed": {s: sum(r[s]["failed"] for r in runs) for s in side},
             "attempted": {s: sum(r[s]["attempted"] for r in runs) for s in side},
-            "metrics": metrics}
+            "metrics": metrics, "runs": listed}
 
 
 def claim_met(entry: dict, metric: str) -> bool:

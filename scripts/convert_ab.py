@@ -22,7 +22,13 @@ FIRST_SEED + i, odd seeds run the parent first.  The record gets an
 "in_process_convert" entry with both sides' quartiles of ops/s (operations
 over the summed latencies, as convert-warm's ops_per_s), the pairs the
 change wins and the parent's IQR for each window, and the failed counts.
-Only the standard library is used.
+It also splits each side's roundtrip time by input class, the (algebra,
+density) of the input: "classes" holds every class's operation count, its
+summed seconds in each pair and the median of those sums, and its share of
+the side's busy time, so the share a change moves shows; "median_op" holds,
+per side and pair, the median roundtrip latency and the classes of the 5%
+of operations on either side of it, the operations that set convert-warm's
+op_p50_ms.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -55,6 +62,7 @@ def worker(tree: Path, seed: int) -> dict:
     bases = build_bases()
     rng = random.Random(seed)
     spent = dict.fromkeys(WINDOWS, 0.0)
+    ops: list[tuple[float, str]] = []          # (roundtrip latency, class)
     failed = 0
     for index, (_, (alg, density, ring)) in enumerate(rounds(CONVERT_WARM_ROUND, rng)):
         if index >= OPS:
@@ -68,9 +76,20 @@ def worker(tree: Path, seed: int) -> dict:
         mv = Multivector(sb.sig, {mask: Scalar(dict(c)) for mask, c in terms.items()})
         t0 = perf_counter()
         same = sb.matrix_to_mv(sb.mv_to_matrix(mv)) == mv
-        spent["roundtrip"] += perf_counter() - t0
+        ops.append((perf_counter() - t0, f"{alg} {density}"))
+        spent["roundtrip"] += ops[-1][0]
         failed += (out != doc) + (not same)
-    return {"ops_per_s": {w: OPS / spent[w] for w in WINDOWS}, "failed": failed}
+    by_class: dict[str, list] = {}
+    for latency, cls in ops:
+        by_class.setdefault(cls, []).append(latency)
+    ops.sort()
+    mid, width = len(ops) // 2, max(1, len(ops) // 20)
+    around: dict[str, int] = {}
+    for _, cls in ops[mid - width:mid + width + 1]:
+        around[cls] = around.get(cls, 0) + 1
+    return {"ops_per_s": {w: OPS / spent[w] for w in WINDOWS}, "failed": failed,
+            "classes": {cls: [len(v), sum(v)] for cls, v in sorted(by_class.items())},
+            "median_op": {"ms": ops[mid][0] * 1e3, "classes": around}}
 
 
 def run_once(tree: Path, seed: int) -> dict:
@@ -119,12 +138,25 @@ def main(argv=None) -> int:
                       "change_wins": sum(c > p for p, c in zip(vals["parent"], vals["change"])),
                       "median_ratio": round(change["median"] / parent["median"], 3),
                       "parent_iqr": round(parent["q3"] - parent["q1"], 4)}
+    classes = {}
+    for s in side:
+        busy = [sum(t for _, t in r[s]["classes"].values()) for r in runs]
+        classes[s] = {}
+        for cls, (count, _) in runs[0][s]["classes"].items():
+            sums = [r[s]["classes"][cls][1] for r in runs]
+            classes[s][cls] = {
+                "ops": count, "seconds": [round(t, 4) for t in sums],
+                "median_s": round(statistics.median(sums), 4),
+                "busy_share": round(statistics.median(t / b for t, b in zip(sums, busy)), 3)}
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
     record["in_process_convert"] = {
         "parent": commit, "command": "python3 scripts/convert_ab.py PARENT PAIRS FIRST_SEED",
         "ops_per_run": OPS, "pairs": len(runs), "seeds": seeds,
         "failed": {s: sum(r[s]["failed"] for r in runs) for s in side},
-        "ops_per_s": windows}
+        "ops_per_s": windows, "classes": classes,
+        "median_op": {s: [{"ms": round(r[s]["median_op"]["ms"], 4),
+                           "classes": r[s]["median_op"]["classes"]} for r in runs]
+                      for s in side}}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -240,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=("all",) + _SUITES,
                      default="all")
     ver.add_argument("--seed", default=None)
-    ver.add_argument("--samples", default="100")
+    ver.add_argument("--samples", default="100",
+                     help="sampled operand pairs per randomized check, 1..10000")
     ver.add_argument("--format", choices=("text", "json"), default="text")
     return p
 

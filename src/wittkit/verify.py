@@ -590,11 +590,16 @@ SUITES = {
 }
 
 
+# the sampled pairs of a suite are drawn up front, so a bound on their
+# count bounds the memory a run takes
+MAX_SAMPLES = 10_000
+
+
 def run_suite(name: str, seed: int = 0, samples: int = 100) -> VerifyReport:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    if samples < 1:
-        raise RangeError(f"samples must be at least 1, got {samples}")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise RangeError(f"samples must be in 1..{MAX_SAMPLES}, got {samples}")
     return SUITES[name](seed=seed, samples=samples)
 
 

@@ -19,13 +19,28 @@ basis certifies once that its family really is a complete set of matrix
 units before mv_to_matrix reads any coordinates; see
 SpectralBasis._build_extraction.  matrix_to_mv only expands sum x_ij E_ij
 and needs no certificate.  Inputs and basis entries may carry radicals.
+
+The basis of g(n,n) that spectral_basis_nn builds has a second, exact
+evaluation of both maps.  Its pairs sit on disjoint generators, so each
+E[I][J] is a signed product s(I, J) w_1 ... w_n of one g(1,1) unit per
+pair, w_k = u, a_k, b_k or a_k b_k by bit k of I and J, and each map is
+a Kronecker product of n copies of one 4 x 4 sign matrix: n radix-4
+butterfly stages per slot lane, with a signed index map between pair
+digits and flat indices.  A lane of nnz numerators takes the butterfly
+when nnz 2**n multiply-adds on the table would cost more than n 4**n
+additions and a fixed overhead on the butterfly; sparser lanes, every
+lane of g(1,1) and g(2,2), and every other basis stay on the tables,
+which are the butterfly's oracle.  The signs
+are checked against the slots of every E[I][J] before the butterfly
+first runs; see SpectralBasis._build_plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import gcd, lcm
+from operator import add, mul, sub
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
@@ -33,6 +48,44 @@ from .ga import (Multivector, Signature, _blade_product, blade_product, g_nn, gp
                  gp_chain, null_pair, sym_dot)
 from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
                       json_slots, pmatrix, reduce_slots, split_map, split_slots)
+
+
+# -- the butterfly of g(n,n) -----------------------------------------------
+
+# the factor w of a matrix unit of g(1,1) by its pair digit c = I + 2 J, as
+# 2 w written in blades (digit d: 1, e, f, ef for d = 0, 1, 2, 3):
+# u = b a = (1 + ef)/2, a = (e + f)/2, b = (e - f)/2, a b = (1 - ef)/2
+_FACTORS = (((0, 1), (3, 1)), ((1, 1), (2, 1)), ((1, 1), (2, -1)), ((0, 1), (3, -1)))
+
+
+# the fixed cost of a lane on the butterfly, in table multiply-adds: slicing
+# and rebuilding the lane n times took about 5 us, the time of some 30
+# multiply-adds on the table, with CPython 3.11 on a 2-core x86-64 machine
+_LANE_OVERHEAD = 32
+
+
+def _lane_limit(n: int) -> int | None:
+    """The most nonzeros a lane of g(n,n) keeps on the tables, or None when
+    no lane of 4**n can have more.
+
+    A lane of nnz numerators costs about nnz 2**n multiply-adds on the
+    table, since every E_ij has 2**n blades, and n 4**n additions plus
+    _LANE_OVERHEAD on the butterfly, which takes the lane when that is less.
+    So g(1,1) and g(2,2) lanes stay on the tables, and a g(3,3) or g(4,4)
+    lane moves at more than 28 or 66 nonzeros.
+    """
+    limit = ((n << 2 * n) + _LANE_OVERHEAD) >> n
+    return limit if limit < 1 << 2 * n else None
+
+
+def _stage(v: list) -> list:
+    """One radix-4 stage: the lowest digit of every index, read as v[d::4],
+    goes through 1 -> u + ab, e -> a + b, f -> a - b, ef -> u - ab (the
+    matrix of _FACTORS, which is symmetric) and is written as the highest
+    digit, so after n stages every digit of a 4**n lane has been through it
+    once and is back in its place."""
+    one, e, f, ef = v[0::4], v[1::4], v[2::4], v[3::4]
+    return [*map(add, one, ef), *map(add, e, f), *map(sub, e, f), *map(sub, one, ef)]
 
 
 def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
@@ -296,6 +349,8 @@ class SpectralBasis:
         self._extraction = None
         self._units = None
         self._unit_blades = set()     # the blades t that _units covers
+        self._pairs = None            # n for the basis of g(n,n) that spectral_basis_nn built
+        self._plan = None             # its butterfly's signed index map, built on first use
 
     @property
     def dim(self) -> int:
@@ -396,7 +451,7 @@ class SpectralBasis:
             raise SignatureMismatchError("multivector belongs to a different algebra")
         if self._extraction is None:
             self._build_extraction()
-        sums, den = apply_slots(g.slots, g.den, self._extraction)
+        sums, den = self._apply(g.slots, g.den, lambda: self._extraction, True)
         if self.central_unit is None:
             return MvMatrix._of_sums(self.dim, sums, den)
         return CentralMatrix._of_sums(self.dim, sums, den, self.sig)
@@ -423,13 +478,83 @@ class SpectralBasis:
     def matrix_to_mv(self, mat) -> Multivector:
         """sum x_ij E_ij; a central entry x_ij contributes x_ij E_ij as a
         geometric product, blade by blade."""
+        if isinstance(mat, CentralMatrix) and (self.central_unit is None
+                                               or mat.sig.squares != self.sig.squares):
+            raise SignatureMismatchError("matrix entries belong to a different ring")
         if mat.dim != self.dim:
             raise DimensionMismatchError("matrix size does not match basis dimension")
         # blade t of entry (i, j) sits at index (t n + i) n + j, the row of t E_ij
         nn = self.dim * self.dim
-        blades = {idx // nn for slot in mat.slots.values() for idx in slot} | {0}
-        sums, den = apply_slots(mat.slots, mat.den, self._split_units(blades))
+        sums, den = self._apply(mat.slots, mat.den, lambda: self._split_units(
+            {idx // nn for slot in mat.slots.values() for idx in slot} | {0}), False)
         return Multivector._of_sums(self.sig, sums, den)
+
+    # -- the butterfly of g(n,n) -------------------------------------------
+
+    def _apply(self, slots: dict, den: int, table, forward: bool):
+        """apply_slots(slots, den, table()), the forward (mv_to_matrix) or
+        backward (matrix_to_mv) map, with every lane of a g(n,n) basis that
+        is longer than _lane_limit(n) run through the butterfly instead.
+
+        The plan certifies that every E_ij is +-2**-n times integers on the
+        one key (1, False), so the trace table has den 1 and the unit table
+        den 2**n, the dens the butterfly sums over: lanes of either path join.
+        """
+        n = self._pairs
+        limit = None if n is None else _lane_limit(n)
+        fast = limit is not None and [key for key, s in slots.items() if len(s) > limit]
+        if not fast:
+            return apply_slots(slots, den, table())
+        lanes = {key: self._butterfly(slots[key], forward) for key in fast}
+        slow = {key: s for key, s in slots.items() if key not in lanes}
+        acc, den = apply_slots(slow, den, table()) if slow else \
+            ({}, den if forward else den << n)
+        acc.update(lanes)
+        return acc, den
+
+    def _butterfly(self, slot: dict, forward: bool) -> dict:
+        """One lane of numerators through the n stages: the forward map
+        reads blade masks and writes flat indices, the backward map reads
+        flat indices and writes blade masks with every sum 2**n times too
+        large.  Zero sums are kept, for reduce_slots."""
+        flats, signs = self._plan or self._build_plan()
+        get = slot.get
+        if forward:                      # blade mask -> pair digits
+            v = list(map(get, range(len(flats)), repeat(0)))
+        else:                            # flat index -> pair digits
+            v = list(map(mul, signs, map(get, flats, repeat(0))))
+        for _ in range(self._pairs):
+            v = _stage(v)
+        return dict(zip(flats, map(mul, signs, v)) if forward else enumerate(v))
+
+    def _build_plan(self):
+        """The signed index map of the butterfly: for every pair-digit index
+        C (I_k in bit 2k, J_k in bit 2k+1) the flat index I N + J and the
+        sign s(I, J) with E[I][J] = s(I, J) prod_k w_k, w_k the factor of
+        _FACTORS for digit k of C on generators e_k, f_k.  The product runs
+        up the pairs, so its blades need no reordering: it is 2**-n times
+        the sign product on the masks sum_k d_k 4**k.  Every E[I][J] is
+        checked against it, slot for slot, from its integer slots.
+        """
+        n, size = self._pairs, self.dim
+        flats, signs = [0] * size * size, [0] * size * size
+        for i, j in product(range(size), range(size)):
+            want, c = {0: 1}, 0
+            for k in range(n):
+                digit = (i >> k & 1) | (j >> k & 1) << 1
+                c |= digit << 2 * k
+                want = {m | d << 2 * k: s * t for m, s in want.items()
+                        for d, t in _FACTORS[digit]}
+            e = self.E[i][j]
+            slot = e.slots.get((1, False), {})
+            sign = slot.get(min(want), 0)
+            if sign not in (1, -1) or e.den != size or len(e.slots) != 1 or \
+                    slot != {m: sign * s for m, s in want.items()}:
+                raise ExtractorUnavailableError(
+                    f"E[{i}][{j}] is not a signed product of the pair factors")
+            flats[c], signs[c] = i * size + j, sign
+        self._plan = flats, signs
+        return self._plan
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)
@@ -468,4 +593,6 @@ def spectral_basis_nn(n: int) -> SpectralBasis:
     if not 1 <= n <= 4:
         raise RangeError("spectral bases are built for 1 <= n <= 4")
     w = make_global_witt(n)
-    return spectral_basis_from_pairs(w.a, w.b)
+    sb = spectral_basis_from_pairs(w.a, w.b)
+    sb._pairs = n
+    return sb

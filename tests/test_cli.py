@@ -329,6 +329,13 @@ class TestVerify:
         assert out == ""
         assert "bad input" in err and "samples" in err
 
+    @pytest.mark.parametrize("samples", ["10001", "100000000000000000000"])
+    def test_samples_above_maximum_exits_2(self, capsys, samples):
+        code, out, err = run_cli(capsys, ["verify", "--suite", "all", "--samples", samples])
+        assert code == 2
+        assert out == ""
+        assert err == f"wittkit: bad input: samples must be in 1..10000, got {samples}\n"
+
     def test_deterministic_output(self, capsys):
         argv = ["verify", "--suite", "pauli", "--samples", "5",
                 "--format", "json"]

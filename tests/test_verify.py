@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wittkit import verify
+from wittkit.errors import RangeError
 from wittkit.ga import Multivector, g3, g13, g_nn
 from wittkit.scalars import Scalar
 from wittkit.verify import (SUITES, Check, VerifyReport, run_all, run_suite)
@@ -60,6 +61,20 @@ class TestSuites:
         for rep in all_reports:
             ids = [c.check_id for c in rep.checks]
             assert ids == sorted(ids)
+
+
+class TestSampleBound:
+    # only the rejection path runs: an accepted count this size would be
+    # drawn in full before any check
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    @pytest.mark.parametrize("samples", [0, verify.MAX_SAMPLES + 1, 10**20])
+    def test_out_of_range_refused_before_the_suite_runs(self, name, samples, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(SUITES, name, refuse)
+        with pytest.raises(RangeError, match=f"1..{verify.MAX_SAMPLES}"):
+            run_suite(name, samples=samples)
 
 
 class TestDeterminism:

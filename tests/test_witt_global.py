@@ -45,6 +45,20 @@ def multivectors(sig, coeff=fractions.map(Scalar.of)):
                          Multivector.zero(sig)))
 
 
+# one ring per drawn multivector: its slot lanes are full (Q and Q(j)) or
+# split by radicand into lanes of about a third of the blades
+rings = [fractions.map(Scalar.of),
+         st.tuples(fractions, fractions).map(lambda t: Scalar.of(t[0]) + Scalar.j(t[1])),
+         exact_scalars]
+
+
+def dense_multivectors(sig):
+    """A coefficient drawn for every blade of sig, all from one ring."""
+    return st.sampled_from(rings).flatmap(
+        lambda coeff: st.lists(coeff, min_size=sig.dim, max_size=sig.dim)).map(
+        lambda cs: Multivector(sig, dict(enumerate(cs))))
+
+
 class TestGlobalPairs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_duality_relations(self, n):
@@ -229,6 +243,7 @@ class TestFromPairs:
 
 
 BASES = ["g11", "g22", "g33", "g44", "g13", "g13new", "pauli"]
+NN_BASES = ["g11", "g22", "g33", "g44"]
 
 
 class TestIsomorphism:
@@ -265,6 +280,55 @@ class TestIsomorphism:
             assert sb.mv_to_matrix(g) == trace_form(sb, g)
 
         check()
+
+    @pytest.mark.parametrize("name", NN_BASES)
+    def test_dense_roundtrip(self, name):
+        # every blade set: the lanes the butterfly of g(n,n) takes
+        sb = named_basis(name)
+
+        @settings(max_examples=10 if name == "g44" else 20)
+        @given(dense_multivectors(sb.sig))
+        def check(g):
+            assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
+
+        check()
+
+    @pytest.mark.parametrize("name", NN_BASES)
+    def test_dense_coordinates_match_trace_form(self, name):
+        # a dense g44 trace form is 256 products with every blade set
+        sb = named_basis(name)
+
+        @settings(max_examples={"g33": 10, "g44": 3}.get(name, 20))
+        @given(dense_multivectors(sb.sig))
+        def check(g):
+            assert sb.mv_to_matrix(g) == trace_form(sb, g)
+
+        check()
+
+    def test_central_matrix_needs_a_central_basis(self):
+        # g(3) coordinate matrices meet the g(1,1) basis, which has the
+        # same size and no central unit
+        sb = spectral_basis_nn(1)
+        for mat in pauli_spectral()[1]:
+            with pytest.raises(SignatureMismatchError, match="different ring"):
+                sb.matrix_to_mv(mat)
+
+    def test_central_matrix_of_another_algebra_rejected(self):
+        sb = named_basis("pauli")
+        sig = ga.Signature((1, 1, -1))
+        mat = CentralMatrix([[Multivector.blade(sig, 0b111, 2), Multivector.zero(sig)],
+                             [Multivector.zero(sig), Multivector.scalar(sig, 1)]])
+        with pytest.raises(SignatureMismatchError, match="different ring"):
+            sb.matrix_to_mv(mat)
+
+    def test_scalar_matrix_on_a_central_basis_accepted(self):
+        # scalar entries are central, so an MvMatrix still converts
+        sb = named_basis("pauli")
+        mat = MvMatrix([[Fraction(1, 2), 3], [0, Scalar.sqrt(2)]])
+        want = sum((gp(Multivector.scalar(sb.sig, x), e) for row, units in
+                    zip(mat.entries, sb.E) for x, e in zip(row, units)),
+                   Multivector.zero(sb.sig))
+        assert sb.matrix_to_mv(mat) == want
 
     def test_radical_coefficients_pass_through(self):
         # basis entries are rational, but inputs may carry radicals
@@ -726,3 +790,154 @@ class TestSlotForm:
             assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
         with pytest.raises(AssertionError, match="split or joined"):
             Multivector(sb.sig, gs[0].terms)      # the patch is live
+
+
+KEY = (1, False)                        # the lane of rational numerators
+nn_basis = cache(spectral_basis_nn)
+
+
+def all_on_the_butterfly(sb, monkeypatch):
+    """Patch the cost rule away on sb: every lane takes the butterfly."""
+    def apply(slots, den, table, forward):
+        return ({key: sb._butterfly(s, forward) for key, s in slots.items()},
+                den if forward else den << sb._pairs)
+
+    monkeypatch.setattr(sb, "_apply", apply)
+
+
+class TestButterfly:
+    """The butterfly of g(n,n) against the trace and unit tables, its oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_blade_through_both_forward_paths(self, n):
+        sb = nn_basis(n)
+        sb.mv_to_matrix(Multivector.zero(sb.sig))       # certify; the table has den 1
+        assert sb._extraction[1] == 1
+        for m in range(sb.sig.dim):
+            table = MvMatrix._of_sums(sb.dim, *scalars.apply_slots({KEY: {m: 1}}, 1,
+                                                                   sb._extraction))
+            fly = MvMatrix._of_sums(sb.dim, {KEY: sb._butterfly({m: 1}, True)}, 1)
+            assert fly == table == sb.mv_to_matrix(Multivector.blade(sb.sig, m))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_matrix_unit_through_both_backward_paths(self, n):
+        sb, size = nn_basis(n), 1 << n
+        for i in range(size):
+            for j in range(size):
+                unit = {KEY: {i * size + j: 1}}
+                table = Multivector._of_sums(sb.sig, *scalars.apply_slots(
+                    unit, 1, sb._split_units({0})))
+                fly = Multivector._of_sums(sb.sig, {KEY: sb._butterfly(unit[KEY], False)},
+                                           size)
+                assert fly == table == sb.E[i][j]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_forced_butterfly_matches_tables_on_seeded_inputs(self, n, monkeypatch):
+        # sparse and dense inputs, with the cost rule patched away, against
+        # a basis on the tables alone
+        ref = spectral_basis_nn(n)
+        ref._pairs = None
+        gs = [seeded_multivector(ref.sig, seed) for seed in range(5)] + \
+            [dense_multivector(ref.sig, seed) for seed in range(2)]
+        want = [(ref.mv_to_matrix(g), g) for g in gs]
+        sb = spectral_basis_nn(n)
+        all_on_the_butterfly(sb, monkeypatch)
+        for mat, g in want:
+            assert sb.mv_to_matrix(g) == mat
+            assert sb.matrix_to_mv(mat) == g
+        assert sb._plan is not None and ref._plan is None
+
+    def test_cost_rule_picks_each_lane(self, monkeypatch):
+        # g33, where a lane moves at more than 28 nonzeros: a full rational
+        # lane and a sqrt(2) lane of 3 blades, whose image has 3 * 2**3
+        sb = spectral_basis_nn(3)
+        g = Multivector(sb.sig, {m: Scalar.of(Fraction(m * m % 11 + 1, 3))
+                                 for m in range(64)}) + \
+            Multivector(sb.sig, {m: Scalar.sqrt(2, m - 2) for m in (1, 6, 40)})
+        lanes = []
+        fly = SpectralBasis._butterfly
+
+        def spy(self, slot, forward):
+            lanes.append((forward, len(slot)))
+            return fly(self, slot, forward)
+
+        monkeypatch.setattr(SpectralBasis, "_butterfly", spy)
+        mat = sb.mv_to_matrix(g)
+        assert mat == trace_form(sb, g)
+        assert sb.matrix_to_mv(mat) == g
+        assert len(mat.slots[(2, False)]) == 24 and len(mat.slots[KEY]) > 28
+        assert lanes == [(True, 64), (False, len(mat.slots[KEY]))]
+
+    @pytest.mark.parametrize("n, most", [(3, 28), (4, 66)])
+    def test_lane_moves_past_the_break_even(self, n, most, monkeypatch):
+        # nnz 2**n multiply-adds against n 4**n additions plus the overhead
+        sb, lanes = nn_basis(n), []
+        fly = SpectralBasis._butterfly
+
+        def spy(self, slot, forward):
+            lanes.append(len(slot))
+            return fly(self, slot, forward)
+
+        monkeypatch.setattr(SpectralBasis, "_butterfly", spy)
+        for nnz in (most, most + 1):
+            g = Multivector(sb.sig, {m: Scalar.of(m + 1) for m in range(nnz)})
+            assert sb.mv_to_matrix(g) == trace_form(sb, g)
+        assert lanes == [most + 1]
+
+    @pytest.mark.parametrize("name", ["g11", "g22", "g44", "g13", "g13new", "pauli",
+                                      "hand-bordered"])
+    def test_sparse_inputs_and_other_bases_stay_on_the_tables(self, name, monkeypatch):
+        def refuse(self, slot, forward):
+            raise AssertionError("the butterfly ran")
+
+        sb = reference_subset_basis(2) if name == "hand-bordered" else fresh_basis(name)
+        monkeypatch.setattr(SpectralBasis, "_butterfly", refuse)
+        gs = [seeded_multivector(sb.sig, seed) for seed in range(5)]
+        if name != "g44":
+            gs += [dense_multivector(sb.sig, seed) for seed in range(2)]
+        for g in gs:
+            assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
+        assert sb._plan is None
+
+    def test_dense_input_certified_before_its_coordinates(self, monkeypatch):
+        # the butterfly needs no trace table, but mv_to_matrix still runs
+        # the certificate; matrix_to_mv builds neither table
+        p = nn_basis(3)
+        g = dense_multivector(p.sig, 0)
+        mat = p.mv_to_matrix(g)
+
+        def refuse(self, *args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(SpectralBasis, "_build_extraction", refuse)
+        monkeypatch.setattr(SpectralBasis, "_split_units", refuse)
+        sb = spectral_basis_nn(3)
+        assert sb.matrix_to_mv(mat) == g
+        with pytest.raises(AssertionError, match="table was built"):
+            sb.mv_to_matrix(g)
+
+    def test_plan_built_once(self, monkeypatch):
+        sb = spectral_basis_nn(3)
+        g = dense_multivector(sb.sig, 1)
+        sb.matrix_to_mv(sb.mv_to_matrix(g))
+        plan = sb._plan
+        assert plan is not None
+
+        def refuse(self):
+            raise AssertionError("the plan was built again")
+
+        monkeypatch.setattr(SpectralBasis, "_build_plan", refuse)
+        assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
+        assert sb._plan is plan
+
+    def test_non_product_family_rejected(self):
+        # rows and columns 1 and 2 swapped: still matrix units, so the
+        # certificate passes, but E[0][1] = u b2 is no product of pair factors
+        b = nn_basis(3)
+        order = [0, 2, 1, 3, 4, 5, 6, 7]
+        sb = SpectralBasis([b.rows[k] for k in order], b.center, [b.cols[k] for k in order])
+        sb._pairs = 3
+        g = dense_multivector(sb.sig, 0)
+        with pytest.raises(ExtractorUnavailableError, match=r"E\[0\]\[1\]"):
+            sb.mv_to_matrix(g)
+        assert sb._extraction is not None and sb._plan is None
