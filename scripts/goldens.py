@@ -10,7 +10,9 @@ stderr also leaves `<name>.err` with its exit code and stderr.  The set:
   - `verify --suite all` as text and as JSON for seeds 0 and 1;
   - `generate` of every object, variant and size in json, latex and csv;
   - `convert mv2mat` of a dense Q(j) + sqrt(2) multivector, then
-    `convert mat2mv` of that matrix, for all six algebras.
+    `convert mat2mv` of that matrix, for all six algebras;
+  - the same pair for a sparse one, three blades including the top one,
+    whose lanes stay on the coordinate tables of g33 and g44 both ways.
 
 Two trees produce the same output exactly when `diff -r` of their OUTDIRs
 is empty.  Only the standard library is used.
@@ -67,6 +69,18 @@ def dense_multivector(squares: list[int]) -> dict:
     return {"signature": squares, "terms": terms}
 
 
+def sparse_multivector(squares: list[int]) -> dict:
+    """Blades 1, top - 1 and top, each with a rational, a j and a sqrt(2)
+    part that vary by mask: at most 3 2**n nonzeros per lane of its matrix."""
+    m = len(squares)
+    top = (1 << m) - 1
+    terms = [{"blade": [i for i in range(m) if mask >> i & 1],
+              "coeff": [{"d": 1, "re": f"{mask % 5 + 1}/3", "im": str(mask % 3 + 1)},
+                        {"d": 2, "re": f"{mask % 7 + 1}/4"}]}
+             for mask in (1, top - 1, top)]
+    return {"signature": squares, "terms": terms}
+
+
 def run(outdir: Path, name: str, argv: list[str], stdin: str = "") -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("WITTKIT_SEED", None)
@@ -79,12 +93,12 @@ def run(outdir: Path, name: str, argv: list[str], stdin: str = "") -> str:
     return proc.stdout if proc.returncode == 0 else ""
 
 
-def convert_pair(outdir: Path, algebra: str) -> None:
-    mv = json.dumps(dense_multivector(ALGEBRAS[algebra]))
-    mat = run(outdir, f"convert-{algebra}-mv2mat.json",
+def convert_pair(outdir: Path, algebra: str, stem: str, build) -> None:
+    mv = json.dumps(build(ALGEBRAS[algebra]))
+    mat = run(outdir, f"{stem}-mv2mat.json",
               ["convert", "mv2mat", "--algebra", algebra], mv)
     if mat:
-        run(outdir, f"convert-{algebra}-mat2mv.json",
+        run(outdir, f"{stem}-mat2mv.json",
             ["convert", "mat2mv", "--algebra", algebra], mat)
 
 
@@ -101,7 +115,10 @@ def main() -> int:
     with ThreadPoolExecutor(max_workers=2) as pool:
         futures = [pool.submit(run, outdir, name, argv)
                    for name, argv in jobs.items()]
-        futures += [pool.submit(convert_pair, outdir, a) for a in ALGEBRAS]
+        futures += [pool.submit(convert_pair, outdir, a, f"convert-{a}", dense_multivector)
+                    for a in ALGEBRAS]
+        futures += [pool.submit(convert_pair, outdir, a, f"convert-{a}-sparse",
+                                sparse_multivector) for a in ALGEBRAS]
         for f in futures:
             f.result()
     print(f"wrote {len(list(outdir.iterdir()))} files to {outdir}")

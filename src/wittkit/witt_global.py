@@ -14,32 +14,31 @@ normalized trace, so the (i, j) coordinate of g is x_ij = n <E[j][i] g>_0
 central unit).  A coordinate matrix stores blade t of entry (i, j) at the
 index (t n + i) n + j of integer slots over one denominator: MvMatrix is the
 scalar case t = 0 and CentralMatrix carries the central blade too, so each
-coordinate map is one scalars.apply_slots and builds no Scalar.  Each
-basis certifies once that its family really is a complete set of matrix
-units before mv_to_matrix reads any coordinates; see
+coordinate map is one scalars.apply_slots and builds no Scalar.  A basis
+certifies once that its family really is a complete set of matrix units
+before mv_to_matrix reads any coordinates; see
 SpectralBasis._build_extraction.  matrix_to_mv only expands sum x_ij E_ij
 and needs no certificate.  Inputs and basis entries may carry radicals.
 
-The basis of g(n,n) that spectral_basis_nn builds has a second, exact
-evaluation of both maps.  Its pairs sit on disjoint generators, so each
-E[I][J] is a signed product s(I, J) w_1 ... w_n of one g(1,1) unit per
-pair, w_k = u, a_k, b_k or a_k b_k by bit k of I and J, and each map is
-a Kronecker product of n copies of one 4 x 4 sign matrix: n radix-4
-butterfly stages per slot lane, with a signed index map between pair
-digits and flat indices.  A lane of nnz numerators takes the butterfly
-when nnz 2**n multiply-adds on the table would cost more than n 4**n
-additions and a fixed overhead on the butterfly; sparser lanes, every
-lane of g(1,1) and g(2,2), and every other basis stay on the tables,
-which are the butterfly's oracle.  The signs
-are checked against the slots of every E[I][J] before the butterfly
-first runs; see SpectralBasis._build_plan.
+The basis of g(n,n) that spectral_basis_nn builds needs neither E nor the
+certificate.  Its pairs sit on disjoint generators, so E[I][J] is a signed
+product s(I, J) w_1 ... w_n of one g(1,1) unit per pair (w_k = u, a_k, b_k
+or a_k b_k by bit k of I and J), with s(I, J) = (-1)^(C(|J|, 2) + #{l < k :
+I_k = 1, J_l = 1}), the sign that reorders a_I (ascending) u b_J
+(descending) into pair order.  SpectralBasis._build_plan builds both tables
+and the butterfly from it; tests/test_witt_global.py checks all three
+against those derived from E at n = 1..4, every size spectral_basis_nn
+builds.  Each map is a Kronecker product of n 4 x 4 sign matrices, run as n
+radix-4 butterfly stages on a slot lane where nnz 2**n table multiply-adds
+would cost more (see _lane_limit); other lanes and bases use the tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, mul, sub
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
@@ -252,6 +251,9 @@ class CentralMatrix(_SlotMatrix):
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise DimensionMismatchError("matrix must be square")
+        # matrix_to_mv reads only these two blades of an entry
+        if any(t and t != e.sig.dim - 1 for row in entries for e in row for t in e.terms):
+            raise ValueError("a central matrix entry has only a scalar and a pseudoscalar part")
         self.slots, self.den = split_slots({(t * n + i) * n + j: c
                                             for i, row in enumerate(entries)
                                             for j, e in enumerate(row)
@@ -336,6 +338,8 @@ class SpectralBasis:
                  row_labels=None, col_labels=None):
         if len(rows) != len(cols):
             raise DimensionMismatchError("row and column borders must have equal length")
+        if {x.sig.squares for x in (*rows, *cols)} - {center.sig.squares}:
+            raise SignatureMismatchError("the borders and the center belong to different algebras")
         self.sig = center.sig
         self.rows = list(rows)
         self.cols = list(cols)
@@ -343,14 +347,17 @@ class SpectralBasis:
         self.central_unit = central_unit
         self.row_labels = list(row_labels) if row_labels else None
         self.col_labels = list(col_labels) if col_labels else None
-        # each row product r_i * center once; same left-to-right order as gp_chain
-        self.E = [[gp(rc, c) for c in self.cols]
-                  for rc in (gp(r, center) for r in self.rows)]
-        self._extraction = None
-        self._units = None
-        self._unit_blades = set()     # the blades t that _units covers
+        self._extraction = None       # the trace table, for mv_to_matrix
+        self._units = None            # the unit table, for matrix_to_mv
         self._pairs = None            # n for the basis of g(n,n) that spectral_basis_nn built
-        self._plan = None             # its butterfly's signed index map, built on first use
+        self._plan = None             # its butterfly's signed index map
+
+    @cached_property
+    def E(self) -> list[list[Multivector]]:
+        """The matrix units, built on first read: each row product r_i *
+        center once, in the same left-to-right order as gp_chain."""
+        return [[gp(rc, c) for c in self.cols]
+                for rc in (gp(r, self.center) for r in self.rows)]
 
     @property
     def dim(self) -> int:
@@ -449,31 +456,22 @@ class SpectralBasis:
         """x_ij = n <E_ji g>_0, plus n <E_ji g>_t on a central unit's blade t."""
         if g.sig.squares != self.sig.squares:
             raise SignatureMismatchError("multivector belongs to a different algebra")
-        if self._extraction is None:
-            self._build_extraction()
-        sums, den = self._apply(g.slots, g.den, lambda: self._extraction, True)
+        sums, den = self._apply(g.slots, g.den, True)
         if self.central_unit is None:
             return MvMatrix._of_sums(self.dim, sums, den)
         return CentralMatrix._of_sums(self.dim, sums, den, self.sig)
 
-    def _split_units(self, blades: set[int]):
-        """The products t E_ij for every blade t in blades (and every blade
-        asked for before), split by split_map with the row index
-        (t n + i) n + j; blade 0 gives E_ij itself.
-
-        The products are fixed per basis, so they are split once, for every
-        blade seen so far, when a new blade appears.  No certificate is needed
-        to expand sum x_ij E_ij, so this never builds the trace table.
-        """
-        if not blades <= self._unit_blades:
-            n = self.dim
-            self._unit_blades |= blades
-            self._units = split_map({
-                (t * n + i) * n + j: (u if t == 0 else
-                                      gp(Multivector.blade(self.sig, t), u)).terms
-                for t in self._unit_blades
-                for i, row in enumerate(self.E) for j, u in enumerate(row)})
-        return self._units
+    def _split_units(self):
+        """The products t E_ij, split once by split_map with the row index
+        (t n + i) n + j, for blade t = 0 (E_ij itself) and, over a central
+        unit, its blade.  No certificate is needed to expand sum x_ij E_ij,
+        so this never builds the trace table."""
+        n = self.dim
+        self._units = split_map({
+            (t * n + i) * n + j: (u if t == 0 else
+                                  gp(Multivector.blade(self.sig, t), u)).terms
+            for t in (0, *(self.central_unit.terms if self.central_unit else ()))
+            for i, row in enumerate(self.E) for j, u in enumerate(row)})
 
     def matrix_to_mv(self, mat) -> Multivector:
         """sum x_ij E_ij; a central entry x_ij contributes x_ij E_ij as a
@@ -483,32 +481,30 @@ class SpectralBasis:
             raise SignatureMismatchError("matrix entries belong to a different ring")
         if mat.dim != self.dim:
             raise DimensionMismatchError("matrix size does not match basis dimension")
-        # blade t of entry (i, j) sits at index (t n + i) n + j, the row of t E_ij
-        nn = self.dim * self.dim
-        sums, den = self._apply(mat.slots, mat.den, lambda: self._split_units(
-            {idx // nn for slot in mat.slots.values() for idx in slot} | {0}), False)
+        sums, den = self._apply(mat.slots, mat.den, False)
         return Multivector._of_sums(self.sig, sums, den)
 
     # -- the butterfly of g(n,n) -------------------------------------------
 
-    def _apply(self, slots: dict, den: int, table, forward: bool):
-        """apply_slots(slots, den, table()), the forward (mv_to_matrix) or
-        backward (matrix_to_mv) map, with every lane of a g(n,n) basis that
-        is longer than _lane_limit(n) run through the butterfly instead.
-
-        The plan certifies that every E_ij is +-2**-n times integers on the
-        one key (1, False), so the trace table has den 1 and the unit table
-        den 2**n, the dens the butterfly sums over: lanes of either path join.
-        """
-        n = self._pairs
-        limit = None if n is None else _lane_limit(n)
-        fast = limit is not None and [key for key, s in slots.items() if len(s) > limit]
-        if not fast:
-            return apply_slots(slots, den, table())
-        lanes = {key: self._butterfly(slots[key], forward) for key in fast}
-        slow = {key: s for key, s in slots.items() if key not in lanes}
-        acc, den = apply_slots(slow, den, table()) if slow else \
-            ({}, den if forward else den << n)
+    def _apply(self, slots: dict, den: int, forward: bool):
+        """apply_slots of the trace table (forward, mv_to_matrix) or the unit
+        table (backward, matrix_to_mv), with every lane of a g(n,n) basis
+        that is longer than _lane_limit(n) run through the butterfly instead.
+        Its tables have den 1 and den 2**n, the dens the butterfly sums
+        over, so lanes of either path join.  A table is built on first use:
+        from the closed form on a g(n,n) basis, else from E."""
+        if self._pairs and self._plan is None:
+            self._build_plan()
+        elif forward and self._extraction is None:
+            self._build_extraction()
+        elif not forward and self._units is None:
+            self._split_units()
+        table = self._extraction if forward else self._units
+        limit = _lane_limit(self._pairs) if self._pairs else None
+        lanes = {key: self._butterfly(s, forward) for key, s in slots.items()
+                 if limit is not None and len(s) > limit}
+        acc, den = apply_slots({key: s for key, s in slots.items() if key not in lanes},
+                               den, table)
         acc.update(lanes)
         return acc, den
 
@@ -517,7 +513,7 @@ class SpectralBasis:
         reads blade masks and writes flat indices, the backward map reads
         flat indices and writes blade masks with every sum 2**n times too
         large.  Zero sums are kept, for reduce_slots."""
-        flats, signs = self._plan or self._build_plan()
+        flats, signs = self._plan
         get = slot.get
         if forward:                      # blade mask -> pair digits
             v = list(map(get, range(len(flats)), repeat(0)))
@@ -528,33 +524,35 @@ class SpectralBasis:
         return dict(zip(flats, map(mul, signs, v)) if forward else enumerate(v))
 
     def _build_plan(self):
-        """The signed index map of the butterfly: for every pair-digit index
-        C (I_k in bit 2k, J_k in bit 2k+1) the flat index I N + J and the
-        sign s(I, J) with E[I][J] = s(I, J) prod_k w_k, w_k the factor of
-        _FACTORS for digit k of C on generators e_k, f_k.  The product runs
-        up the pairs, so its blades need no reordering: it is 2**-n times
-        the sign product on the masks sum_k d_k 4**k.  Every E[I][J] is
-        checked against it, slot for slot, from its integer slots.
+        """Both tables and the butterfly's signed index map of the basis of
+        g(n,n), from s(I, J) (see the module docstring): no E and no gp.
+
+        For each pair-digit index C (I_k in bit 2k, J_k in bit 2k+1) the
+        product of the _FACTORS of its digits runs up the pairs, so its
+        blades need no reordering: it is 2**n E[I][J] / s(I, J) on the
+        masks sum_k d_k 4**k, the unit table's row of I N + J over den 2**n.
+        The 4 x 4 matrix of _FACTORS is symmetric and squares to 2, so the
+        inverse, the trace table, is the same signed product over den 1.
         """
         n, size = self._pairs, self.dim
         flats, signs = [0] * size * size, [0] * size * size
+        trace, units = {}, {}
         for i, j in product(range(size), range(size)):
-            want, c = {0: 1}, 0
+            word, c = {0: 1}, 0
             for k in range(n):
                 digit = (i >> k & 1) | (j >> k & 1) << 1
                 c |= digit << 2 * k
-                want = {m | d << 2 * k: s * t for m, s in want.items()
+                word = {m | d << 2 * k: s * t for m, s in word.items()
                         for d, t in _FACTORS[digit]}
-            e = self.E[i][j]
-            slot = e.slots.get((1, False), {})
-            sign = slot.get(min(want), 0)
-            if sign not in (1, -1) or e.den != size or len(e.slots) != 1 or \
-                    slot != {m: sign * s for m, s in want.items()}:
-                raise ExtractorUnavailableError(
-                    f"E[{i}][{j}] is not a signed product of the pair factors")
-            flats[c], signs[c] = i * size + j, sign
+            parity = comb(j.bit_count(), 2) + sum(
+                (j & (1 << k) - 1).bit_count() for k in range(n) if i >> k & 1)
+            flat, sign = i * size + j, -1 if parity & 1 else 1
+            flats[c], signs[c] = flat, sign
+            for m, v in word.items():
+                trace.setdefault(m, []).append((flat, sign * v))
+                units.setdefault(flat, []).append((m, sign * v))
         self._plan = flats, signs
-        return self._plan
+        self._extraction, self._units = ({(1, False): trace}, 1), ({(1, False): units}, size)
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)

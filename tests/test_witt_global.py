@@ -341,6 +341,15 @@ class TestIsomorphism:
         with pytest.raises(SignatureMismatchError):
             sb.mv_to_matrix(Multivector.generator(g3(), 0))
 
+    def test_borders_from_another_algebra_rejected(self):
+        # E is built on first read, so the constructor compares signatures
+        sb, other = spectral_basis_nn(1), Multivector.scalar(g3(), 1)
+        for rows, center, cols in (([other, sb.rows[1]], sb.center, sb.cols),
+                                   (sb.rows, sb.center, [sb.cols[0], other]),
+                                   (sb.rows, other, sb.cols)):
+            with pytest.raises(SignatureMismatchError):
+                SpectralBasis(rows, center, cols)
+
     def test_scalar_maps_to_scaled_identity(self):
         sb = spectral_basis_nn(2)
         g = Multivector.scalar(sb.sig, Fraction(3, 7))
@@ -506,6 +515,12 @@ class TestCentralMatrix:
         x = sb.matrix_to_mv(mat)
         assert sb.mv_to_matrix(x) == mat
         assert sb.matrix_to_mv(sb.mv_to_matrix(x)) == x
+
+    def test_non_central_entry_rejected(self):
+        # matrix_to_mv would drop the e1 part, so the constructor refuses it
+        sig, zero = g3(), Multivector.zero(g3())
+        with pytest.raises(ValueError, match="pseudoscalar part"):
+            CentralMatrix([[Multivector.generator(sig, 0), zero], [zero, zero]])
 
     def test_slot_layout(self):
         sig = g3()
@@ -796,9 +811,52 @@ KEY = (1, False)                        # the lane of rational numerators
 nn_basis = cache(spectral_basis_nn)
 
 
+@cache
+def e_derived(n):
+    """g(n,n) bordered from its Witt pairs but not marked as spectral_basis_nn
+    marks it, so both its tables are derived from E (the trace table behind
+    the certificate): the oracle of the closed form."""
+    w = make_global_witt(n)
+    ref = spectral_basis_from_pairs(w.a, w.b)
+    ref._build_extraction()
+    ref._split_units()
+    return ref
+
+
+def plan_from_E(sb, n):
+    """The butterfly's signed index map read off E: every E[I][J] is checked,
+    slot for slot, to be s(I, J) 2**-n times the product of the pair factors
+    of witt_global._FACTORS, and s(I, J) is taken from its lowest blade."""
+    size = 1 << n
+    flats, signs = [0] * size * size, [0] * size * size
+    for i in range(size):
+        for j in range(size):
+            want, c = {0: 1}, 0
+            for k in range(n):
+                digit = (i >> k & 1) | (j >> k & 1) << 1
+                c |= digit << 2 * k
+                want = {m | d << 2 * k: s * t for m, s in want.items()
+                        for d, t in witt_global._FACTORS[digit]}
+            e = sb.E[i][j]
+            sign = e.slots[KEY][min(want)]
+            assert sign in (1, -1) and e.den == size and len(e.slots) == 1
+            assert e.slots[KEY] == {m: sign * s for m, s in want.items()}, (i, j)
+            flats[c], signs[c] = i * size + j, sign
+    return flats, signs
+
+
+def sorted_rows(table):
+    """A split table with every row sorted, and its den."""
+    split, den = table
+    return {key: {k: sorted(row) for k, row in rows.items()}
+            for key, rows in split.items()}, den
+
+
 def all_on_the_butterfly(sb, monkeypatch):
     """Patch the cost rule away on sb: every lane takes the butterfly."""
-    def apply(slots, den, table, forward):
+    sb._build_plan()
+
+    def apply(slots, den, forward):
         return ({key: sb._butterfly(s, forward) for key, s in slots.items()},
                 den if forward else den << sb._pairs)
 
@@ -806,35 +864,45 @@ def all_on_the_butterfly(sb, monkeypatch):
 
 
 class TestButterfly:
-    """The butterfly of g(n,n) against the trace and unit tables, its oracle."""
+    """The closed-form tables and butterfly of g(n,n) against the tables
+    derived from E, their oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_matches_E(self, n):
+        # the same signs, and the same table rows over the same den
+        sb, ref = spectral_basis_nn(n), e_derived(n)
+        sb._build_plan()
+        assert sb._plan == plan_from_E(ref, n)
+        assert sorted_rows(sb._extraction) == sorted_rows(ref._extraction)
+        assert sorted_rows(sb._units) == sorted_rows(ref._units)
+        assert "E" not in vars(sb)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_blade_through_both_forward_paths(self, n):
-        sb = nn_basis(n)
-        sb.mv_to_matrix(Multivector.zero(sb.sig))       # certify; the table has den 1
-        assert sb._extraction[1] == 1
+        sb, ref = nn_basis(n), e_derived(n)
+        sb.mv_to_matrix(Multivector.zero(sb.sig))       # builds the tables
         for m in range(sb.sig.dim):
             table = MvMatrix._of_sums(sb.dim, *scalars.apply_slots({KEY: {m: 1}}, 1,
                                                                    sb._extraction))
             fly = MvMatrix._of_sums(sb.dim, {KEY: sb._butterfly({m: 1}, True)}, 1)
-            assert fly == table == sb.mv_to_matrix(Multivector.blade(sb.sig, m))
+            assert fly == table == ref.mv_to_matrix(Multivector.blade(sb.sig, m))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_matrix_unit_through_both_backward_paths(self, n):
-        sb, size = nn_basis(n), 1 << n
+        sb, ref, size = nn_basis(n), e_derived(n), 1 << n
+        sb.matrix_to_mv(MvMatrix.identity(size))        # builds the tables
         for i in range(size):
             for j in range(size):
                 unit = {KEY: {i * size + j: 1}}
-                table = Multivector._of_sums(sb.sig, *scalars.apply_slots(
-                    unit, 1, sb._split_units({0})))
+                table = Multivector._of_sums(sb.sig, *scalars.apply_slots(unit, 1, sb._units))
                 fly = Multivector._of_sums(sb.sig, {KEY: sb._butterfly(unit[KEY], False)},
                                            size)
-                assert fly == table == sb.E[i][j]
+                assert fly == table == ref.E[i][j]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_forced_butterfly_matches_tables_on_seeded_inputs(self, n, monkeypatch):
         # sparse and dense inputs, with the cost rule patched away, against
-        # a basis on the tables alone
+        # a basis on the tables derived from E alone
         ref = spectral_basis_nn(n)
         ref._pairs = None
         gs = [seeded_multivector(ref.sig, seed) for seed in range(5)] + \
@@ -846,6 +914,27 @@ class TestButterfly:
             assert sb.mv_to_matrix(g) == mat
             assert sb.matrix_to_mv(mat) == g
         assert sb._plan is not None and ref._plan is None
+
+    def test_maps_call_no_gp_and_build_no_E(self, monkeypatch):
+        # sparse lanes on the closed-form tables, dense ones on the butterfly
+        ref = e_derived(4)
+        gs = [seeded_multivector(ref.sig, seed) for seed in range(3)] + \
+            [dense_multivector(ref.sig, 0)]
+        want = [(ref.mv_to_matrix(g), g) for g in gs]
+        sb = spectral_basis_nn(4)
+
+        def refuse(*args):
+            raise AssertionError("gp or an E-derived table ran")
+
+        monkeypatch.setattr(witt_global, "gp", refuse)
+        monkeypatch.setattr(SpectralBasis, "_build_extraction", refuse)
+        monkeypatch.setattr(SpectralBasis, "_split_units", refuse)
+        for mat, g in want:
+            assert sb.mv_to_matrix(g) == mat
+            assert sb.matrix_to_mv(mat) == g
+        assert "E" not in vars(sb)
+        with pytest.raises(AssertionError, match="gp or"):
+            sb.E                                        # the patch is live
 
     def test_cost_rule_picks_each_lane(self, monkeypatch):
         # g33, where a lane moves at more than 28 nonzeros: a full rational
@@ -897,24 +986,8 @@ class TestButterfly:
             gs += [dense_multivector(sb.sig, seed) for seed in range(2)]
         for g in gs:
             assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
-        assert sb._plan is None
-
-    def test_dense_input_certified_before_its_coordinates(self, monkeypatch):
-        # the butterfly needs no trace table, but mv_to_matrix still runs
-        # the certificate; matrix_to_mv builds neither table
-        p = nn_basis(3)
-        g = dense_multivector(p.sig, 0)
-        mat = p.mv_to_matrix(g)
-
-        def refuse(self, *args):
-            raise AssertionError("a table was built")
-
-        monkeypatch.setattr(SpectralBasis, "_build_extraction", refuse)
-        monkeypatch.setattr(SpectralBasis, "_split_units", refuse)
-        sb = spectral_basis_nn(3)
-        assert sb.matrix_to_mv(mat) == g
-        with pytest.raises(AssertionError, match="table was built"):
-            sb.mv_to_matrix(g)
+        # a g(n,n) basis builds its plan with its tables; no other basis has one
+        assert (sb._plan is None) == (sb._pairs is None)
 
     def test_plan_built_once(self, monkeypatch):
         sb = spectral_basis_nn(3)
@@ -929,15 +1002,3 @@ class TestButterfly:
         monkeypatch.setattr(SpectralBasis, "_build_plan", refuse)
         assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
         assert sb._plan is plan
-
-    def test_non_product_family_rejected(self):
-        # rows and columns 1 and 2 swapped: still matrix units, so the
-        # certificate passes, but E[0][1] = u b2 is no product of pair factors
-        b = nn_basis(3)
-        order = [0, 2, 1, 3, 4, 5, 6, 7]
-        sb = SpectralBasis([b.rows[k] for k in order], b.center, [b.cols[k] for k in order])
-        sb._pairs = 3
-        g = dense_multivector(sb.sig, 0)
-        with pytest.raises(ExtractorUnavailableError, match=r"E\[0\]\[1\]"):
-            sb.mv_to_matrix(g)
-        assert sb._extraction is not None and sb._plan is None
