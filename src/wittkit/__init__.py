@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "scalars": "Scalar",
     "ga": "Signature Multivector g_nn g_1n g3 g13 gp wedge sym_dot reverse grade_project "
-          "gp_chain wedge_chain anticommutator",
+          "gp_chain wedge_chain anticommutator anticommutator_relations",
     "witt_global": "GlobalWitt make_global_witt check_duality_relations SpectralBasis "
                    "spectral_basis_nn MvMatrix CentralMatrix",
     "omega": "OmegaMatrix OmegaVariant omega gram_check det_omega bareiss_det fast_apply",
@@ -31,7 +31,7 @@ _HOMES = {
                   "hadamard_identification pseudoscalar_identity no_identification_g12 "
                   "complex_identification_g22 NegativeSearchReport C8Table "
                   "c8_complex_table c8_tabulated_coefficients",
-    "dirac": "DiracFrame DiracIdempotents DiracRep NewDiracData dirac_frame "
+    "dirac": "DiracFrame DiracIdempotents NewDiracData dirac_frame "
              "dirac_idempotents idempotent_orders_agree intertwining_relations "
              "dirac_spectral_standard dirac_spectral_new new_witt_pair new_border_form "
              "new_rep_extra_matrices gamma_anticommutation_check pseudoscalar_anticommutes "

@@ -12,15 +12,20 @@ frame bivectors, and a new one, spectral_basis_from_pairs on the nilpotent
 pairs (g0 -+ g3)/2 and (j g2 +- g1)/2 of gammas: the g(2,2) bordering of
 subset words, transported by that (27)-style pairing.  Pauli is the same
 bordering of the one pair (e1 +- e1 e3)/2 over the center of g(3).
+
+The gammas are an orthonormal frame: gamma_anticommutation_check checks
+their anticommutator table 2 diag(1, -1, -1, -1) with
+ga.anticommutator_relations, and the same table on the coordinate
+matrices of either representation, named by the same rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
-from .ga import Multivector, g3, g13, g_nn, gp, gp_chain, null_pair
+from .ga import (Multivector, anticommutator_relations, g3, g13, g_nn, gp, gp_chain,
+                 null_pair, relation_name)
 from .scalars import Scalar
 from .witt_global import CentralMatrix, MvMatrix, SpectralBasis, spectral_basis_from_pairs
 
@@ -103,23 +108,11 @@ def pauli_spectral() -> tuple[SpectralBasis, list[CentralMatrix]]:
     return sb, mats
 
 
-@dataclass
-class ImpostorReport:
-    """Outcome of swapping the central blade i for the scalar j in [e2]."""
-
-    equals_true_matrix: bool      # impostor vs the real [e2]
-    true_product_ok: bool         # [e2][f] = [e2 f]
-    impostor_product_ok: bool     # impostor [f] = [e2 f]
-
-    @property
-    def demonstrates_breakage(self) -> bool:
-        return (not self.equals_true_matrix and self.true_product_ok
-                and not self.impostor_product_ok)
-
-
-def pauli_impostor_check() -> ImpostorReport:
-    """The j-entried lookalike of [e2] is not a g(3) coordinate matrix."""
-    sb, mats = pauli_spectral()
+def pauli_impostor_check(sb: SpectralBasis, mats: list[CentralMatrix]) -> list[str]:
+    """The j-entried lookalike of [e2] = mats[1] is not a g(3) coordinate
+    matrix on the Pauli basis sb: the failing ones of impostor != [e2],
+    [e2] [f] = [e2 f] and impostor [f] != [e2 f], by name; empty when the
+    swap of the central blade i for the scalar j breaks the product."""
     sig = sb.sig
     e2 = Multivector.generator(sig, 1)
     f = gp(Multivector.generator(sig, 0), Multivector.generator(sig, 2))
@@ -128,11 +121,12 @@ def pauli_impostor_check() -> ImpostorReport:
     impostor = CentralMatrix([[zero, -pj], [pj, zero]])
     f_mat = sb.mv_to_matrix(f)
     product = sb.mv_to_matrix(gp(e2, f))            # = -i as a multivector
-    return ImpostorReport(
-        equals_true_matrix=impostor == mats[1],
-        true_product_ok=mats[1].matmul(f_mat) == product,
-        impostor_product_ok=impostor.matmul(f_mat) == product,
-    )
+    rels = [
+        ("impostor != [e2]", impostor != mats[1]),
+        ("[e2] [f] = [e2 f]", mats[1].matmul(f_mat) == product),
+        ("impostor [f] != [e2 f]", impostor.matmul(f_mat) != product),
+    ]
+    return [name for name, held in rels if not held]
 
 
 def g11_embedding_check() -> bool:
@@ -238,34 +232,18 @@ def new_rep_extra_matrices(data: NewDiracData) -> dict[str, MvMatrix]:
     return out
 
 
-class DiracRep(str, Enum):
-    STANDARD = "standard"
-    NEW = "new"
-
-
-def gamma_anticommutation_check(rep: DiracRep | str) -> list[str]:
-    """The failing ones of {g_mu, g_nu} = 2 eta_{mu nu}, each at multivector
-    and matrix level, by name; empty when all hold."""
-    if DiracRep(rep) is DiracRep.STANDARD:
-        sb, mats = dirac_spectral_standard()
-        fr = dirac_frame()
-    else:
-        d = dirac_spectral_new()
-        sb, mats, fr = d.basis, d.gamma_mats, d.frame
-    sig = fr.gammas[0].sig
-    eta = [1, -1, -1, -1]
-    rels = []
+def gamma_anticommutation_check(gammas: list[Multivector], mats: list[MvMatrix]) -> list[str]:
+    """The failing relations of the table 2 diag(eta), eta = (1, -1, -1, -1),
+    of the gammas and then of their coordinate matrices mats, by name (the
+    matrices labelled [g0]..[g3]); empty when all hold."""
+    gram = [[2 * q if mu == nu else 0 for nu in range(4)]
+            for mu, q in enumerate((1, -1, -1, -1))]
+    boxed = [f"[g{mu}]" for mu in range(4)]
     ident = MvMatrix.identity(4)
-    for mu in range(4):
-        for nu in range(mu, 4):
-            want = 2 * eta[mu] if mu == nu else 0
-            mv_ok = (gp(fr.gammas[mu], fr.gammas[nu])
-                     + gp(fr.gammas[nu], fr.gammas[mu])
-                     == Multivector.scalar(sig, want))
-            mat = mats[mu].matmul(mats[nu]) + mats[nu].matmul(mats[mu])
-            mat_ok = mat == ident.scale(want)
-            rels.append((f"{{g{mu}, g{nu}}} = {want}", mv_ok and mat_ok))
-    return [name for name, held in rels if not held]
+    return anticommutator_relations(gammas, [f"g{mu}" for mu in range(4)], gram) + [
+        relation_name(boxed, mu, nu, gram[mu][nu])
+        for mu in range(4) for nu in range(mu, 4)
+        if mats[mu].matmul(mats[nu]) + mats[nu].matmul(mats[mu]) != ident.scale(gram[mu][nu])]
 
 
 def pseudoscalar_anticommutes(frame: DiracFrame) -> bool:

@@ -14,6 +14,10 @@ runs on ints: ``+``, ``-`` and ``scale`` are scalars.combine_slots, and
 scalars.key_product and run the blade loop on plain ints, with signs read
 from a cached row per left blade.  to_json renders the slots; ``terms:
 dict[mask, Scalar]``, for LaTeX, ``str`` and callers, is built on first read.
+
+anticommutator_relations checks a family against its Gram matrix of
+anticommutators x_i x_k + x_k x_i: [[0, I], [I, 0]] for a global pair
+a_1..a_n, b_1..b_n, J - I for a local family, 2 diag(eta) for a frame.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .errors import NotAVectorError, RangeError, SignatureMismatchError
+from .errors import DimensionMismatchError, NotAVectorError, RangeError, SignatureMismatchError
 from .scalars import (Key, Scalar, _is_int, combine_slots, join_signed, join_slots,
                       json_slots, key_product, reduce_slots, split_slots)
 
@@ -446,6 +450,31 @@ def wedge_chain(vs) -> Multivector:
 
 def anticommutator(x: Multivector, y: Multivector) -> Multivector:
     return gp(x, y) + gp(y, x)
+
+
+def relation_name(labels, i: int, k: int, g) -> str:
+    """The name of entry (i, k) of an anticommutator table: x^2 = g/2 on the
+    diagonal, else x y anticommute when g is 0 and x y + y x = g otherwise."""
+    x, y = labels[i], labels[k]
+    if i == k:
+        return f"{x}^2 = {Fraction(g, 2)}"
+    return f"{x} {y} + {y} {x} = {g}" if g else f"{x} {y} anticommute"
+
+
+def anticommutator_relations(family, labels, gram) -> list[str]:
+    """The failing relations of the anticommutator table gram of family, row
+    by row and named by relation_name: x_i x_k + x_k x_i = gram[i][k] for
+    i < k and x_i^2 = gram[i][i]/2; empty when all hold.  An empty family,
+    or labels or a Gram matrix of another size, raises
+    DimensionMismatchError rather than leaving a relation untested."""
+    n = len(family)
+    if not n or len(labels) != n or len(gram) != n or any(len(row) != n for row in gram):
+        raise DimensionMismatchError("an anticommutator table needs a nonempty family "
+                                     "and one label, Gram row and Gram column per vector")
+    return [relation_name(labels, i, k, gram[i][k])
+            for i, x in enumerate(family) for k in range(i, n)
+            if (gp(x, x) != Fraction(gram[i][i], 2) if i == k
+                else anticommutator(x, family[k]) != gram[i][k])]
 
 
 def null_pair(e: Multivector, f: Multivector) -> tuple[Multivector, Multivector]:

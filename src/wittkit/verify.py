@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dirac import (DiracRep, dirac_frame, dirac_idempotents,
+from .dirac import (dirac_frame, dirac_idempotents,
                     dirac_spectral_new, dirac_spectral_standard,
                     g11_embedding_check, gamma_anticommutation_check,
                     idempotent_orders_agree, intertwining_relations,
@@ -512,10 +512,10 @@ def suite_dirac(seed: int = 0, samples: int = 100) -> VerifyReport:
                       and extra["b2"] == extra["a2"].transpose()))
     checks.append(_ck("dirac-new-restframe", "rest-frame coordinate matrices",
                       [extra[f"e{k}"] for k in (1, 2, 3)] == _NEW_REST))
-    for rep in (DiracRep.STANDARD, DiracRep.NEW):
-        checks.append(_ck_relations(f"dirac-anticommutation-{rep.value}",
+    for name, gamma_mats in (("standard", mats), ("new", nd.gamma_mats)):
+        checks.append(_ck_relations(f"dirac-anticommutation-{name}",
                                     "metric anticommutation table",
-                                    gamma_anticommutation_check(rep),
+                                    gamma_anticommutation_check(fr.gammas, gamma_mats),
                                     "all 16 pairs, multivector and matrix level"))
     rng = random.Random(seed)
     for name, basis in (("standard", sb), ("new", nd.basis)):
@@ -549,11 +549,10 @@ def suite_pauli(seed: int = 0, samples: int = 100) -> VerifyReport:
     e2 = Multivector.generator(sig, 1)
     checks.append(_ck("pauli-f-identity", "bivector factorization",
                       f == -gp(iota, e2)))
-    imp = pauli_impostor_check()
-    checks.append(_ck("pauli-impostor",
-                      "central blade is not the scalar imaginary",
-                      imp.demonstrates_breakage,
-                      "j-entried lookalike fails the product test"))
+    checks.append(_ck_relations("pauli-impostor",
+                                "central blade is not the scalar imaginary",
+                                pauli_impostor_check(sb, mats),
+                                "j-entried lookalike fails the product test"))
     checks.append(_ck("pauli-embedding", "subalgebra embedding",
                       g11_embedding_check(), "all 16 basis products"))
     pairs = _sample_pairs(sig, random.Random(seed), samples, complex_=True)

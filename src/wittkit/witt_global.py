@@ -2,7 +2,9 @@
 multivector <-> coordinate-matrix isomorphism.
 
 A globally dual pair consists of nilpotent vectors a_1..a_n, b_1..b_n in the
-neutral algebra g(n,n) with a_i*b_j + b_j*a_i = delta_ij.  Bordering the
+neutral algebra g(n,n) with a_i*b_j + b_j*a_i = delta_ij: the family a, b
+has the anticommutator table [[0, I], [I, 0]], which check_duality_relations
+checks with ga.anticommutator_relations.  Bordering the
 product of the n idempotents b_i*a_i with subset words in the a's (rows) and
 b's (columns) yields a complete family of matrix units E[i][j], which turns
 the 4**n dimensional algebra into the full 2**n x 2**n matrix algebra over
@@ -43,8 +45,8 @@ from operator import add, mul, sub
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
-from .ga import (Multivector, Signature, _blade_product, blade_product, g_nn, gp,
-                 gp_chain, null_pair, sym_dot)
+from .ga import (Multivector, Signature, _blade_product, anticommutator_relations,
+                 blade_product, g_nn, gp, gp_chain, null_pair)
 from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
                       json_slots, pmatrix, reduce_slots, split_map, split_slots)
 
@@ -307,25 +309,14 @@ def make_global_witt(n: int) -> GlobalWitt:
 
 
 def check_duality_relations(a: list[Multivector], b: list[Multivector]) -> list[str]:
-    """The failing relations among nilpotency, in-family anticommutation and
-    a_i.b_j = delta_ij/2, by name; empty when the pair is dual."""
-    rels = []
-    one = Multivector.scalar(a[0].sig, 1)
-    zero = Multivector.zero(a[0].sig)
-    for label, fam in (("a", a), ("b", b)):
-        for i, v in enumerate(fam, 1):
-            rels.append((f"{label}{i}^2 = 0", gp(v, v) == zero))
-    for label, fam in (("a", a), ("b", b)):
-        for i in range(len(fam)):
-            for k in range(i + 1, len(fam)):
-                rels.append((f"{label}{i+1} {label}{k+1} anticommute",
-                             gp(fam[i], fam[k]) + gp(fam[k], fam[i]) == zero))
-    for i, ai in enumerate(a, 1):
-        for k, bk in enumerate(b, 1):
-            want = one if i == k else zero
-            rels.append((f"2 a{i}.b{k} = {'1' if i == k else '0'}",
-                         sym_dot(ai, bk).scale(2) == want))
-    return [name for name, held in rels if not held]
+    """The failing relations of the Gram table [[0, I], [I, 0]] of a_1..a_n,
+    b_1..b_n (nilpotency, in-family anticommutation, a_i b_k + b_k a_i =
+    delta_ik), by name; empty when the pair is dual.  A b family of another
+    length than a raises DimensionMismatchError."""
+    n = len(a)
+    gram = [[int(abs(i - k) == n) for k in range(2 * n)] for i in range(2 * n)]
+    labels = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(1, len(b) + 1)]
+    return anticommutator_relations([*a, *b], labels, gram)
 
 
 # -- spectral basis --------------------------------------------------------

@@ -1,7 +1,10 @@
 """Locally dual nilpotent families c_1..c_m and their frame identifications.
 
 Local duality means every distinct pair anticommutes to exactly 1:
-c_i c_j + c_j c_i = 1, c_i^2 = 0.  Any such family generates the Lorentz
+c_i c_j + c_j c_i = 1, c_i^2 = 0, the anticommutator table J - I.  An
+orthonormal frame has the table 2 diag(eta) of its squares eta.  Both are
+checked by ga.anticommutator_relations, in check_local_relations and
+check_frame_relations.  Any locally dual family generates the Lorentz
 algebra g(1, m-1): e_1 = c_1+c_2, f_1 = c_1-c_2, and for k >= 2
 
     f_k = alpha_k (C_k - (k-1) c_{k+1}),   alpha_k = -sqrt(2)/sqrt(k(k-1)),
@@ -22,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import RangeError, UnsupportedError
-from .ga import (Multivector, Signature, anticommutator, g_1n, gp, gp_chain,
-                 null_pair, wedge_chain)
+from .ga import (Multivector, Signature, anticommutator, anticommutator_relations,
+                 g_1n, gp, gp_chain, null_pair, wedge_chain)
 from .omega import OmegaVariant, omega
 from .scalars import Scalar, pmatrix
 
@@ -34,14 +37,6 @@ def alpha_coeff(k: int) -> Scalar:
         raise RangeError("alpha_k is defined for k >= 2")
     t = k * (k - 1)
     return Scalar.sqrt(2 * t, coeff=Fraction(-1, t))
-
-
-def inv_alpha_coeff(k: int) -> Scalar:
-    if k < 2:
-        raise RangeError("alpha_k is defined for k >= 2")
-    t = k * (k - 1)
-    # t is even, so t/2 is an integer radicand
-    return -Scalar.sqrt(t // 2)
 
 
 @dataclass
@@ -63,25 +58,20 @@ def make_local_witt(m: int) -> LocalWitt:
         for v in c[1:k]:
             ck_sum = ck_sum + v
         fk = Multivector.generator(sig, k)
-        nxt = (ck_sum - fk.scale(inv_alpha_coeff(k))).scale(Fraction(1, k - 1))
-        c.append(nxt)
+        c.append((ck_sum - fk / alpha_coeff(k)).scale(Fraction(1, k - 1)))
     return LocalWitt(m, sig, c)
 
 
 def check_local_relations(w: LocalWitt) -> list[str]:
-    """The failing relations among c_i^2 = 0, every distinct pair
-    anticommuting to 1 and a nonzero top wedge, by name; empty when all hold."""
-    rels = []
-    one = Multivector.scalar(w.sig, 1)
-    zero = Multivector.zero(w.sig)
-    for i, v in enumerate(w.c, 1):
-        rels.append((f"c{i}^2 = 0", gp(v, v) == zero))
-    for i in range(w.m):
-        for k in range(i + 1, w.m):
-            rels.append((f"c{i+1} c{k+1} + c{k+1} c{i+1} = 1",
-                         anticommutator(w.c[i], w.c[k]) == one))
-    rels.append((f"c1^...^c{w.m} != 0", bool(wedge_chain(w.c))))
-    return [name for name, held in rels if not held]
+    """The failing relations of the Gram table J - I of c_1..c_m (c_i^2 = 0,
+    every distinct pair anticommuting to 1) and a nonzero top wedge, by
+    name; empty when all hold.  A family of other than w.m vectors raises
+    DimensionMismatchError."""
+    gram = [[int(i != k) for k in range(w.m)] for i in range(w.m)]
+    failing = anticommutator_relations(w.c, [f"c{i}" for i in range(1, len(w.c) + 1)], gram)
+    if not wedge_chain(w.c):
+        failing.append(f"c1^...^c{w.m} != 0")
+    return failing
 
 
 def ef_from_c(w: LocalWitt) -> list[Multivector]:
@@ -102,20 +92,15 @@ def ef_from_c(w: LocalWitt) -> list[Multivector]:
 def check_frame_relations(frame: list[Multivector],
                           squares: list[int],
                           labels: list[str] | None = None) -> list[str]:
-    """The failing relations among pairwise anticommutation and the
-    prescribed generator squares, by name; empty when all hold."""
+    """The failing relations of the Gram table 2 diag(squares) of frame
+    (prescribed squares, pairwise anticommutation), by name; empty when
+    all hold.  squares or labels of another length than frame raise
+    DimensionMismatchError."""
     if labels is None:
         labels = [f"v{i+1}" for i in range(len(frame))]
-    rels = []
-    zero = Multivector.zero(frame[0].sig)
-    for v, q, name in zip(frame, squares, labels):
-        rels.append((f"{name}^2 = {q}",
-                     gp(v, v) == Multivector.scalar(v.sig, q)))
-    for i in range(len(frame)):
-        for k in range(i + 1, len(frame)):
-            rels.append((f"{labels[i]} {labels[k]} anticommute",
-                         anticommutator(frame[i], frame[k]) == zero))
-    return [name for name, held in rels if not held]
+    gram = [[2 * q if i == k else 0 for k in range(len(squares))]
+            for i, q in enumerate(squares)]
+    return anticommutator_relations(frame, labels, gram)
 
 
 # -- sign-matrix identifications -------------------------------------------

@@ -8,8 +8,9 @@ see the summary lines.
 import random
 import time
 
-from wittkit.dirac import (DiracRep, dirac_frame, dirac_idempotents,
-                           dirac_spectral_standard, gamma_anticommutation_check,
+from wittkit.dirac import (dirac_frame, dirac_idempotents,
+                           dirac_spectral_new, dirac_spectral_standard,
+                           gamma_anticommutation_check,
                            new_witt_pair, pauli_spectral)
 from wittkit.ga import Multivector, gp, reverse
 from wittkit.omega import bareiss_det, gram_check, omega
@@ -146,8 +147,8 @@ def test_criterion_08_dirac_and_pauli():
 
     _, a, b = new_witt_pair(fr)
     ok = ok and check_duality_relations(a, b) == []
-    ok = ok and gamma_anticommutation_check(DiracRep.STANDARD) == []
-    ok = ok and gamma_anticommutation_check(DiracRep.NEW) == []
+    ok = ok and gamma_anticommutation_check(fr.gammas, mats) == []
+    ok = ok and gamma_anticommutation_check(fr.gammas, dirac_spectral_new().gamma_mats) == []
 
     psb, pmats = pauli_spectral()
     pone = Multivector.scalar(psb.sig, 1)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from tests.conftest import bounded_fractions
-from wittkit.dirac import (DiracRep, dirac_frame, dirac_idempotents,
+from wittkit.dirac import (dirac_frame, dirac_idempotents,
                            dirac_spectral_new, dirac_spectral_standard,
                            g11_embedding_check, gamma_anticommutation_check,
                            idempotent_orders_agree, intertwining_relations,
@@ -127,7 +127,21 @@ class TestStandardRepresentation:
         assert sb.E == expected
 
     def test_anticommutation_table(self):
-        assert gamma_anticommutation_check(DiracRep.STANDARD) == []
+        _, mats = dirac_spectral_standard()
+        assert gamma_anticommutation_check(dirac_frame().gammas, mats) == []
+
+    def test_anticommutation_failures_named(self):
+        # [g1] + [g0] squares to 0 and anticommutes with [g0] to 2; j [g1]
+        # squares to +1 and still anticommutes with every other [g]
+        _, mats = dirac_spectral_standard()
+        gammas = dirac_frame().gammas
+        assert gamma_anticommutation_check(
+            gammas, [mats[0], mats[1] + mats[0], *mats[2:]]) == \
+            ["[g0] [g1] anticommute", "[g1]^2 = -1"]
+        assert gamma_anticommutation_check(
+            gammas, [mats[0], mats[1].scale(J), *mats[2:]]) == ["[g1]^2 = -1"]
+        assert gamma_anticommutation_check(
+            [gammas[0], gammas[1].scale(J), *gammas[2:]], mats) == ["g1^2 = -1"]
 
     @given(complex_mvs(g13()), complex_mvs(g13()))
     def test_homomorphism(self, g, h):
@@ -213,7 +227,8 @@ class TestNewRepresentation:
                                         [0, -J, 0, 0], [J, 0, 0, 0]])
 
     def test_anticommutation_table(self):
-        assert gamma_anticommutation_check(DiracRep.NEW) == []
+        d = dirac_spectral_new()
+        assert gamma_anticommutation_check(d.frame.gammas, d.gamma_mats) == []
 
     @given(complex_mvs(g13()), complex_mvs(g13()))
     def test_homomorphism(self, g, h):
@@ -250,25 +265,28 @@ class TestPauli:
         assert gp(iota, iota) == Multivector.scalar(sig, -1)
 
     def test_row_uses_bivector_e13(self):
-        # the off-diagonal border element is a = (e1 + e1 e3)/2; the grade-1
-        # duality checker does not apply to it, so check the products directly
+        # the off-diagonal border element is a = (e1 + e1 e3)/2, not a
+        # vector; the duality table does not ask for grade 1
         sb, _ = pauli_spectral()
         sig = sb.sig
-        one = Multivector.scalar(sig, 1)
-        zero = Multivector.zero(sig)
         e1 = Multivector.generator(sig, 0)
         e3 = Multivector.generator(sig, 2)
         a = (e1 + gp(e1, e3)).scale(HALF)
         b = (e1 - gp(e1, e3)).scale(HALF)
-        assert gp(a, a) == zero and gp(b, b) == zero
-        assert gp(a, b) + gp(b, a) == one
+        assert check_duality_relations([a], [b]) == []
 
     def test_impostor_breaks_product(self):
-        rep = pauli_impostor_check()
-        assert not rep.equals_true_matrix
-        assert rep.true_product_ok
-        assert not rep.impostor_product_ok
-        assert rep.demonstrates_breakage
+        assert pauli_impostor_check(*pauli_spectral()) == []
+
+    def test_impostor_check_names_an_impostor_basis(self):
+        # with the lookalike in place of [e2] the check fails, by name
+        sb, mats = pauli_spectral()
+        sig = sb.sig
+        zero = Multivector.zero(sig)
+        pj = Multivector.scalar(sig, J)
+        impostor = CentralMatrix([[zero, -pj], [pj, zero]])
+        assert pauli_impostor_check(sb, [mats[0], impostor, mats[2]]) == \
+            ["impostor != [e2]", "[e2] [f] = [e2 f]"]
 
     def test_embedding_into_g3(self):
         assert g11_embedding_check()

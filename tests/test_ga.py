@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 
 from tests.conftest import bounded_fractions
 from wittkit import ga
-from wittkit.errors import RangeError, SignatureMismatchError
+from wittkit.errors import DimensionMismatchError, RangeError, SignatureMismatchError
 from wittkit.ga import (MAX_GENERATORS, Multivector, Signature, anticommutator,
-                        blade_product, g3, g13, g_1n, g_nn, gp, gp_chain,
-                        grade_project, reverse, sym_dot, wedge, wedge_chain)
+                        anticommutator_relations, blade_product, g3, g13, g_1n, g_nn,
+                        gp, gp_chain, grade_project, reverse, sym_dot, wedge, wedge_chain)
 from wittkit.scalars import Scalar, join_slots
 
 SIG = g_nn(2)
@@ -338,6 +338,32 @@ class TestNullPair:
         zero = Multivector.zero(sig)
         assert (gp(a, a), gp(b, b)) == (zero, zero)
         assert anticommutator(a, b) == Multivector.scalar(sig, 1)
+
+
+class TestAnticommutatorRelations:
+    def test_names_follow_one_rule(self):
+        # x = y = e1 and z = e2 of g3: the entries x^2, x y and x z are
+        # wrong, one for each branch of the rule, and named row by row;
+        # the right ones y^2 = 1, y z and z^2 = 1 are not named
+        e1, e2 = (Multivector.generator(g3(), i) for i in range(2))
+        gram = [[0, 0, 1], [0, 2, 0], [1, 0, 2]]
+        assert anticommutator_relations([e1, e1, e2], ["x", "y", "z"], gram) == \
+            ["x^2 = 0", "x y anticommute", "x z + z x = 1"]
+
+    def test_diagonal_is_half_the_gram_entry(self):
+        e = Multivector.generator(g3(), 0).scale(Scalar.sqrt(3))
+        assert anticommutator_relations([e], ["e"], [[6]]) == []
+        assert anticommutator_relations([e], ["e"], [[3]]) == ["e^2 = 3/2"]
+
+    @pytest.mark.parametrize("family, labels, gram", [
+        ([], [], []),
+        ([Multivector.generator(g3(), 0)] * 2, ["x"], [[2, 0], [0, 2]]),
+        ([Multivector.generator(g3(), 0)] * 2, ["x", "y"], [[2, 0]]),
+        ([Multivector.generator(g3(), 0)] * 2, ["x", "y"], [[2], [0, 2]]),
+    ], ids=["empty", "labels", "rows", "columns"])
+    def test_table_of_another_size_rejected(self, family, labels, gram):
+        with pytest.raises(DimensionMismatchError):
+            anticommutator_relations(family, labels, gram)
 
 
 class TestAccessors:

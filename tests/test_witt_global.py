@@ -86,6 +86,24 @@ class TestGlobalPairs:
         w = make_global_witt(1)
         assert check_duality_relations(w.a, [w.b[0] + w.a[0]]) == ["b1^2 = 0"]
 
+    def test_perturbed_pair_fails_only_cross_relation(self):
+        # 2 b1 breaks only a1 b1 + b1 a1 = 1; b2 + b1 only a1 b2 anticommute
+        w = make_global_witt(2)
+        assert check_duality_relations(w.a, [w.b[0].scale(2), w.b[1]]) == \
+            ["a1 b1 + b1 a1 = 1"]
+        assert check_duality_relations(w.a, [w.b[0], w.b[1] + w.b[0]]) == \
+            ["a1 b2 anticommute"]
+
+    def test_incomplete_pair_rejected(self):
+        # b2 is missing: an unchecked a2 must not read as dual
+        w = make_global_witt(2)
+        with pytest.raises(DimensionMismatchError):
+            check_duality_relations(w.a, w.b[:1])
+
+    def test_empty_pair_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            check_duality_relations([], [])
+
     def test_pair_products_are_idempotents(self):
         w = make_global_witt(1)
         ab = gp(w.a[0], w.b[0])

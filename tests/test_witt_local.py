@@ -5,17 +5,17 @@ from fractions import Fraction
 import pytest
 
 from wittkit import ga, witt_local
-from wittkit.errors import RangeError, UnsupportedError
+from wittkit.errors import DimensionMismatchError, RangeError, UnsupportedError
 from wittkit.ga import Multivector, g_1n, gp, gp_chain, wedge_chain
 from wittkit.scalars import Scalar
 from wittkit.witt_global import check_duality_relations
-from wittkit.witt_local import (NegativeSearchReport, _rational_sqrt,
+from wittkit.witt_local import (LocalWitt, NegativeSearchReport, _rational_sqrt,
                                 alpha_coeff, c8_complex_table,
                                 c8_tabulated_coefficients,
                                 check_frame_relations, check_local_relations,
                                 complex_identification_g22, ef_from_c,
                                 hadamard_identification, hadamard_nilpotents,
-                                inv_alpha_coeff, make_local_witt,
+                                make_local_witt,
                                 no_identification_g12, pseudoscalar_identity)
 
 
@@ -80,6 +80,18 @@ class TestLocalFamilies:
         with pytest.raises(RangeError):
             make_local_witt(9)
 
+    def test_perturbed_family_fails_only_nilpotency(self):
+        # c2 -> c2 + c1 keeps c1 c2 + c2 c1 = 1 but breaks c2^2 = 0
+        w = make_local_witt(2)
+        bad = LocalWitt(2, w.sig, [w.c[0], w.c[1] + w.c[0]])
+        assert check_local_relations(bad) == ["c2^2 = 0"]
+
+    def test_short_family_rejected(self):
+        # c4 is missing: the family must not be checked as if m were 3
+        w = make_local_witt(4)
+        with pytest.raises(DimensionMismatchError):
+            check_local_relations(LocalWitt(4, w.sig, w.c[:3]))
+
     def test_cross_anticommutators_are_one(self):
         w = make_local_witt(5)
         one = Multivector.scalar(w.sig, 1)
@@ -104,7 +116,7 @@ class TestFrameRecovery:
         assert alpha_coeff(3) == Scalar.sqrt(3, coeff=Fraction(-1, 3))
         assert alpha_coeff(4) == Scalar.sqrt(6, coeff=Fraction(-1, 6))
         for k in range(2, 9):
-            assert alpha_coeff(k) * inv_alpha_coeff(k) == Scalar.of(1)
+            assert alpha_coeff(k).inv() == -Scalar.sqrt(k * (k - 1) // 2)
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_frame_equals_generators(self, m):
@@ -120,6 +132,12 @@ class TestFrameRecovery:
     def test_frame_checker_catches_wrong_square(self):
         frame = ef_from_c(make_local_witt(2))
         assert check_frame_relations(frame, [1, 1]) == ["v2^2 = 1"]
+
+    def test_frame_checker_needs_a_square_per_vector(self):
+        # f1's square is not given: it must not go unchecked
+        frame = ef_from_c(make_local_witt(2))
+        with pytest.raises(DimensionMismatchError):
+            check_frame_relations(frame, [1])
 
 
 class TestHadamardIdentification:
