@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 # each exported name by its home module; __all__ is this table in order
 _HOMES = {
     "scalars": "Scalar",
-    "ga": "Signature Multivector g_nn g_1n g3 g13 gp wedge sym_dot reverse grade_project "
+    "ga": "Signature Multivector g_nn g_1n g3 g13 gp wedge reverse grade_project "
           "gp_chain wedge_chain anticommutator anticommutator_relations",
     "witt_global": "GlobalWitt make_global_witt check_duality_relations SpectralBasis "
                    "spectral_basis_nn MvMatrix CentralMatrix",
@@ -37,7 +37,7 @@ _HOMES = {
              "new_rep_extra_matrices gamma_anticommutation_check pseudoscalar_anticommutes "
              "pauli_spectral pauli_impostor_check g11_embedding_check",
     "verify": "Check VerifyReport run_suite run_all",
-    "errors": "RangeError SignatureMismatchError NotAVectorError NonMonomialError "
+    "errors": "RangeError SignatureMismatchError NonMonomialError "
               "DimensionMismatchError ExtractorUnavailableError UnsupportedError",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

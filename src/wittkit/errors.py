@@ -9,10 +9,6 @@ class SignatureMismatchError(ValueError):
     """Operands built over different metric signatures."""
 
 
-class NotAVectorError(ValueError):
-    """Operation requires grade-1 operands."""
-
-
 class NonMonomialError(ValueError):
     """Scalar inversion is only defined for single-term elements."""
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul
 
-from .errors import DimensionMismatchError, NotAVectorError, RangeError, SignatureMismatchError
+from .errors import DimensionMismatchError, RangeError, SignatureMismatchError
 from .scalars import (Key, Scalar, _is_int, combine_slots, join_signed, join_slots,
                       json_slots, key_product, reduce_slots, split_slots)
 
@@ -129,10 +129,9 @@ def blade_product(mask_a: int, mask_b: int, sig: Signature) -> tuple[int, int]:
     return _blade_product(mask_a, mask_b, sig.squares)
 
 
-def _compat(x: "Multivector", y: "Multivector"):
-    if x.sig.squares != y.sig.squares:
-        raise SignatureMismatchError(
-            f"signatures differ: {x.sig.squares} vs {y.sig.squares}")
+def _compat(a: Signature, b: Signature):
+    if a.squares != b.squares:
+        raise SignatureMismatchError(f"signatures differ: {a.squares} vs {b.squares}")
 
 
 class Multivector:
@@ -190,14 +189,17 @@ class Multivector:
 
     @classmethod
     def combine(cls, sig: Signature, pairs) -> "Multivector":
-        """sum s * x over pairs (s, x) of exact scalars and multivectors of sig."""
+        """sum s * x over pairs (s, x) of exact scalars and multivectors of sig;
+        an x over other squares raises SignatureMismatchError."""
+        pairs = list(pairs)
+        for _, x in pairs:
+            _compat(sig, x.sig)
         return cls._of_sums(sig, *combine_slots((s, x.slots, x.den) for s, x in pairs))
 
     def __add__(self, other, sign=1):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        _compat(self, other)
         return Multivector.combine(self.sig, [(1, self), (sign, other)])
 
     __radd__ = __add__
@@ -388,7 +390,7 @@ def _sign_row(squares: tuple[int, ...], mask_a: int, outer: bool) -> tuple[int, 
 
 def _product(x: Multivector, y: Multivector, outer: bool) -> Multivector:
     """Blade-pair product of x and y on the integer slots of both operands."""
-    _compat(x, y)
+    _compat(x.sig, y.sig)
     squares = x.sig.squares
     acc: dict[Key, dict[int, int]] = {}
     for kx, x_slot in x.slots.items():
@@ -414,13 +416,6 @@ def gp(x: Multivector, y: Multivector) -> Multivector:
 def wedge(x: Multivector, y: Multivector) -> Multivector:
     """Outer product: the grade-raising part of the geometric product."""
     return _product(x, y, True)
-
-
-def sym_dot(x: Multivector, y: Multivector) -> Multivector:
-    """Symmetrized half product (x*y + y*x)/2 for grade-1 operands."""
-    if not (x.is_vector() and y.is_vector()):
-        raise NotAVectorError("sym_dot requires grade-1 operands")
-    return (gp(x, y) + gp(y, x)).scale(Fraction(1, 2))
 
 
 def reverse(x: Multivector) -> Multivector:

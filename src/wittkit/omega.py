@@ -8,8 +8,11 @@ Two intertwined families, "plain" and "minus", are defined on sizes 2**k:
 
 Both satisfy W W^T = 2**k * I, so they are scaled Hadamard matrices; they
 arise as the change-of-basis between an orthonormal frame and a null frame
-whose elements pairwise half-anticommute.  Small complex variants (entries
-in {1,-1,j,-j}) exist for k = 1, 2 and satisfy W W* = 2**k * I.
+whose elements pairwise half-anticommute.  The complex variants, built for
+k = 1, 2, are the real ones complexified on one row: complex-plain (-minus)
+is plain (minus) with row 1, the f1 row, times j, so W W* = 2**k * I still
+holds.  tests/test_omega.py checks this closed form against the literal
+matrices (TestLiterals, test_complex_is_real_with_j_on_row_1).
 
 The butterfly in fast_apply evaluates W @ x in O(k 2**k) integer additions:
 the entries are split once into integer slots over one denominator
@@ -56,24 +59,6 @@ def _real_pair(k: int):
         plain, minus = (_block(plain, minus, plain, neg_m),
                         _block(minus, plain, neg_p, minus))
     return plain, minus
-
-
-# j is encoded as the Scalar unit; the k = 1, 2 complex matrices are the only
-# members of the family (larger blocks would mix real and complex rows, and
-# the recursion no longer closes).
-def _complex_rows(k: int, variant: OmegaVariant):
-    one, j = Scalar.of(1), Scalar.j()
-    if k == 1:
-        if variant is OmegaVariant.COMPLEX_PLAIN:
-            return [[one, one], [j, -j]]
-        return [[one, one], [-j, j]]
-    c2p = [[one, one], [j, -j]]
-    c2m = [[one, one], [-j, j]]
-    r2p = [[one, one], [one, -one]]
-    r2m = [[one, one], [-one, one]]
-    if variant is OmegaVariant.COMPLEX_PLAIN:
-        return _block(c2p, c2m, r2p, [[-x for x in row] for row in r2m])
-    return _block(c2m, c2p, [[-x for x in row] for row in r2p], r2m)
 
 
 class OmegaMatrix:
@@ -151,9 +136,14 @@ def omega(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> OmegaMatr
         plain, minus = _real_pair(k)
         return OmegaMatrix(plain if variant is OmegaVariant.PLAIN else minus,
                            k, variant)
+    # the paper tabulates the complex family only at k = 1, 2
     if not 1 <= k <= 2:
         raise UnsupportedError("complex sign matrices exist only for k = 1, 2")
-    return OmegaMatrix(_complex_rows(k, variant), k, variant)
+    plain, minus = _real_pair(k)
+    rows = [[Scalar.of(x) for x in row]
+            for row in (plain if variant is OmegaVariant.COMPLEX_PLAIN else minus)]
+    rows[1] = [x * Scalar.j() for x in rows[1]]
+    return OmegaMatrix(rows, k, variant)
 
 
 def gram_check(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> bool:

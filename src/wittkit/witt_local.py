@@ -14,8 +14,10 @@ inverts: c_{k+1} = (C_k - f_k/alpha_k)/(k-1).
 
 For m = 4 and m = 8 there is a second, symmetric family: the frame itself
 is a scaled sign-matrix image of a locally dual family, with the sign
-matrices from the omega module.  No such identification exists for m = 3;
-no_identification_g12 proves that by exhaustion.
+matrices from the omega module.  Putting j on the f1 row of the m = 4 map
+gives signature (2,2) (complex_identification_g22).  No such
+identification exists for m = 3; no_identification_g12 proves that by
+exhaustion.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import RangeError, UnsupportedError
+from .errors import DimensionMismatchError, RangeError, UnsupportedError
 from .ga import (Multivector, Signature, anticommutator, anticommutator_relations,
                  g_1n, gp, gp_chain, null_pair, wedge_chain)
 from .omega import OmegaVariant, omega
@@ -122,6 +124,15 @@ class FrameMap:
     target_labels: list[str]
     expected_squares: list[int]
 
+    def __post_init__(self):
+        rows, width = len(self.signs), len(self.sources)
+        if (any(len(x) != rows for x in (self.scales, self.targets, self.target_labels,
+                                         self.expected_squares))
+                or any(len(x) != width for x in (*self.signs, self.source_labels))):
+            raise DimensionMismatchError(
+                "a frame map needs one scale, sign row, target, label and square per row, "
+                "and one sign and label per source")
+
     def row_combination(self, r: int) -> Multivector:
         return Multivector.combine(self.sources[0].sig, zip(self.signs[r], self.sources))
 
@@ -153,37 +164,25 @@ class FrameMap:
                 f"\\begin{{pmatrix}}{rhs}\\end{{pmatrix}}")
 
 
-def _hadamard_scales(k: int) -> list[Scalar]:
-    n = 1 << k
-    # row of ones squares to (n^2 - n)/2, zero-sum rows to -n/2
-    return [Scalar.sqrt(n * (n - 1) // 2)] + [Scalar.sqrt(n // 2)] * (n - 1)
-
-
-def hadamard_nilpotents(k: int) -> LocalWitt:
-    """Solve the sign-matrix system for the c's: c = (1/2^k) W^T (scaled frame)."""
+def hadamard_identification(k: int) -> FrameMap:
+    """The frame of g(1, 2^k - 1) as scaled sign combinations of nilpotents:
+    scales[r] frame[r] = sum_s W[r][s] c_s with W = omega(k, plain), solved
+    for the c's as c = (1/2^k) W^T (scaled frame)."""
     if k not in (2, 3):
         raise UnsupportedError("sign-matrix identifications exist for k = 2, 3")
     n = 1 << k
     sig = g_1n(n - 1)
     frame = [Multivector.generator(sig, i) for i in range(n)]
-    scales = _hadamard_scales(k)
+    # row of ones squares to (n^2 - n)/2, zero-sum rows to -n/2
+    scales = [Scalar.sqrt(n * (n - 1) // 2)] + [Scalar.sqrt(n // 2)] * (n - 1)
     w = omega(k, OmegaVariant.PLAIN).rows
-    scaled = [frame[r].scale(scales[r]) for r in range(n)]
+    scaled = [f.scale(s) for f, s in zip(frame, scales)]
     c = [Multivector.combine(sig, ((Fraction(w[r][i], n), scaled[r]) for r in range(n)))
          for i in range(n)]
-    return LocalWitt(n, sig, c)
-
-
-def hadamard_identification(k: int) -> FrameMap:
-    """The frame of g(1, 2^k - 1) as scaled sign combinations of nilpotents."""
-    lw = hadamard_nilpotents(k)
-    n = lw.m
-    frame = [Multivector.generator(lw.sig, i) for i in range(n)]
-    w = omega(k, OmegaVariant.PLAIN).rows
     fm = FrameMap(
-        scales=_hadamard_scales(k),
+        scales=scales,
         signs=[[Scalar.of(x) for x in row] for row in w],
-        sources=lw.c,
+        sources=c,
         targets=frame,
         source_labels=[f"c{i+1}" for i in range(n)],
         target_labels=["e1"] + [f"f{i}" for i in range(1, n)],
@@ -192,6 +191,12 @@ def hadamard_identification(k: int) -> FrameMap:
     if not fm.verify_rows():
         raise RuntimeError("sign-matrix identity failed to close")
     return fm
+
+
+def hadamard_nilpotents(k: int) -> LocalWitt:
+    """The locally dual family c_1..c_{2^k} of hadamard_identification(k)."""
+    fm = hadamard_identification(k)
+    return LocalWitt(len(fm.sources), fm.sources[0].sig, fm.sources)
 
 
 def pseudoscalar_identity() -> tuple[Multivector, Multivector]:
@@ -209,24 +214,15 @@ def pseudoscalar_identity() -> tuple[Multivector, Multivector]:
 
 
 def complex_identification_g22() -> FrameMap:
-    """Signature (2,2) from the complexified m=4 family: j on the f1 row."""
-    lw = hadamard_nilpotents(2)
-    sig = lw.sig
+    """Signature (2,2) from the complexified m=4 family: hadamard_identification(2)
+    with its f1 row times j, signs and target both, so f1 becomes jf1 with
+    square +1 and the signs become omega(2, complex-plain)."""
+    fm = hadamard_identification(2)
     j = Scalar.j()
-    frame = [Multivector.generator(sig, i) for i in range(4)]
-    targets = [frame[0], frame[1].scale(j), frame[2], frame[3]]
-    w = omega(2, OmegaVariant.COMPLEX_PLAIN)
-    fm = FrameMap(
-        scales=_hadamard_scales(2),
-        signs=[list(row) for row in w.rows],
-        sources=lw.c,
-        targets=targets,
-        source_labels=[f"c{i+1}" for i in range(4)],
-        target_labels=["e1", "jf1", "f2", "f3"],
-        expected_squares=[1, 1, -1, -1],
-    )
-    if not fm.verify_rows():
-        raise RuntimeError("sign-matrix identity failed to close")
+    fm.signs[1] = [x * j for x in fm.signs[1]]
+    fm.targets[1] = fm.targets[1].scale(j)
+    fm.target_labels[1] = "jf1"
+    fm.expected_squares[1] = 1
     return fm
 
 

@@ -10,7 +10,7 @@ from wittkit import ga
 from wittkit.errors import DimensionMismatchError, RangeError, SignatureMismatchError
 from wittkit.ga import (MAX_GENERATORS, Multivector, Signature, anticommutator,
                         anticommutator_relations, blade_product, g3, g13, g_1n, g_nn,
-                        gp, gp_chain, grade_project, reverse, sym_dot, wedge, wedge_chain)
+                        gp, gp_chain, grade_project, reverse, wedge, wedge_chain)
 from wittkit.scalars import Scalar, join_slots
 
 SIG = g_nn(2)
@@ -275,13 +275,13 @@ class TestProductStructure:
 
     @given(vectors(), vectors())
     def test_vector_product_splits(self, x, y):
-        # xy = x . y + x ^ y for vectors
-        assert gp(x, y) == sym_dot(x, y) + wedge(x, y)
+        # xy = x . y + x ^ y for vectors, with x . y = (xy + yx)/2
+        assert gp(x, y) == anticommutator(x, y).scale(Fraction(1, 2)) + wedge(x, y)
 
     @given(vectors(), vectors())
-    def test_sym_dot_symmetric_scalar(self, x, y):
-        d = sym_dot(x, y)
-        assert d == sym_dot(y, x)
+    def test_vector_anticommutator_symmetric_scalar(self, x, y):
+        d = anticommutator(x, y)
+        assert d == anticommutator(y, x)
         assert d.grades() in (set(), {0})
 
     @given(vectors())
@@ -326,6 +326,13 @@ class TestProductStructure:
     def test_signature_mismatch_raises(self):
         with pytest.raises(SignatureMismatchError):
             gp(Multivector.generator(g3(), 0), Multivector.generator(g13(), 0))
+
+    def test_combine_rejects_another_signature(self):
+        # a g3 blade summed into g11 would keep mask 4, out of range for 2 generators
+        with pytest.raises(SignatureMismatchError, match=r"signatures differ: \(1, -1\) vs \(1, 1, 1\)"):
+            Multivector.combine(g_nn(1), [(1, Multivector.generator(g3(), 2))])
+        with pytest.raises(SignatureMismatchError):
+            Multivector.generator(g_nn(1), 0) + Multivector.generator(g3(), 0)
 
 
 class TestNullPair:

@@ -30,6 +30,11 @@ class TestLiterals:
         assert omega(2, "minus").rows == [
             [1, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1]]
 
+    def test_k1_complex(self):
+        one = Scalar.of(1)
+        assert omega(1, "complex-plain").rows == [[one, one], [J, -J]]
+        assert omega(1, "complex-minus").rows == [[one, one], [-J, J]]
+
     def test_k2_complex(self):
         rows = omega(2, "complex-plain").rows
         assert rows[0] == [Scalar.of(1)] * 4
@@ -41,6 +46,15 @@ class TestLiterals:
         rows = omega(2, "complex-minus").rows
         assert rows[1] == [-J, J, J, -J]
         assert rows[2] == [Scalar.of(x) for x in (-1, -1, 1, 1)]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("variant,real", [("complex-plain", "plain"),
+                                              ("complex-minus", "minus")])
+    def test_complex_is_real_with_j_on_row_1(self, k, variant, real):
+        rows = omega(k, variant).rows
+        assert all(isinstance(x, Scalar) for row in rows for x in row)
+        assert rows == [[J * x if i == 1 else Scalar.of(x) for x in row]
+                        for i, row in enumerate(omega(k, real).rows)]
 
 
 class TestRecursion:

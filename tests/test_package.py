@@ -111,3 +111,28 @@ class TestSourceHygiene:
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                        if name not in used]
         assert unused == []
+
+    def test_every_private_definition_is_read(self):
+        # every module-level private name and private method is read in src/
+        trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+                 for path in sorted((SRC / "wittkit").glob("*.py"))}
+        read = {node.id if isinstance(node, ast.Name) else node.attr
+                for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))
+                and isinstance(node.ctx, ast.Load)}
+        defined = []
+        for name, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef):
+                    defined += [(name, f.lineno, f.name) for f in node.body
+                                if isinstance(f, ast.FunctionDef)]
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((name, node.lineno, node.name))
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    defined += [(name, node.lineno, t.id) for t in targets
+                                if isinstance(t, ast.Name)]
+        private = [d for d in defined if d[2].startswith("_") and not d[2].endswith("__")]
+        assert private
+        assert [f"{name}:{line} {ident}" for name, line, ident in private
+                if ident not in read] == []

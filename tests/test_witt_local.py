@@ -1,5 +1,6 @@
 """Local nilpotent families, sign-matrix identifications, and the rank-8 table."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from wittkit import ga, witt_local
 from wittkit.errors import DimensionMismatchError, RangeError, UnsupportedError
 from wittkit.ga import Multivector, g_1n, gp, gp_chain, wedge_chain
+from wittkit.omega import omega
 from wittkit.scalars import Scalar
 from wittkit.witt_global import check_duality_relations
 from wittkit.witt_local import (LocalWitt, NegativeSearchReport, _rational_sqrt,
@@ -275,6 +277,20 @@ class TestComplexIdentification:
         assert fm.expected_squares == [1, 1, -1, -1]
         assert fm.verify_frame() == []
 
+    def test_signs_are_the_complex_sign_matrix(self):
+        assert complex_identification_g22().signs == omega(2, "complex-plain").rows
+
+    def test_other_rows_are_the_real_identification(self):
+        fm, real = complex_identification_g22(), hadamard_identification(2)
+        assert fm.scales == real.scales
+        assert fm.sources == real.sources
+        for r in (0, 2, 3):
+            assert fm.signs[r] == real.signs[r]
+            assert fm.targets[r] == real.targets[r]
+            assert fm.target_labels[r] == real.target_labels[r]
+            assert fm.expected_squares[r] == real.expected_squares[r]
+        assert (fm.target_labels[1], fm.expected_squares[1]) == ("jf1", 1)
+
     def test_second_target_carries_j(self):
         fm = complex_identification_g22()
         sig = fm.targets[0].sig
@@ -339,6 +355,22 @@ class TestC8Table:
     def test_pairs_satisfy_global_duality(self):
         tab = c8_complex_table()
         assert check_duality_relations(tab.a, tab.b) == []
+
+
+class TestFrameMapShape:
+    # each map reuses hadamard_identification(2)'s fields with one of them resized
+    @pytest.mark.parametrize("field,resize", [
+        ("targets", lambda fm: fm.targets[:1]),            # rows 2 to 4 unchecked
+        ("signs", lambda fm: fm.signs + [fm.signs[0]]),    # a fifth sign row
+        ("scales", lambda fm: fm.scales[:2]),              # was an IndexError
+        ("signs", lambda fm: [row[:3] for row in fm.signs]),
+        ("source_labels", lambda fm: fm.source_labels[:3]),
+    ], ids=["one-target", "fifth-sign-row", "short-scales", "short-sign-rows",
+            "short-source-labels"])
+    def test_mismatched_sizes_rejected(self, field, resize):
+        fm = hadamard_identification(2)
+        with pytest.raises(DimensionMismatchError):
+            replace(fm, **{field: resize(fm)}).verify_rows()
 
 
 class TestFrameMapSerialization:
