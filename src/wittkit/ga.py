@@ -263,9 +263,6 @@ class Multivector:
     def grades(self) -> set[int]:
         return {m.bit_count() for m in self._masks()}
 
-    def is_vector(self) -> bool:
-        return all(m.bit_count() == 1 for m in self._masks())
-
     def scalar_part(self) -> Scalar:
         return self.coeff(0)
 

@@ -281,7 +281,7 @@ def suite_witt_local(seed: int = 0, samples: int = 100) -> VerifyReport:
     block = omega(3, OmegaVariant.PLAIN).rows
     checks.append(_ck("hadamard-k3-det", "block determinant",
                       bareiss_det(block) == -4096, "expected -2^12"))
-    lhs, rhs = pseudoscalar_identity()
+    lhs, rhs = pseudoscalar_identity(fm.sources)      # the k = 3 nilpotents
     checks.append(_ck("pseudoscalar-g17", "top-blade identity", lhs == rhs))
 
     fm = complex_identification_g22()

@@ -27,12 +27,15 @@ certificate.  Its pairs sit on disjoint generators, so E[I][J] is a signed
 product s(I, J) w_1 ... w_n of one g(1,1) unit per pair (w_k = u, a_k, b_k
 or a_k b_k by bit k of I and J), with s(I, J) = (-1)^(C(|J|, 2) + #{l < k :
 I_k = 1, J_l = 1}), the sign that reorders a_I (ascending) u b_J
-(descending) into pair order.  SpectralBasis._build_plan builds both tables
-and the butterfly from it; tests/test_witt_global.py checks all three
-against those derived from E at n = 1..4, every size spectral_basis_nn
-builds.  Each map is a Kronecker product of n 4 x 4 sign matrices, run as n
-radix-4 butterfly stages on a slot lane where nnz 2**n table multiply-adds
-would cost more (see _lane_limit); other lanes and bases use the tables.
+(descending) into pair order.  So each coordinate map is a Kronecker
+product of n 4 x 4 sign matrices, run as n radix-4 butterfly stages on a
+slot lane, and SpectralBasis._build_plan builds only the butterfly's signed
+index map from s(I, J).  A lane where nnz 2**n table multiply-adds cost
+less (see _lane_limit) reads table rows instead, each the butterfly's image
+of one unit lane, computed on its first read and cached on the basis.
+tests/test_witt_global.py::TestButterfly checks the map, every row of both
+tables and forced-butterfly round trips against E at n = 1..4, every size
+spectral_basis_nn builds.
 """
 
 from __future__ import annotations
@@ -52,12 +55,6 @@ from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
 
 
 # -- the butterfly of g(n,n) -----------------------------------------------
-
-# the factor w of a matrix unit of g(1,1) by its pair digit c = I + 2 J, as
-# 2 w written in blades (digit d: 1, e, f, ef for d = 0, 1, 2, 3):
-# u = b a = (1 + ef)/2, a = (e + f)/2, b = (e - f)/2, a b = (1 - ef)/2
-_FACTORS = (((0, 1), (3, 1)), ((1, 1), (2, 1)), ((1, 1), (2, -1)), ((0, 1), (3, -1)))
-
 
 # the fixed cost of a lane on the butterfly, in table multiply-adds: slicing
 # and rebuilding the lane n times took about 5 us, the time of some 30
@@ -81,10 +78,12 @@ def _lane_limit(n: int) -> int | None:
 
 def _stage(v: list) -> list:
     """One radix-4 stage: the lowest digit of every index, read as v[d::4],
-    goes through 1 -> u + ab, e -> a + b, f -> a - b, ef -> u - ab (the
-    matrix of _FACTORS, which is symmetric) and is written as the highest
-    digit, so after n stages every digit of a 4**n lane has been through it
-    once and is back in its place."""
+    goes through 1 -> u + ab, e -> a + b, f -> a - b, ef -> u - ab and is
+    written as the highest digit, so after n stages every digit of a 4**n
+    lane has been through it once and is back in its place.  The units of
+    g(1,1) are 2u = 2ba = 1 + ef, 2a = e + f, 2b = e - f, 2ab = 1 - ef, by
+    pair digit I + 2 J; this sign matrix is symmetric and squares to 2, so
+    one stage serves both maps, the backward one 2 times too large."""
     one, e, f, ef = v[0::4], v[1::4], v[2::4], v[3::4]
     return [*map(add, one, ef), *map(add, e, f), *map(sub, e, f), *map(sub, one, ef)]
 
@@ -214,7 +213,9 @@ class MvMatrix(_SlotMatrix):
     matmul = _SlotMatrix.matmul
 
     def transpose(self) -> "MvMatrix":
-        return MvMatrix([list(col) for col in zip(*self.entries)])
+        n = self.dim                     # entry i n + j moves to j n + i
+        return self._of_sums(n, {key: {idx % n * n + idx // n: v for idx, v in slot.items()}
+                                 for key, slot in self.slots.items()}, self.den)
 
     def to_json(self) -> dict:
         x, n = json_slots(self.slots, self.den), self.dim
@@ -479,23 +480,30 @@ class SpectralBasis:
 
     def _apply(self, slots: dict, den: int, forward: bool):
         """apply_slots of the trace table (forward, mv_to_matrix) or the unit
-        table (backward, matrix_to_mv), with every lane of a g(n,n) basis
-        that is longer than _lane_limit(n) run through the butterfly instead.
-        Its tables have den 1 and den 2**n, the dens the butterfly sums
-        over, so lanes of either path join.  A table is built on first use:
-        from the closed form on a g(n,n) basis, else from E."""
-        if self._pairs and self._plan is None:
+        table (backward, matrix_to_mv).  Another basis builds its table from
+        E on first use.  On the basis of g(n,n) every lane longer than
+        _lane_limit(n) runs through the butterfly, and a table holds only
+        the rows that shorter lanes have read: row k is the butterfly's
+        image of the unit lane {k: 1} without its zeros, cached on its first
+        read, over den 1 forward and den 2**n backward, the dens the
+        butterfly sums over, so lanes of either path join."""
+        n = self._pairs
+        if n and self._plan is None:
             self._build_plan()
         elif forward and self._extraction is None:
             self._build_extraction()
         elif not forward and self._units is None:
             self._split_units()
         table = self._extraction if forward else self._units
-        limit = _lane_limit(self._pairs) if self._pairs else None
+        limit = _lane_limit(n) if n else None
         lanes = {key: self._butterfly(s, forward) for key, s in slots.items()
                  if limit is not None and len(s) > limit}
-        acc, den = apply_slots({key: s for key, s in slots.items() if key not in lanes},
-                               den, table)
+        rest = {key: s for key, s in slots.items() if key not in lanes}
+        # scan for rows to cache only while some of the 4**n are missing
+        if n and len(rows := table[0][1, False]) < 1 << 2 * n:
+            for k in {k for s in rest.values() for k in s} - rows.keys():
+                rows[k] = [(i, v) for i, v in self._butterfly({k: 1}, forward).items() if v]
+        acc, den = apply_slots(rest, den, table)
         acc.update(lanes)
         return acc, den
 
@@ -515,35 +523,20 @@ class SpectralBasis:
         return dict(zip(flats, map(mul, signs, v)) if forward else enumerate(v))
 
     def _build_plan(self):
-        """Both tables and the butterfly's signed index map of the basis of
-        g(n,n), from s(I, J) (see the module docstring): no E and no gp.
-
-        For each pair-digit index C (I_k in bit 2k, J_k in bit 2k+1) the
-        product of the _FACTORS of its digits runs up the pairs, so its
-        blades need no reordering: it is 2**n E[I][J] / s(I, J) on the
-        masks sum_k d_k 4**k, the unit table's row of I N + J over den 2**n.
-        The 4 x 4 matrix of _FACTORS is symmetric and squares to 2, so the
-        inverse, the trace table, is the same signed product over den 1.
-        """
+        """The butterfly's signed index map of the basis of g(n,n), from
+        s(I, J) (see the module docstring): no E and no gp.  Pair-digit
+        index C (I_k in bit 2k, J_k in bit 2k+1) is entry I N + J of the
+        matrix with sign s(I, J).  Both tables start empty; _apply caches
+        their rows from the butterfly."""
         n, size = self._pairs, self.dim
         flats, signs = [0] * size * size, [0] * size * size
-        trace, units = {}, {}
         for i, j in product(range(size), range(size)):
-            word, c = {0: 1}, 0
-            for k in range(n):
-                digit = (i >> k & 1) | (j >> k & 1) << 1
-                c |= digit << 2 * k
-                word = {m | d << 2 * k: s * t for m, s in word.items()
-                        for d, t in _FACTORS[digit]}
+            c = sum(((i >> k & 1) | (j >> k & 1) << 1) << 2 * k for k in range(n))
             parity = comb(j.bit_count(), 2) + sum(
                 (j & (1 << k) - 1).bit_count() for k in range(n) if i >> k & 1)
-            flat, sign = i * size + j, -1 if parity & 1 else 1
-            flats[c], signs[c] = flat, sign
-            for m, v in word.items():
-                trace.setdefault(m, []).append((flat, sign * v))
-                units.setdefault(flat, []).append((m, sign * v))
+            flats[c], signs[c] = i * size + j, -1 if parity & 1 else 1
         self._plan = flats, signs
-        self._extraction, self._units = ({(1, False): trace}, 1), ({(1, False): units}, size)
+        self._extraction, self._units = ({(1, False): {}}, 1), ({(1, False): {}}, size)
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)

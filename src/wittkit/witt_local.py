@@ -199,17 +199,19 @@ def hadamard_nilpotents(k: int) -> LocalWitt:
     return LocalWitt(len(fm.sources), fm.sources[0].sig, fm.sources)
 
 
-def pseudoscalar_identity() -> tuple[Multivector, Multivector]:
+def pseudoscalar_identity(c: list[Multivector] | None = None) -> tuple[Multivector, Multivector]:
     """Both routes to the top blade of g(1,7).
 
     Returns (lhs, rhs) with lhs = 2^8 sqrt(7) e1 f1 .. f7 computed as a
     geometric product of the frame, rhs = -2^12 c1^..^c8 computed as a wedge
-    of the k=3 nilpotents; they are equal.
+    of the k=3 nilpotents c, the sources of hadamard_identification(3),
+    built here unless the caller passes them; they are equal.
     """
-    lw = hadamard_nilpotents(3)
-    frame = [Multivector.generator(lw.sig, i) for i in range(8)]
+    if c is None:
+        c = hadamard_nilpotents(3).c
+    frame = [Multivector.generator(c[0].sig, i) for i in range(8)]
     lhs = gp_chain(frame).scale(Scalar.sqrt(7, coeff=Fraction(256)))
-    rhs = wedge_chain(lw.c).scale(-4096)
+    rhs = wedge_chain(c).scale(-4096)
     return lhs, rhs
 
 

@@ -381,11 +381,6 @@ class TestAccessors:
         assert x.coeff(0b11) == Scalar.sqrt(2)
         assert x.coeff(0b1000).is_zero()
 
-    def test_is_vector(self):
-        assert Multivector.generator(SIG, 1).is_vector()
-        assert not gp(Multivector.generator(SIG, 0),
-                      Multivector.generator(SIG, 1)).is_vector()
-
     def test_str_names_blades(self):
         x = gp(Multivector.generator(SIG, 0), Multivector.generator(SIG, 1))
         assert "e1*f1" in str(x)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wittkit import verify
+from wittkit import verify, witt_local
 from wittkit.errors import RangeError
 from wittkit.ga import Multivector, g3, g13, g_nn
 from wittkit.scalars import Scalar
@@ -123,6 +123,20 @@ class TestFailingRows:
         row = next(c for c in rep.checks if c.check_id == "local-m3-frame")
         assert row.status == "FAIL"
         assert row.detail == "v2^2 = -1; frame = generators"
+
+    def test_witt_local_builds_the_k3_identification_once(self, monkeypatch):
+        # the top-blade row wedges the k = 3 nilpotents of the suite's own
+        # loop; k = 2 is built again by complex_identification_g22
+        built, build = [], witt_local.hadamard_identification
+
+        def spy(k):
+            built.append(k)
+            return build(k)
+
+        monkeypatch.setattr(verify, "hadamard_identification", spy)
+        monkeypatch.setattr(witt_local, "hadamard_identification", spy)
+        rep = run_suite("witt-local", seed=0, samples=1)
+        assert rep.ok and sorted(built) == [2, 2, 3]
 
     def test_roundtrip_tested_when_homomorphism_fails(self, monkeypatch):
         # a wrong product fails the homomorphism row first; the round trip

@@ -708,6 +708,16 @@ class TestMvMatrix:
         m = MvMatrix([[1, 2], [3, 4]])
         assert m.transpose() == MvMatrix([[1, 3], [2, 4]])
 
+    @settings(max_examples=30)
+    @given(st.integers(min_value=1, max_value=4).flatmap(square_matrices))
+    def test_transpose_on_slots_matches_entries(self, a):
+        # index i n + j moved to j n + i, against the transpose of the entries
+        got = MvMatrix(a).transpose()
+        assert got._entries is None                     # no entry was built
+        want = MvMatrix([list(col) for col in zip(*a)])
+        assert (got.dim, got.den, got.slots) == (want.dim, want.den, want.slots)
+        assert got.entries == want.entries
+
     def test_add_scale(self):
         m = MvMatrix([[1, 0], [0, 1]])
         assert m + m == m.scale(2)
@@ -826,14 +836,18 @@ class TestSlotForm:
 
 
 KEY = (1, False)                        # the lane of rational numerators
-nn_basis = cache(spectral_basis_nn)
+
+# the unit w of g(1,1) by its pair digit I + 2 J, as 2 w written in blades
+# (digit d: 1, e, f, ef for d = 0, 1, 2, 3): u = b a = (1 + ef)/2,
+# a = (e + f)/2, b = (e - f)/2, a b = (1 - ef)/2
+PAIR_UNITS = (((0, 1), (3, 1)), ((1, 1), (2, 1)), ((1, 1), (2, -1)), ((0, 1), (3, -1)))
 
 
 @cache
 def e_derived(n):
     """g(n,n) bordered from its Witt pairs but not marked as spectral_basis_nn
     marks it, so both its tables are derived from E (the trace table behind
-    the certificate): the oracle of the closed form."""
+    the certificate): the oracle of the butterfly's rows."""
     w = make_global_witt(n)
     ref = spectral_basis_from_pairs(w.a, w.b)
     ref._build_extraction()
@@ -843,8 +857,8 @@ def e_derived(n):
 
 def plan_from_E(sb, n):
     """The butterfly's signed index map read off E: every E[I][J] is checked,
-    slot for slot, to be s(I, J) 2**-n times the product of the pair factors
-    of witt_global._FACTORS, and s(I, J) is taken from its lowest blade."""
+    slot for slot, to be s(I, J) 2**-n times the product of the PAIR_UNITS of
+    its pair digits, and s(I, J) is taken from its lowest blade."""
     size = 1 << n
     flats, signs = [0] * size * size, [0] * size * size
     for i in range(size):
@@ -854,7 +868,7 @@ def plan_from_E(sb, n):
                 digit = (i >> k & 1) | (j >> k & 1) << 1
                 c |= digit << 2 * k
                 want = {m | d << 2 * k: s * t for m, s in want.items()
-                        for d, t in witt_global._FACTORS[digit]}
+                        for d, t in PAIR_UNITS[digit]}
             e = sb.E[i][j]
             sign = e.slots[KEY][min(want)]
             assert sign in (1, -1) and e.den == size and len(e.slots) == 1
@@ -863,11 +877,10 @@ def plan_from_E(sb, n):
     return flats, signs
 
 
-def sorted_rows(table):
-    """A split table with every row sorted, and its den."""
-    split, den = table
-    return {key: {k: sorted(row) for k, row in rows.items()}
-            for key, rows in split.items()}, den
+def cached_rows(sb, forward):
+    """The rows sb's trace table (forward) or unit table holds, sorted."""
+    rows, den = sb._extraction if forward else sb._units
+    return {k: sorted(row) for k, row in rows[KEY].items()}, den
 
 
 def all_on_the_butterfly(sb, monkeypatch):
@@ -881,41 +894,72 @@ def all_on_the_butterfly(sb, monkeypatch):
     monkeypatch.setattr(sb, "_apply", apply)
 
 
+def spy_lanes(monkeypatch):
+    """The lanes given to SpectralBasis._butterfly from now on, as
+    (forward, nnz)."""
+    lanes, fly = [], SpectralBasis._butterfly
+
+    def spy(self, slot, forward):
+        lanes.append((forward, len(slot)))
+        return fly(self, slot, forward)
+
+    monkeypatch.setattr(SpectralBasis, "_butterfly", spy)
+    return lanes
+
+
 class TestButterfly:
-    """The closed-form tables and butterfly of g(n,n) against the tables
-    derived from E, their oracle."""
+    """The butterfly of g(n,n) and the table rows it caches against the
+    tables derived from E, their oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closed_form_matches_E(self, n):
-        # the same signs, and the same table rows over the same den
+        # the same signs, and both tables empty until a lane reads them
         sb, ref = spectral_basis_nn(n), e_derived(n)
         sb._build_plan()
         assert sb._plan == plan_from_E(ref, n)
-        assert sorted_rows(sb._extraction) == sorted_rows(ref._extraction)
-        assert sorted_rows(sb._units) == sorted_rows(ref._units)
+        assert cached_rows(sb, True) == ({}, 1) and cached_rows(sb, False) == ({}, 1 << n)
         assert "E" not in vars(sb)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_blade_through_both_forward_paths(self, n):
-        sb, ref = nn_basis(n), e_derived(n)
-        sb.mv_to_matrix(Multivector.zero(sb.sig))       # builds the tables
+        # one blade at a time, each a lane the table takes: the rows it
+        # caches are the rows of the trace table derived from E
+        sb, ref = spectral_basis_nn(n), e_derived(n)
         for m in range(sb.sig.dim):
-            table = MvMatrix._of_sums(sb.dim, *scalars.apply_slots({KEY: {m: 1}}, 1,
-                                                                   sb._extraction))
+            want = ref.mv_to_matrix(Multivector.blade(sb.sig, m))
+            assert sb.mv_to_matrix(Multivector.blade(sb.sig, m)) == want
             fly = MvMatrix._of_sums(sb.dim, {KEY: sb._butterfly({m: 1}, True)}, 1)
-            assert fly == table == ref.mv_to_matrix(Multivector.blade(sb.sig, m))
+            assert fly == want
+        assert cached_rows(sb, True) == cached_rows(ref, True)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_matrix_unit_through_both_backward_paths(self, n):
-        sb, ref, size = nn_basis(n), e_derived(n), 1 << n
-        sb.matrix_to_mv(MvMatrix.identity(size))        # builds the tables
+        sb, ref, size = spectral_basis_nn(n), e_derived(n), 1 << n
         for i in range(size):
             for j in range(size):
                 unit = {KEY: {i * size + j: 1}}
-                table = Multivector._of_sums(sb.sig, *scalars.apply_slots(unit, 1, sb._units))
+                assert sb.matrix_to_mv(MvMatrix._of_sums(size, unit, 1)) == ref.E[i][j]
                 fly = Multivector._of_sums(sb.sig, {KEY: sb._butterfly(unit[KEY], False)},
                                            size)
-                assert fly == table == ref.E[i][j]
+                assert fly == ref.E[i][j]
+        assert cached_rows(sb, False) == cached_rows(ref, False)
+
+    def test_rows_cached_only_when_read(self):
+        # dense lanes of g44 all take the butterfly and cache no row; a
+        # sparse round trip caches the rows of its blades and of the entries
+        # of its lanes of at most 66 nonzeros
+        sb = spectral_basis_nn(4)
+        g = Multivector(sb.sig, {m: Scalar.of(Fraction(m * m % 11 + 1, 3))
+                                 for m in range(256)})
+        mat = sb.mv_to_matrix(g)
+        assert len(mat.slots[KEY]) > 66 and sb.matrix_to_mv(mat) == g
+        assert cached_rows(sb, True) == ({}, 1) and cached_rows(sb, False) == ({}, 16)
+        g = seeded_multivector(sb.sig, 0)
+        mat = sb.mv_to_matrix(g)
+        assert sb.matrix_to_mv(mat) == g
+        assert cached_rows(sb, True)[0].keys() == {m for s in g.slots.values() for m in s}
+        read = {k for s in mat.slots.values() if len(s) <= 66 for k in s}
+        assert read and cached_rows(sb, False)[0].keys() == read
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_forced_butterfly_matches_tables_on_seeded_inputs(self, n, monkeypatch):
@@ -956,46 +1000,44 @@ class TestButterfly:
 
     def test_cost_rule_picks_each_lane(self, monkeypatch):
         # g33, where a lane moves at more than 28 nonzeros: a full rational
-        # lane and a sqrt(2) lane of 3 blades, whose image has 3 * 2**3
+        # lane and a sqrt(2) lane of 3 blades, whose image has 3 * 2**3; the
+        # second round trip reads the rows the first one cached
         sb = spectral_basis_nn(3)
         g = Multivector(sb.sig, {m: Scalar.of(Fraction(m * m % 11 + 1, 3))
                                  for m in range(64)}) + \
             Multivector(sb.sig, {m: Scalar.sqrt(2, m - 2) for m in (1, 6, 40)})
-        lanes = []
-        fly = SpectralBasis._butterfly
-
-        def spy(self, slot, forward):
-            lanes.append((forward, len(slot)))
-            return fly(self, slot, forward)
-
-        monkeypatch.setattr(SpectralBasis, "_butterfly", spy)
         mat = sb.mv_to_matrix(g)
         assert mat == trace_form(sb, g)
         assert sb.matrix_to_mv(mat) == g
         assert len(mat.slots[(2, False)]) == 24 and len(mat.slots[KEY]) > 28
+        lanes = spy_lanes(monkeypatch)
+        assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
         assert lanes == [(True, 64), (False, len(mat.slots[KEY]))]
 
     @pytest.mark.parametrize("n, most", [(3, 28), (4, 66)])
     def test_lane_moves_past_the_break_even(self, n, most, monkeypatch):
-        # nnz 2**n multiply-adds against n 4**n additions plus the overhead
-        sb, lanes = nn_basis(n), []
-        fly = SpectralBasis._butterfly
-
-        def spy(self, slot, forward):
-            lanes.append(len(slot))
-            return fly(self, slot, forward)
-
-        monkeypatch.setattr(SpectralBasis, "_butterfly", spy)
-        for nnz in (most, most + 1):
-            g = Multivector(sb.sig, {m: Scalar.of(m + 1) for m in range(nnz)})
+        # nnz 2**n multiply-adds against n 4**n additions plus the overhead;
+        # the rows of the shorter lane are cached before the spy starts
+        sb = spectral_basis_nn(n)
+        gs = [Multivector(sb.sig, {m: Scalar.of(m + 1) for m in range(nnz)})
+              for nnz in (most, most + 1)]
+        sb.mv_to_matrix(gs[0])
+        lanes = spy_lanes(monkeypatch)
+        for g in gs:
             assert sb.mv_to_matrix(g) == trace_form(sb, g)
-        assert lanes == [most + 1]
+        assert lanes == [(True, most + 1)]
 
     @pytest.mark.parametrize("name", ["g11", "g22", "g44", "g13", "g13new", "pauli",
                                       "hand-bordered"])
     def test_sparse_inputs_and_other_bases_stay_on_the_tables(self, name, monkeypatch):
+        # the butterfly runs only on the unit lane of a row not yet cached
+        fly = SpectralBasis._butterfly
+
         def refuse(self, slot, forward):
-            raise AssertionError("the butterfly ran")
+            rows = (self._extraction if forward else self._units)[0][KEY]
+            assert [*slot.values()] == [1] and slot.keys().isdisjoint(rows), \
+                "the butterfly ran on a lane"
+            return fly(self, slot, forward)
 
         sb = reference_subset_basis(2) if name == "hand-bordered" else fresh_basis(name)
         monkeypatch.setattr(SpectralBasis, "_butterfly", refuse)

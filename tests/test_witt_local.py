@@ -186,6 +186,10 @@ class TestPseudoscalarIdentity:
         assert lhs == rhs
         assert not lhs.is_zero()
 
+    def test_given_nilpotents_match_built_ones(self):
+        assert pseudoscalar_identity(hadamard_identification(3).sources) == \
+            pseudoscalar_identity()
+
     def test_wedge_is_scaled_top_blade(self):
         w = hadamard_nilpotents(3)
         top = wedge_chain(w.c)
