@@ -1,4 +1,5 @@
-"""Recursive +-1 sign matrices with orthogonal rows.
+"""Sign matrices with orthogonal rows: Sylvester's Walsh-Hadamard matrix
+in the paper's two orders.
 
 Two intertwined families, "plain" and "minus", are defined on sizes 2**k:
 
@@ -6,18 +7,23 @@ Two intertwined families, "plain" and "minus", are defined on sizes 2**k:
     plain(2N) = [[plain,  minus ],         minus(2N) = [[minus,  plain],
                  [plain, -minus ]]                      [-plain,  minus]]
 
-Both satisfy W W^T = 2**k * I, so they are scaled Hadamard matrices; they
-arise as the change-of-basis between an orthonormal frame and a null frame
-whose elements pairwise half-anticommute.  The complex variants, built for
+In closed form, row i of plain is row -i mod 2**k of Sylvester's H_k,
+H_k[r][c] = (-1)^|r & c|, and minus is plain with every row but the first
+negated, so W W^T = 2**k * I.  tests/test_omega.py::TestRecursion checks
+the closed form against the recursion, read off omega(k - 1), for both
+variants at every k up to MAX_K_REAL.  The matrices arise as the
+change-of-basis between an orthonormal frame and a null frame whose
+elements pairwise half-anticommute.  The complex variants, built for
 k = 1, 2, are the real ones complexified on one row: complex-plain (-minus)
 is plain (minus) with row 1, the f1 row, times j, so W W* = 2**k * I still
 holds.  tests/test_omega.py checks this closed form against the literal
 matrices (TestLiterals, test_complex_is_real_with_j_on_row_1).
 
-The butterfly in fast_apply evaluates W @ x in O(k 2**k) integer additions:
-the entries are split once into integer slots over one denominator
+fast_apply evaluates W @ x as the fast Walsh-Hadamard transform
+scalars.walsh plus that row map, in k 2**k integer additions: the entries
+are split once into integer slots over one denominator
 (scalars.split_slots), each slot key is one lane of plain ints through the
-butterfly, and the lanes are joined back into exact values once.
+transform, and the lanes are joined back into exact values once.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DimensionMismatchError, RangeError, UnsupportedError
-from .scalars import Scalar, apply_slots, join_slots, pmatrix, split_map, split_slots
+from .scalars import (Scalar, apply_slots, join_slots, pmatrix, split_map, split_slots,
+                      walsh)
 
 MAX_K_REAL = 6
 MAX_K_DET = 5
@@ -40,25 +47,13 @@ class OmegaVariant(str, Enum):
     COMPLEX_MINUS = "complex-minus"
 
 
-def _block(tl, tr, bl, br):
-    n = len(tl)
-    out = []
-    for i in range(n):
-        out.append(tl[i] + tr[i])
-    for i in range(n):
-        out.append(bl[i] + br[i])
-    return out
-
-
-def _real_pair(k: int):
-    plain = [[1, 1], [1, -1]]
-    minus = [[1, 1], [-1, 1]]
-    for _ in range(k - 1):
-        neg_p = [[-x for x in row] for row in plain]
-        neg_m = [[-x for x in row] for row in minus]
-        plain, minus = (_block(plain, minus, plain, neg_m),
-                        _block(minus, plain, neg_p, minus))
-    return plain, minus
+def _real_rows(k: int, minus: bool) -> list[list[int]]:
+    """Row -i mod 2**k of H_k as row i, built by doubling; for minus, every
+    row but the first negated."""
+    h = [[1]]
+    for _ in range(k):
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    return [h[0]] + [[-x for x in r] if minus else r for r in h[:0:-1]]
 
 
 class OmegaMatrix:
@@ -67,9 +62,9 @@ class OmegaMatrix:
 
     __slots__ = ("rows", "k", "variant", "_split")
 
-    def __init__(self, rows, k: int, variant: OmegaVariant):
+    def __init__(self, rows, k: int, variant: OmegaVariant | str):
         self.k = k
-        self.variant = variant
+        self.variant = OmegaVariant(variant)
         self.rows = [list(r) for r in rows]
         self._split = None
 
@@ -133,15 +128,12 @@ def omega(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> OmegaMatr
     if variant in (OmegaVariant.PLAIN, OmegaVariant.MINUS):
         if not 1 <= k <= MAX_K_REAL:
             raise RangeError(f"real sign matrices are built for 1 <= k <= {MAX_K_REAL}")
-        plain, minus = _real_pair(k)
-        return OmegaMatrix(plain if variant is OmegaVariant.PLAIN else minus,
-                           k, variant)
+        return OmegaMatrix(_real_rows(k, variant is OmegaVariant.MINUS), k, variant)
     # the paper tabulates the complex family only at k = 1, 2
     if not 1 <= k <= 2:
         raise UnsupportedError("complex sign matrices exist only for k = 1, 2")
-    plain, minus = _real_pair(k)
     rows = [[Scalar.of(x) for x in row]
-            for row in (plain if variant is OmegaVariant.COMPLEX_PLAIN else minus)]
+            for row in _real_rows(k, variant is OmegaVariant.COMPLEX_MINUS)]
     rows[1] = [x * Scalar.j() for x in rows[1]]
     return OmegaMatrix(rows, k, variant)
 
@@ -204,25 +196,14 @@ def fast_apply(k: int, variant: OmegaVariant | str, xs: list) -> list:
     if len(xs) != 1 << k:
         raise DimensionMismatchError("vector length must be 2**k")
 
-    # each level needs both variants of both halves, so compute the pair at once
-    def apply_both(level: int, v: list) -> tuple[list, list]:
-        if level == 1:
-            s, d = v[0] + v[1], v[0] - v[1]
-            return [s, d], [s, v[1] - v[0]]
-        h = len(v) // 2
-        pt, mt = apply_both(level - 1, v[:h])
-        pb, mb = apply_both(level - 1, v[h:])
-        plain = [a + b for a, b in zip(pt, mb)] + [a - b for a, b in zip(pt, mb)]
-        minus = [a + b for a, b in zip(mt, pb)] + [b - a for a, b in zip(pt, mb)]
-        return plain, minus
-
-    # W is +-1, so each slot key is one lane of integer numerators over the
-    # common den, run through the butterfly alone and joined once at the end
-    n, side = len(xs), variant is OmegaVariant.MINUS
+    # W x is H_k x with row -i mod 2**k as row i, negated for i > 0 in
+    # minus; W is +-1, so each slot key is one lane of integer numerators
+    # over the common den, through walsh alone and joined once at the end
+    n, sign = len(xs), -1 if variant is OmegaVariant.MINUS else 1
     slots, den = split_slots({t: Scalar.of(x) for t, x in enumerate(xs)})
-    lanes = {key: [slot.get(t, 0) for t in range(n)] for key, slot in slots.items()}
-    out = join_slots({key: dict(enumerate(apply_both(k, lane)[side]))
-                      for key, lane in lanes.items()}, den)
+    lanes = {key: walsh([slot.get(t, 0) for t in range(n)], k) for key, slot in slots.items()}
+    out = join_slots({key: {i: h[-i % n] * (sign if i else 1) for i in range(n)}
+                      for key, h in lanes.items()}, den)
     ys = [out.get(i, Scalar()) for i in range(n)]
     if any(isinstance(x, Scalar) for x in xs):
         return ys

@@ -21,7 +21,9 @@ turns them back into Scalars and json_slots into JSON, with no Fraction;
 combine_slots sums scalar multiples of slot values (+, -, scale and every
 fixed linear combination), and apply_slots sums a vector against a fixed
 map split once by split_map (both coordinate maps, matmul and dense_apply).
-ga._product runs the same loop on the slots of its two operands.
+ga._product runs the same loop on the slots of its two operands.  walsh runs
+the radix-2 stages of the fast Walsh-Hadamard transform on one lane of
+numerators, for omega.fast_apply and the butterfly of g(n,n).
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 from .errors import NonMonomialError
 
@@ -450,6 +453,19 @@ def combine_slots(terms) -> tuple[dict[Key, dict], int]:
             rows.setdefault(key, {})[k] = [(i, v * f) for i, v in slot.items()]
     coeffs, den_s = split_slots({k: Scalar.of(s) for k, (s, _, _) in enumerate(terms)})
     return apply_slots(coeffs, den_s, (rows, den))
+
+
+def walsh(v: list, k: int) -> list:
+    """k radix-2 stages of the fast Walsh-Hadamard transform (Fino and
+    Algazi, 1976) on a lane of numerators: each stage sends the pair (x, y)
+    at the lowest index bit to (x + y, x - y) and writes that bit as the
+    highest.  On a lane of 2**k this is Sylvester's H_k v, every bit back in
+    place; on a longer lane the k low bits are transformed and end above
+    the rest."""
+    for _ in range(k):
+        x, y = v[0::2], v[1::2]
+        v = [*map(add, x, y), *map(sub, x, y)]
+    return v
 
 
 # -- rendering shared by every str and latex method ----------------------

@@ -27,15 +27,19 @@ certificate.  Its pairs sit on disjoint generators, so E[I][J] is a signed
 product s(I, J) w_1 ... w_n of one g(1,1) unit per pair (w_k = u, a_k, b_k
 or a_k b_k by bit k of I and J), with s(I, J) = (-1)^(C(|J|, 2) + #{l < k :
 I_k = 1, J_l = 1}), the sign that reorders a_I (ascending) u b_J
-(descending) into pair order.  So each coordinate map is a Kronecker
-product of n 4 x 4 sign matrices, run as n radix-4 butterfly stages on a
-slot lane, and SpectralBasis._build_plan builds only the butterfly's signed
-index map from s(I, J).  A lane where nnz 2**n table multiply-adds cost
-less (see _lane_limit) reads table rows instead, each the butterfly's image
-of one unit lane, computed on its first read and cached on the basis.
-tests/test_witt_global.py::TestButterfly checks the map, every row of both
-tables and forced-butterfly round trips against E at n = 1..4, every size
-spectral_basis_nn builds.
+(descending) into pair order.  Since 2u = 1 + ef, 2a = e + f, 2b = e - f
+and 2ab = 1 - ef, each coordinate map is a Walsh-Hadamard transform: let
+lane f + x N hold the blade with f_k at bit k of f and e_k ^ f_k at bit k
+of x, or the entry (x ^ f, f) times s(x ^ f, f).  Then the map sends lane
+f + x N to sum_t (-1)^|f & t| lane t + x N, symmetric and squaring to 2**n,
+so both maps run the n stages of scalars.walsh on the n low bits of a slot
+lane; SpectralBasis._build_plan builds their gather and scatter lists from
+s(I, J).  A lane where nnz 2**n table multiply-adds cost less (see
+_lane_limit) reads table rows instead, each the butterfly's image of one
+unit lane, computed on its first read and cached on the basis.
+tests/test_witt_global.py::TestButterfly checks the lists, every row of
+both tables and forced-butterfly round trips against E at n = 1..4, every
+size spectral_basis_nn builds.
 """
 
 from __future__ import annotations
@@ -44,21 +48,24 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
 from math import comb, gcd, lcm
-from operator import add, mul, sub
+from operator import mul
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, _blade_product, anticommutator_relations,
                  blade_product, g_nn, gp, gp_chain, null_pair)
 from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
-                      json_slots, pmatrix, reduce_slots, split_map, split_slots)
+                      json_slots, pmatrix, reduce_slots, split_map, split_slots, walsh)
 
 
 # -- the butterfly of g(n,n) -----------------------------------------------
 
-# the fixed cost of a lane on the butterfly, in table multiply-adds: slicing
-# and rebuilding the lane n times took about 5 us, the time of some 30
-# multiply-adds on the table, with CPython 3.11 on a 2-core x86-64 machine
+# the fixed cost of a lane on the butterfly, in table multiply-adds.  Timed
+# through both maps with CPython 3.11 on a 2-core x86-64 machine, a lane on
+# the radix-2 stages of scalars.walsh breaks even with cached table rows at
+# 18-26 nonzeros in g(3,3), where the rule gives 28, and at 46-54 in g(4,4),
+# where it gives 66; of a g(3,3) lane's 27 us, slicing it n times takes
+# about 2 us and its gather and scatter about 13
 _LANE_OVERHEAD = 32
 
 
@@ -74,18 +81,6 @@ def _lane_limit(n: int) -> int | None:
     """
     limit = ((n << 2 * n) + _LANE_OVERHEAD) >> n
     return limit if limit < 1 << 2 * n else None
-
-
-def _stage(v: list) -> list:
-    """One radix-4 stage: the lowest digit of every index, read as v[d::4],
-    goes through 1 -> u + ab, e -> a + b, f -> a - b, ef -> u - ab and is
-    written as the highest digit, so after n stages every digit of a 4**n
-    lane has been through it once and is back in its place.  The units of
-    g(1,1) are 2u = 2ba = 1 + ef, 2a = e + f, 2b = e - f, 2ab = 1 - ef, by
-    pair digit I + 2 J; this sign matrix is symmetric and squares to 2, so
-    one stage serves both maps, the backward one 2 times too large."""
-    one, e, f, ef = v[0::4], v[1::4], v[2::4], v[3::4]
-    return [*map(add, one, ef), *map(add, e, f), *map(sub, e, f), *map(sub, one, ef)]
 
 
 def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
@@ -342,7 +337,7 @@ class SpectralBasis:
         self._extraction = None       # the trace table, for mv_to_matrix
         self._units = None            # the unit table, for matrix_to_mv
         self._pairs = None            # n for the basis of g(n,n) that spectral_basis_nn built
-        self._plan = None             # its butterfly's signed index map
+        self._plan = None             # its butterfly's gather and scatter lists
 
     @cached_property
     def E(self) -> list[list[Multivector]]:
@@ -508,34 +503,33 @@ class SpectralBasis:
         return acc, den
 
     def _butterfly(self, slot: dict, forward: bool) -> dict:
-        """One lane of numerators through the n stages: the forward map
-        reads blade masks and writes flat indices, the backward map reads
-        flat indices and writes blade masks with every sum 2**n times too
-        large.  Zero sums are kept, for reduce_slots."""
-        flats, signs = self._plan
-        get = slot.get
-        if forward:                      # blade mask -> pair digits
-            v = list(map(get, range(len(flats)), repeat(0)))
-        else:                            # flat index -> pair digits
-            v = list(map(mul, signs, map(get, flats, repeat(0))))
-        for _ in range(self._pairs):
-            v = _stage(v)
-        return dict(zip(flats, map(mul, signs, v)) if forward else enumerate(v))
+        """One lane of numerators through the n stages of scalars.walsh: the
+        forward map reads blade masks and writes flat indices, the backward
+        map reads flat indices and writes blade masks with every sum 2**n
+        times too large.  Zero sums are kept, for reduce_slots."""
+        gather, scatter, signs = self._plan[forward]
+        v = list(map(slot.get, gather, repeat(0)))
+        if forward:
+            return dict(zip(scatter, map(mul, signs, walsh(v, self._pairs))))
+        return dict(zip(scatter, walsh(list(map(mul, signs, v)), self._pairs)))
 
     def _build_plan(self):
-        """The butterfly's signed index map of the basis of g(n,n), from
-        s(I, J) (see the module docstring): no E and no gp.  Pair-digit
-        index C (I_k in bit 2k, J_k in bit 2k+1) is entry I N + J of the
-        matrix with sign s(I, J).  Both tables start empty; _apply caches
-        their rows from the butterfly."""
+        """The butterfly's gather list, scatter list and signs s(I, J) for
+        each direction of the basis of g(n,n) (see the module docstring): no
+        E and no gp.  Blade e_I f_J and entry (I, J) enter the stages at lane
+        J + (I ^ J) N and leave them at I ^ J + J N.  Both tables start
+        empty; _apply caches their rows from the butterfly."""
         n, size = self._pairs, self.dim
-        flats, signs = [0] * size * size, [0] * size * size
+        self._plan = [[[0] * size * size for _ in range(3)] for _ in range(2)]
+        (flat_in, mask_out, sign_in), (mask_in, flat_out, sign_out) = self._plan
         for i, j in product(range(size), range(size)):
-            c = sum(((i >> k & 1) | (j >> k & 1) << 1) << 2 * k for k in range(n))
+            lane, out = j | (i ^ j) << n, i ^ j | j << n
             parity = comb(j.bit_count(), 2) + sum(
                 (j & (1 << k) - 1).bit_count() for k in range(n) if i >> k & 1)
-            flats[c], signs[c] = i * size + j, -1 if parity & 1 else 1
-        self._plan = flats, signs
+            mask_in[lane] = mask_out[out] = sum((i >> k & 1 | (j >> k & 1) << 1) << 2 * k
+                                                for k in range(n))
+            flat_in[lane] = flat_out[out] = i * size + j
+            sign_in[lane] = sign_out[out] = -1 if parity & 1 else 1
         self._extraction, self._units = ({(1, False): {}}, 1), ({(1, False): {}}, size)
 
     def latex(self) -> str:

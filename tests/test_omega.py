@@ -1,4 +1,4 @@
-"""Recursive sign-matrix family: literals, Gram identities, determinants."""
+"""Sign-matrix family: literals, the recursion, Gram identities, determinants."""
 
 import random
 from fractions import Fraction
@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from tests.conftest import bounded_fractions
 from wittkit.errors import RangeError, UnsupportedError
-from wittkit.omega import (MAX_K_DET, MAX_K_REAL, bareiss_det, det_omega,
-                           fast_apply, gram_check, omega)
+from wittkit.omega import (MAX_K_DET, MAX_K_REAL, OmegaMatrix, OmegaVariant, bareiss_det,
+                           det_omega, fast_apply, gram_check, omega)
 from wittkit.scalars import Scalar
 
 J = Scalar.j()
@@ -58,7 +58,10 @@ class TestLiterals:
 
 
 class TestRecursion:
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    """The closed form (rows of Sylvester's H_k) against the paper's
+    recursion, read off omega(k - 1), at every k the real family builds."""
+
+    @pytest.mark.parametrize("k", range(2, MAX_K_REAL + 1))
     def test_block_structure(self, k):
         # top half [P, M], bottom half [P, -M] of the previous level
         p = omega(k - 1, "plain").rows
@@ -69,7 +72,7 @@ class TestRecursion:
             assert rows[i] == p[i] + m[i]
             assert rows[h + i] == p[i] + [-x for x in m[i]]
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", range(2, MAX_K_REAL + 1))
     def test_minus_block_structure(self, k):
         # the minus family recurses as [[M, P], [-P, M]]
         p = omega(k - 1, "plain").rows
@@ -79,6 +82,11 @@ class TestRecursion:
         for i in range(h):
             assert rows[i] == m[i] + p[i]
             assert rows[h + i] == [-x for x in p[i]] + m[i]
+
+    @pytest.mark.parametrize("k", range(1, MAX_K_REAL + 1))
+    def test_minus_is_plain_with_rows_after_the_first_negated(self, k):
+        plain = omega(k, "plain").rows
+        assert omega(k, "minus").rows == [plain[0]] + [[-x for x in r] for r in plain[1:]]
 
     def test_first_row_all_ones(self):
         for k in range(1, MAX_K_REAL + 1):
@@ -214,6 +222,17 @@ class TestSerialization:
 
     def test_latex_smoke(self):
         assert "pmatrix" in omega(2, "plain").latex()
+
+    def test_variant_given_by_name(self):
+        # the constructor takes the variant's name as omega() does, and
+        # refuses a name that is no variant
+        w = OmegaMatrix(omega(1).rows, 1, "plain")
+        assert w.variant is OmegaVariant.PLAIN and w == omega(1)
+        assert w.to_json() == omega(1).to_json()
+        assert w.transpose().to_json()["variant"] == "plain"
+        assert repr(w) == "OmegaMatrix(k=1, variant=plain, dim=2)"
+        with pytest.raises(ValueError):
+            OmegaMatrix(omega(1).rows, 1, "pain")
 
     def test_complex_latex_and_csv_pinned(self):
         w = omega(2, "complex-minus")

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 from tests.conftest import bounded_fractions
 from wittkit.errors import NonMonomialError
 from wittkit.scalars import (Scalar, apply_slots, combine_slots, join_slots, json_slots,
-                             key_product, reduce_slots, split_map, split_slots)
+                             key_product, reduce_slots, split_map, split_slots, walsh)
 
 fractions = bounded_fractions(9, 9)
 
@@ -344,3 +345,33 @@ class TestKernel:
         assert join_slots(slots, d) == join_slots(acc, den)
         scaled = {key: {i: c * v for i, v in slot.items()} for key, slot in acc.items()}
         assert reduce_slots(scaled, c * den) == (slots, d)
+
+
+def sylvester(k):
+    """H_k written out entry by entry: H_k[r][c] = (-1)^|r & c|."""
+    return [[(-1) ** (r & c).bit_count() for c in range(1 << k)] for r in range(1 << k)]
+
+
+class TestWalsh:
+    """The radix-2 stages against the dense Sylvester product."""
+
+    @given(st.data())
+    def test_full_lane_is_sylvester_product(self, data):
+        k = data.draw(st.integers(0, 6))
+        v = data.draw(st.lists(st.integers(-99, 99), min_size=1 << k, max_size=1 << k))
+        assert walsh(v, k) == [sum(map(mul, row, v)) for row in sylvester(k)]
+
+    @given(st.data())
+    def test_low_bits_transform_and_end_above_the_rest(self, data):
+        # on a 4**n lane only the n low bits f go through H_n, and the result
+        # for the high bits x and the frequency s sits at x + s 2**n
+        n = data.draw(st.integers(1, 4))
+        size = 1 << n
+        v = data.draw(st.lists(st.integers(-99, 99), min_size=size * size,
+                               max_size=size * size))
+        h = sylvester(n)
+        want = [0] * size * size
+        for x in range(size):
+            for s in range(size):
+                want[x + s * size] = sum(h[s][f] * v[f + x * size] for f in range(size))
+        assert walsh(v, n) == want

@@ -856,25 +856,39 @@ def e_derived(n):
 
 
 def plan_from_E(sb, n):
-    """The butterfly's signed index map read off E: every E[I][J] is checked,
-    slot for slot, to be s(I, J) 2**-n times the product of the PAIR_UNITS of
-    its pair digits, and s(I, J) is taken from its lowest blade."""
+    """The butterfly's gather and scatter lists read off E: every E[I][J] is
+    checked, slot for slot, to be s(I, J) 2**-n times the product of the
+    PAIR_UNITS of its pair digits, and s(I, J) is taken from its lowest
+    blade.  Lane f + x N holds the blade with f_k at bit k of f and e_k ^ f_k
+    at bit k of x, or the entry (x ^ f, f); after the n stages, position
+    x + s N holds what lane s + x N maps to: for each direction, the gather
+    list, the scatter list and the signs on the entry side."""
     size = 1 << n
-    flats, signs = [0] * size * size, [0] * size * size
+    sign = {}
     for i in range(size):
         for j in range(size):
-            want, c = {0: 1}, 0
+            want = {0: 1}
             for k in range(n):
                 digit = (i >> k & 1) | (j >> k & 1) << 1
-                c |= digit << 2 * k
                 want = {m | d << 2 * k: s * t for m, s in want.items()
                         for d, t in PAIR_UNITS[digit]}
             e = sb.E[i][j]
-            sign = e.slots[KEY][min(want)]
-            assert sign in (1, -1) and e.den == size and len(e.slots) == 1
-            assert e.slots[KEY] == {m: sign * s for m, s in want.items()}, (i, j)
-            flats[c], signs[c] = i * size + j, sign
-    return flats, signs
+            sign[i, j] = e.slots[KEY][min(want)]
+            assert sign[i, j] in (1, -1) and e.den == size and len(e.slots) == 1
+            assert e.slots[KEY] == {m: sign[i, j] * s for m, s in want.items()}, (i, j)
+
+    def blade(lane):
+        f, x = lane % size, lane // size
+        return sum(((f ^ x) >> k & 1) << 2 * k | (f >> k & 1) << 2 * k + 1 for k in range(n))
+
+    def entry(lane):
+        j, x = lane % size, lane // size
+        return (x ^ j) * size + j, sign[x ^ j, j]
+
+    lanes, swap = range(size * size), [c // size + c % size * size for c in range(size * size)]
+    flats, signs = zip(*map(entry, lanes))
+    return [[list(flats), [blade(c) for c in swap], list(signs)],
+            [[blade(c) for c in lanes], [flats[c] for c in swap], [signs[c] for c in swap]]]
 
 
 def cached_rows(sb, forward):
@@ -913,7 +927,7 @@ class TestButterfly:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closed_form_matches_E(self, n):
-        # the same signs, and both tables empty until a lane reads them
+        # the same lanes and signs, and both tables empty until a lane reads them
         sb, ref = spectral_basis_nn(n), e_derived(n)
         sb._build_plan()
         assert sb._plan == plan_from_E(ref, n)
