@@ -1,10 +1,10 @@
 """Pauli and Dirac representations via spectral bases.
 
 The 2x2 Pauli matrices come from viewing g(3) as a complexified g(1,1):
-e := e1 and f := e1 e3 are a unit-square / minus-unit-square anticommuting
-pair, and the coordinate matrices take entries in the center span{1, e123}.
-The central pseudoscalar i = e123 has i^2 = -1 but is a blade, not the
-scalar j; the two are kept distinct throughout.
+e := e1 and f := e1 e3 are an anticommuting unit / anti-unit pair, and the
+coordinate matrices take entries in the center span{1, e123} of the odd
+algebra.  The central pseudoscalar i = e123 has i^2 = -1 but is a blade,
+not the scalar j; the two are kept distinct throughout.
 
 The Dirac algebra g(1,3) gets two 4x4 complex representations: the standard
 one from the idempotent u_pp = (1+g0)(1+j g12)/4 with borders in the rest
@@ -103,7 +103,7 @@ def pauli_spectral() -> tuple[SpectralBasis, list[CentralMatrix]]:
     sig = g3()
     e = Multivector.generator(sig, 0)
     a, b = null_pair(e, gp(e, Multivector.generator(sig, 2)))   # e1 e3 squares to -1
-    sb = spectral_basis_from_pairs([a], [b], central_unit=Multivector.blade(sig, 0b111))
+    sb = spectral_basis_from_pairs([a], [b])
     mats = [sb.mv_to_matrix(Multivector.generator(sig, k)) for k in range(3)]
     return sb, mats
 

@@ -144,6 +144,8 @@ class Multivector:
     __slots__ = ("sig", "den", "slots", "_terms")
 
     def __init__(self, sig: Signature, terms: dict[int, Scalar] | None = None):
+        if terms and (min(terms) < 0 or max(terms) >= sig.dim):
+            raise RangeError("blade mask out of range for signature")
         self.sig = sig
         self._terms = {m: c for m, c in terms.items() if c} if terms else {}
         self.slots, self.den = split_slots(self._terms)
@@ -175,8 +177,6 @@ class Multivector:
 
     @classmethod
     def blade(cls, sig: Signature, mask: int, coeff=1) -> "Multivector":
-        if mask >> sig.m or mask < 0:
-            raise RangeError("blade mask out of range for signature")
         return cls(sig, {mask: Scalar.of(coeff)})
 
     @classmethod

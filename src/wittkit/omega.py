@@ -66,6 +66,8 @@ class OmegaMatrix:
         self.k = k
         self.variant = OmegaVariant(variant)
         self.rows = [list(r) for r in rows]
+        if k < 0 or {len(self.rows), *map(len, self.rows)} != {1 << k}:
+            raise DimensionMismatchError("a sign matrix has 2**k rows of 2**k entries")
         self._split = None
 
     @property

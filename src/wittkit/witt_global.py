@@ -11,16 +11,16 @@ the 4**n dimensional algebra into the full 2**n x 2**n matrix algebra over
 the rational-plus-j subfield.
 
 Coordinates come from the trace: for matrix units the scalar part is the
-normalized trace, so the (i, j) coordinate of g is x_ij = n <E[j][i] g>_0
-(plus n <E[j][i] g>_t on the central blade t when the basis is taken over a
-central unit).  A coordinate matrix stores blade t of entry (i, j) at the
-index (t n + i) n + j of integer slots over one denominator: MvMatrix is the
-scalar case t = 0 and CentralMatrix carries the central blade too, so each
-coordinate map is one scalars.apply_slots and builds no Scalar.  A basis
-certifies once that its family really is a complete set of matrix units
-before mv_to_matrix reads any coordinates; see
-SpectralBasis._build_extraction.  matrix_to_mv only expands sum x_ij E_ij
-and needs no certificate.  Inputs and basis entries may carry radicals.
+normalized trace, so the (i, j) coordinate of g is x_ij = n <E[j][i] g>_t
+over the blades t of the centre, which the signature fixes (_centre).  A
+coordinate matrix stores blade t of entry (i, j) at the index
+(t n + i) n + j of integer slots over one denominator: MvMatrix is the
+scalar case t = 0 and CentralMatrix carries the pseudoscalar of an odd
+algebra too.  Each coordinate map is one scalars.apply_slots of a table
+built from the slots of E, and builds no Scalar.  A basis certifies once
+that its family is a complete set of matrix units before mv_to_matrix
+reads coordinates (SpectralBasis._build_extraction); matrix_to_mv needs no
+certificate.  Inputs and basis entries may carry radicals.
 
 The basis of g(n,n) that spectral_basis_nn builds needs neither E nor the
 certificate.  Its pairs sit on disjoint generators, so E[I][J] is a signed
@@ -55,7 +55,7 @@ from .errors import (DimensionMismatchError, ExtractorUnavailableError,
 from .ga import (Multivector, Signature, _blade_product, anticommutator_relations,
                  blade_product, g_nn, gp, gp_chain, null_pair)
 from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
-                      json_slots, pmatrix, reduce_slots, split_map, split_slots, walsh)
+                      json_slots, pmatrix, reduce_slots, split_slots, walsh)
 
 
 # -- the butterfly of g(n,n) -----------------------------------------------
@@ -92,6 +92,13 @@ def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
             p = ca * cb
             acc = acc + (p if blade_product(a, a ^ t, x.sig)[0] > 0 else -p)
     return acc
+
+
+def _centre(sig: Signature) -> tuple[int, ...]:
+    """The blades spanning the centre of the algebra of sig: the scalar, and
+    the pseudoscalar for an odd generator count (Lounesto, Clifford Algebras
+    and Spinors, 2001); tests/test_witt_global.py::TestCentre checks it."""
+    return (0, sig.dim - 1) if sig.m & 1 else (0,)
 
 
 # -- coordinate matrices ---------------------------------------------------
@@ -236,11 +243,11 @@ class MvMatrix(_SlotMatrix):
 
 
 class CentralMatrix(_SlotMatrix):
-    """Square matrix whose entries are central multivectors of one algebra.
+    """Square matrix whose entries lie in the centre of one algebra.
 
     Used when the coordinate subfield is generated by a central blade (the
-    unit pseudoscalar of g(3)) instead of the scalar j.  Blade t of entry
-    (i, j) is stored at the slot index (t n + i) n + j.
+    pseudoscalar of an odd algebra, such as g(3)) instead of the scalar j.
+    Blade t of entry (i, j) is stored at the slot index (t n + i) n + j.
     """
 
     __slots__ = ()
@@ -249,14 +256,16 @@ class CentralMatrix(_SlotMatrix):
         n = len(entries)
         if any(len(row) != n for row in entries):
             raise DimensionMismatchError("matrix must be square")
-        # matrix_to_mv reads only these two blades of an entry
-        if any(t and t != e.sig.dim - 1 for row in entries for e in row for t in e.terms):
+        self.sig = entries[0][0].sig if n else None
+        if any(e.sig.squares != self.sig.squares for row in entries for e in row):
+            raise SignatureMismatchError("central matrix entries belong to different algebras")
+        # matrix_to_mv reads only the blades of the centre
+        if any(t not in _centre(e.sig) for row in entries for e in row for t in e.terms):
             raise ValueError("a central matrix entry has only a scalar and a pseudoscalar part")
         self.slots, self.den = split_slots({(t * n + i) * n + j: c
                                             for i, row in enumerate(entries)
                                             for j, e in enumerate(row)
                                             for t, c in e.terms.items()})
-        self.sig = entries[0][0].sig if n else None
         self.dim, self._entries = n, list(map(list, entries))
 
     def _cell(self, parts: dict) -> Multivector:
@@ -269,14 +278,9 @@ class CentralMatrix(_SlotMatrix):
                 "entries": [[e.to_json() for e in row] for row in self.entries]}
 
     def latex(self) -> str:
-        """pmatrix with the central pseudoscalar blade written as iota.
-
-        With an odd number of generators the pseudoscalar, mask sig.dim - 1,
-        is the only non-scalar central blade.
-        """
+        """pmatrix with the non-scalar blade of the centre written as iota."""
         def cell(mv: Multivector) -> str:
-            top = mv.sig.dim - 1
-            return mv._latex(lambda m: "\\iota" if m == top
+            return mv._latex(lambda m: "\\iota" if m in _centre(mv.sig)[1:]
                              else mv._blade_label(m, mv.sig.latex_names))
 
         return pmatrix(self.entries, cell)
@@ -321,8 +325,7 @@ def check_duality_relations(a: list[Multivector], b: list[Multivector]) -> list[
 class SpectralBasis:
     """Matrix units E[i][j] = rows[i] * center * cols[j] plus the coordinate maps."""
 
-    def __init__(self, rows, center, cols, central_unit: Multivector | None = None,
-                 row_labels=None, col_labels=None):
+    def __init__(self, rows, center, cols, row_labels=None, col_labels=None):
         if len(rows) != len(cols):
             raise DimensionMismatchError("row and column borders must have equal length")
         if {x.sig.squares for x in (*rows, *cols)} - {center.sig.squares}:
@@ -331,7 +334,6 @@ class SpectralBasis:
         self.rows = list(rows)
         self.cols = list(cols)
         self.center = center
-        self.central_unit = central_unit
         self.row_labels = list(row_labels) if row_labels else None
         self.col_labels = list(col_labels) if col_labels else None
         self._extraction = None       # the trace table, for mv_to_matrix
@@ -373,27 +375,27 @@ class SpectralBasis:
     def _build_extraction(self):
         """Certify the family as matrix units, then cache the trace table.
 
-        With tau(X) = n * sum_t <X>_t e_t, where t runs over the scalar blade
-        and, for a basis over a central unit, the unit's central blade, the
-        certificate is:
+        With tau(X) = n * sum_t <X>_t e_t, where t runs over the blades of
+        the centre (_centre: the scalar, and for an odd generator count the
+        pseudoscalar), the certificate is:
 
-        1. there are sig.dim elements: n**2, or 2 n**2 with a central unit;
-        2. the central unit is one non-scalar blade that commutes with every
-           generator;
-        3. u = center satisfies u u = u and tau(u) = 1;
-        4. tau(u c_i r_k) = delta_ik for all i, k.
+        1. there are sig.dim elements: n**2, or 2 n**2 in an odd algebra;
+        2. u = center satisfies u u = u and tau(u) = 1;
+        3. tau(u c_i r_k) = delta_ik for all i, k.
 
-        Why that suffices.  By (1) and (2) the algebra is central simple over
-        the scalars (even generator count) or over its center Z spanned by 1
-        and the central unit (odd count), where it is a product of simple
-        factors; either way tau is its reduced trace, Z-valued, since every
-        other blade anticommutes with some generator and has trace 0.  An
-        idempotent of reduced trace 1 has rank one in every factor, so
-        u X u = tau(u X) u for all X.  By (4), u c_i r_k u = delta_ik u, hence
-        E_ij E_kl = r_i (u c_j r_k u) c_l = delta_jk E_il: the matrix-unit
-        law.  Matrix units with tau(E_ii) = tau(u c_i r_i) = 1 are independent
-        over Z, and by (1) there are as many as the dimension, so they form a
-        basis; expanding g = sum z_kl E_kl gives tau(E_ji g) = z_ij exactly.
+        Why that suffices.  The centre Z is the scalars for an even generator
+        count and span{1, pseudoscalar} for an odd one, since every other
+        blade anticommutes with some generator (_centre;
+        tests/test_witt_global.py::TestCentre checks it with gp).  So the
+        algebra is central simple over the scalars (even count) or over Z (odd
+        count), where it is a product of simple factors; either way tau is its
+        reduced trace, Z-valued: blades outside Z have trace 0.  An idempotent
+        of reduced trace 1 has rank one in every factor, so u X u = tau(u X) u
+        for all X.  By (3), u c_i r_k u = delta_ik u, hence E_ij E_kl =
+        r_i (u c_j r_k u) c_l = delta_jk E_il: the matrix-unit law.  Matrix
+        units with tau(E_ii) = tau(u c_i r_i) = 1 are independent over Z, and
+        by (1) there are as many as the dimension, so they form a basis;
+        expanding g = sum z_kl E_kl gives tau(E_ji g) = z_ij exactly.
 
         The table maps each blade mask b to the flat indices it feeds and
         their weights, idx = (t n + i) n + j for blade t, so the coordinates
@@ -404,20 +406,11 @@ class SpectralBasis:
         weight dens E_ji.den / gcd(E_ji.den, n), but built straight from the
         slots of the E_ji: no Scalar is formed and no conversion splits it.
         """
-        n, sig, u, cu = self.dim, self.sig, self.center, self.central_unit
-        count = n * n if cu is None else 2 * n * n
-        if count != sig.dim:
-            raise ExtractorUnavailableError(
-                f"{count} basis elements cannot span a {sig.dim}-dimensional algebra")
-        blades = [0]                     # tau(X) = (n <X>_t for t in blades)
-        if cu is not None:
-            if (len(cu.terms) != 1 or 0 in cu.terms
-                    or any(gp(cu, e) != gp(e, cu) for e in
-                           (Multivector.generator(sig, k) for k in range(sig.m)))):
-                raise ExtractorUnavailableError(
-                    "the central unit must be a single non-scalar blade that "
-                    "commutes with every generator")
-            blades.extend(cu.terms)
+        n, sig, u = self.dim, self.sig, self.center
+        blades = _centre(sig)            # tau(X) = (n <X>_t for t in blades)
+        if len(blades) * n * n != sig.dim:
+            raise ExtractorUnavailableError(f"{len(blades) * n * n} basis elements "
+                                            f"cannot span a {sig.dim}-dimensional algebra")
         zeros = (0,) * (len(blades) - 1)
         if gp(u, u) != u or tuple(n * u.coeff(t) for t in blades) != (1,) + zeros:
             raise ExtractorUnavailableError("the center is not an idempotent of trace 1")
@@ -440,31 +433,35 @@ class SpectralBasis:
         self._extraction = split, den
 
     def mv_to_matrix(self, g: Multivector):
-        """x_ij = n <E_ji g>_0, plus n <E_ji g>_t on a central unit's blade t."""
+        """x_ij = n <E_ji g>_t for each blade t of the centre: an MvMatrix
+        in an even algebra, a CentralMatrix in an odd one."""
         if g.sig.squares != self.sig.squares:
             raise SignatureMismatchError("multivector belongs to a different algebra")
         sums, den = self._apply(g.slots, g.den, True)
-        if self.central_unit is None:
+        if len(_centre(self.sig)) == 1:
             return MvMatrix._of_sums(self.dim, sums, den)
         return CentralMatrix._of_sums(self.dim, sums, den, self.sig)
 
     def _split_units(self):
-        """The products t E_ij, split once by split_map with the row index
-        (t n + i) n + j, for blade t = 0 (E_ij itself) and, over a central
-        unit, its blade.  No certificate is needed to expand sum x_ij E_ij,
-        so this never builds the trace table."""
-        n = self.dim
-        self._units = split_map({
-            (t * n + i) * n + j: (u if t == 0 else
-                                  gp(Multivector.blade(self.sig, t), u)).terms
-            for t in (0, *(self.central_unit.terms if self.central_unit else ()))
-            for i, row in enumerate(self.E) for j, u in enumerate(row)})
+        """The unit table: row (t n + i) n + j is t E_ij, which holds
+        sign(t, a) E_ij[a] at blade a ^ t for each blade a of E_ij and t of
+        the centre, over the lcm of the E_ij.den.  It is built from the
+        slots of E, as the trace table is.  No certificate is needed to
+        expand sum x_ij E_ij, so this never builds the trace table."""
+        n, squares = self.dim, self.sig.squares
+        den, split = lcm(*(e.den for row in self.E for e in row)), {}
+        for t, i, j in product(_centre(self.sig), range(n), range(n)):
+            e = self.E[i][j]
+            for key, slot in e.slots.items():
+                split.setdefault(key, {})[(t * n + i) * n + j] = [
+                    (a ^ t, _blade_product(t, a, squares)[0] * den // e.den * v)
+                    for a, v in slot.items()]
+        self._units = split, den
 
     def matrix_to_mv(self, mat) -> Multivector:
         """sum x_ij E_ij; a central entry x_ij contributes x_ij E_ij as a
         geometric product, blade by blade."""
-        if isinstance(mat, CentralMatrix) and (self.central_unit is None
-                                               or mat.sig.squares != self.sig.squares):
+        if isinstance(mat, CentralMatrix) and mat._ring() != (CentralMatrix, self.sig.squares):
             raise SignatureMismatchError("matrix entries belong to a different ring")
         if mat.dim != self.dim:
             raise DimensionMismatchError("matrix size does not match basis dimension")
@@ -543,12 +540,13 @@ class SpectralBasis:
                 "entries": [[e.to_json() for e in row] for row in self.E]}
 
 
-def spectral_basis_from_pairs(a: list[Multivector], b: list[Multivector],
-                              central_unit: Multivector | None = None) -> SpectralBasis:
+def spectral_basis_from_pairs(a: list[Multivector], b: list[Multivector]) -> SpectralBasis:
     """Matrix units bordered from nilpotent pairs a_i, b_i: subset words in
     the a's (rows, ascending inner index) against subset words in the b's
     (columns, descending inner index), around the idempotent product
-    (b_1 a_1)...(b_n a_n).  Row and column 0 are the empty word 1."""
+    (b_1 a_1)...(b_n a_n).  Row and column 0 are the empty word 1.  The
+    coordinates lie in the centre, so an odd algebra gets CentralMatrix
+    coordinates."""
     if not a or len(a) != len(b):
         raise DimensionMismatchError("the pairs need one b for every a, and at least one a")
     n, one = len(a), Multivector.scalar(a[0].sig, 1)
@@ -560,8 +558,7 @@ def spectral_basis_from_pairs(a: list[Multivector], b: list[Multivector],
         row_labels.append("a" + "".join(str(i + 1) for i in idx))
         col_labels.append("b" + "".join(str(i + 1) for i in reversed(idx)))
     center = gp_chain([gp(bi, ai) for ai, bi in zip(a, b)])
-    return SpectralBasis(rows, center, cols, central_unit,
-                         row_labels=row_labels, col_labels=col_labels)
+    return SpectralBasis(rows, center, cols, row_labels=row_labels, col_labels=col_labels)
 
 
 def spectral_basis_nn(n: int) -> SpectralBasis:

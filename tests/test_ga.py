@@ -114,6 +114,18 @@ class TestBladeProduct:
         with pytest.raises(RangeError):
             blade_product(1 << SIG.m, 0, SIG)
 
+    @pytest.mark.parametrize("mask", [8, -1, 1 << 12])
+    @pytest.mark.parametrize("coeff", [1, 0])
+    def test_constructor_rejects_masks_outside_the_signature(self, mask, coeff):
+        # g3 has masks 0..7: mask 8 would serialize as the scalar and -1 as
+        # the pseudoscalar, so any mask outside them is refused, zero or not
+        with pytest.raises(RangeError):
+            Multivector(g3(), {mask: Scalar.of(coeff), 1: Scalar.of(2)})
+        with pytest.raises(RangeError):
+            Multivector.blade(g3(), mask, coeff)
+        assert Multivector(g3(), {7: Scalar.of(coeff)}).to_json()["terms"] == \
+            [{"blade": [0, 1, 2], "coeff": [{"d": 1, "re": "1"}]}] * coeff
+
 
 @pytest.mark.parametrize("sig", SIGNATURES, ids=lambda s: s.name)
 class TestProductOracle:

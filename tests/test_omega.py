@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.conftest import bounded_fractions
-from wittkit.errors import RangeError, UnsupportedError
+from wittkit.errors import DimensionMismatchError, RangeError, UnsupportedError
 from wittkit.omega import (MAX_K_DET, MAX_K_REAL, OmegaMatrix, OmegaVariant, bareiss_det,
                            det_omega, fast_apply, gram_check, omega)
 from wittkit.scalars import Scalar
@@ -107,6 +107,21 @@ class TestGuards:
     def test_det_range(self):
         with pytest.raises(RangeError):
             det_omega(MAX_K_DET + 1)
+
+    @pytest.mark.parametrize("rows, k", [([[1, 1, 1]], 1), ([[1, 1, 1]], 0),
+                                         ([[1, 1], [1, -1]], 3), ([[1, 1], [1]], 1),
+                                         ([[1, 1], [1, -1], [1, 1]], 1), ([[1]], -1),
+                                         ([], 0)])
+    def test_constructor_needs_2_to_the_k_rows_of_2_to_the_k(self, rows, k):
+        with pytest.raises(DimensionMismatchError):
+            OmegaMatrix(rows, k, "plain")
+
+    @pytest.mark.parametrize("variant", list(OmegaVariant))
+    def test_every_built_matrix_has_its_shape(self, variant):
+        for k in range(1, (MAX_K_REAL if variant.value in ("plain", "minus") else 2) + 1):
+            w = omega(k, variant)
+            for m in (w, w.transpose(), w.conj_transpose()):
+                assert (m.k, m.dim) == (k, 1 << k)
 
 
 class TestIdentities:

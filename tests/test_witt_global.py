@@ -15,11 +15,12 @@ from wittkit.dirac import (dirac_frame, dirac_spectral_new, dirac_spectral_stand
                            pauli_spectral)
 from wittkit.errors import (DimensionMismatchError, ExtractorUnavailableError,
                             RangeError, SignatureMismatchError)
-from wittkit.ga import Multivector, g3, gp, gp_chain, reverse
+from wittkit.ga import Multivector, g3, gp, gp_chain, null_pair, reverse
 from wittkit.scalars import Scalar
 from wittkit.witt_global import (CentralMatrix, MvMatrix, SpectralBasis,
                                  check_duality_relations, make_global_witt,
                                  spectral_basis_from_pairs, spectral_basis_nn)
+from wittkit.witt_local import make_local_witt
 
 fractions = bounded_fractions(9, 9)
 
@@ -224,7 +225,7 @@ def reference_pauli():
     f = gp(e, Multivector.generator(sig, 2))
     a, b = (e + f).scale(Fraction(1, 2)), (e - f).scale(Fraction(1, 2))
     one = Multivector.scalar(sig, 1)
-    return SpectralBasis([one, a], gp(b, a), [one, b], central_unit=Multivector.blade(sig, 7),
+    return SpectralBasis([one, a], gp(b, a), [one, b],
                          row_labels=["1", "a"], col_labels=["1", "b"])
 
 
@@ -233,7 +234,7 @@ class TestFromPairs:
     def test_neutral_matches_subset_words(self, n):
         ref, w = reference_subset_basis(n), make_global_witt(n)
         for sb in (spectral_basis_nn(n), spectral_basis_from_pairs(w.a, w.b)):
-            assert (sb.E, sb.center, sb.central_unit) == (ref.E, ref.center, None)
+            assert (sb.E, sb.center, witt_global._centre(sb.sig)) == (ref.E, ref.center, (0,))
             assert (sb.row_labels, sb.col_labels) == (ref.row_labels, ref.col_labels)
 
     def test_g13new_matches_hand_bordering(self):
@@ -244,7 +245,7 @@ class TestFromPairs:
 
     def test_pauli_matches_hand_bordering(self):
         ref, (sb, mats) = reference_pauli(), pauli_spectral()
-        assert (sb.E, sb.center, sb.central_unit) == (ref.E, ref.center, ref.central_unit)
+        assert (sb.E, sb.center, witt_global._centre(sb.sig)) == (ref.E, ref.center, (0, 7))
         assert mats == [ref.mv_to_matrix(Multivector.generator(sb.sig, k)) for k in range(3)]
         # the labels are the pair words; no output prints them
         assert (sb.row_labels, sb.col_labels) == (["1", "a1"], ["1", "b1"])
@@ -258,6 +259,57 @@ class TestFromPairs:
         w = make_global_witt(2)
         with pytest.raises(DimensionMismatchError):
             spectral_basis_from_pairs(w.a[:na], w.b[:nb])
+
+
+def local_pairs(m):
+    """Global pairs of g(1, m-1) from its local family c_1..c_m: a_1 = c_1,
+    b_1 = c_2, and the C8 pairing null_pair(j f_i, f_(i-1)) for each odd
+    frame index i >= 3."""
+    w = make_local_witt(m)
+    a, b = [w.c[0]], [w.c[1]]
+    for i in range(3, m, 2):
+        ai, bi = null_pair(Multivector.generator(w.sig, i).scale(Scalar.j()),
+                           Multivector.generator(w.sig, i - 1))
+        a.append(ai)
+        b.append(bi)
+    return a, b
+
+
+class TestLocalBases:
+    """g(1, m-1) as matrices from its local family, with no argument but
+    the pairs: an odd m has coordinates over the pseudoscalar."""
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_certifies_round_trips_and_keeps_products(self, m):
+        a, b = local_pairs(m)
+        assert check_duality_relations(a, b) == []
+        sb = spectral_basis_from_pairs(a, b)
+        assert (1 + m % 2) * sb.dim ** 2 == sb.sig.dim
+        gs = [seeded_multivector(sb.sig, seed) for seed in range(4)]
+        mats = [sb.mv_to_matrix(g) for g in gs]          # certifies the basis
+        assert {type(x) for x in mats} == {CentralMatrix if m % 2 else MvMatrix}
+        assert mats[0] == trace_form(sb, gs[0])
+        for g, x in zip(gs, mats):
+            assert sb.matrix_to_mv(x) == g
+        for (g, x), (h, y) in zip(zip(gs, mats), zip(gs[1:], mats[1:])):
+            assert sb.mv_to_matrix(gp(g, h)) == x.matmul(y)
+        rng = random.Random(m)
+        assert sb.matrix_unit_law([tuple(rng.randrange(sb.dim) for _ in range(4))
+                                   for _ in range(20)])
+
+
+class TestCentre:
+    """The centre the coordinate maps read off the signature, against gp:
+    the blades that commute with every generator."""
+
+    @pytest.mark.parametrize("sig", [g3(), *(ga.g_1n(m - 1) for m in range(2, 9))],
+                             ids=lambda sig: sig.name)
+    def test_only_the_centre_commutes_with_every_generator(self, sig):
+        gens = [Multivector.generator(sig, k) for k in range(sig.m)]
+        blades = [Multivector.blade(sig, t) for t in range(sig.dim)]
+        commuting = tuple(t for t, x in enumerate(blades) if all(gp(x, e) == gp(e, x) for e in gens))
+        assert commuting == ((0, sig.dim - 1) if sig.m % 2 else (0,))
+        assert witt_global._centre(sig) == commuting
 
 
 BASES = ["g11", "g22", "g33", "g44", "g13", "g13new", "pauli"]
@@ -375,13 +427,13 @@ class TestIsomorphism:
 
 
 def trace_form(sb, g):
-    """x_ij = n <E_ji g>_0, plus n <E_ji g>_c on the central blade c over a
-    central unit, from gp alone."""
+    """x_ij = n <E_ji g>_0, plus n <E_ji g>_c on the pseudoscalar c of an
+    odd algebra, from gp alone."""
     n = sb.dim
-    if sb.central_unit is None:
+    if sb.sig.m % 2 == 0:
         return MvMatrix([[gp(sb.E[j][i], g).coeff(0) * n for j in range(n)]
                          for i in range(n)])
-    (c, _), = sb.central_unit.terms.items()
+    c = sb.sig.dim - 1
 
     def entry(p):
         return Multivector.blade(sb.sig, 0, p.coeff(0) * n) + \
@@ -407,13 +459,26 @@ def reference_extraction(sb):
     """The trace table as it was first built: n <E_ji g>_t as Scalar weights
     sign(a, a ^ t) n E_ji[a] on blade a ^ t, split once by split_map."""
     n, table = sb.dim, {}
-    for t in [0, *(sb.central_unit.terms if sb.central_unit else ())]:
+    for t in witt_global._centre(sb.sig):
         for i in range(n):
             for j in range(n):
                 for a, c in sb.E[j][i].terms.items():
                     table.setdefault(a ^ t, {})[(t * n + i) * n + j] = \
                         ga.blade_product(a, a ^ t, sb.sig)[0] * n * c
     return scalars.split_map(table)
+
+
+def reference_units(sb):
+    """The unit table as it was first built: the products t E_ij for each
+    blade t of the centre, split by split_map at row (t n + i) n + j."""
+    n = sb.dim
+    return scalars.split_map({(t * n + i) * n + j: gp(Multivector.blade(sb.sig, t), u).terms
+                              for t in witt_global._centre(sb.sig)
+                              for i, row in enumerate(sb.E) for j, u in enumerate(row)})
+
+
+def sorted_rows(split):
+    return {key: {k: sorted(row) for k, row in rows.items()} for key, rows in split.items()}
 
 
 def dense_multivector(sig, seed):
@@ -439,11 +504,19 @@ class TestTraceTable:
         # the same rows over the same den, so no conversion reduces more
         (split, den), (ref_split, ref_den) = sb._extraction, ref._extraction
         assert den == ref_den
-        assert {key: {b: sorted(row) for b, row in rows.items()} for key, rows in split.items()} \
-            == {key: {b: sorted(row) for b, row in rows.items()} for key, rows in ref_split.items()}
+        assert sorted_rows(split) == sorted_rows(ref_split)
         for seed in range(3):
             g = dense_multivector(sb.sig, seed)
             assert sb.mv_to_matrix(g) == ref.mv_to_matrix(g)
+
+    @pytest.mark.parametrize("name", BASES)
+    def test_unit_table_matches_products(self, name):
+        # built from the slots of E against the split gp products t E_ij
+        sb = fresh_basis(name)
+        sb._split_units()
+        (split, den), (ref_split, ref_den) = sb._units, reference_units(sb)
+        assert den == ref_den
+        assert sorted_rows(split) == sorted_rows(ref_split)
 
 
 class TestConversionCaches:
@@ -488,7 +561,7 @@ class TestConversionCaches:
             raise AssertionError("the trace table was built")
 
         monkeypatch.setattr(SpectralBasis, "_build_extraction", refuse)
-        sb = SpectralBasis(p.rows, p.center, p.cols, central_unit=p.central_unit)
+        sb = SpectralBasis(p.rows, p.center, p.cols)
         for k, mat in enumerate(images):
             assert sb.matrix_to_mv(mat) == Multivector.generator(sb.sig, k)
         with pytest.raises(AssertionError, match="trace table"):
@@ -539,6 +612,19 @@ class TestCentralMatrix:
         sig, zero = g3(), Multivector.zero(g3())
         with pytest.raises(ValueError, match="pseudoscalar part"):
             CentralMatrix([[Multivector.generator(sig, 0), zero], [zero, zero]])
+
+    def test_entries_of_another_algebra_rejected(self):
+        x, y = Multivector.scalar(g3(), 1), Multivector.blade(ga.g13(), 15)
+        for rows in ([[x, x], [x, y]], [[y, x], [x, x]]):
+            with pytest.raises(SignatureMismatchError, match="different algebras"):
+                CentralMatrix(rows)
+
+    def test_top_blade_of_an_even_algebra_rejected(self):
+        # e1 f1 anticommutes with e1: g(1,1) has only the scalars as centre
+        sig = ga.g_nn(1)
+        with pytest.raises(ValueError, match="pseudoscalar part"):
+            CentralMatrix([[Multivector.blade(sig, 3)]])
+        assert CentralMatrix([[Multivector.scalar(sig, 2)]]).slots == {(1, False): {0: 2}}
 
     def test_slot_layout(self):
         sig = g3()
@@ -603,13 +689,6 @@ class TestExtractorGuards:
         sb = SpectralBasis([one], gp(w.b[0], w.a[0]), [one])
         with pytest.raises(ExtractorUnavailableError, match="cannot span"):
             sb.mv_to_matrix(one)
-
-    def test_non_central_unit_rejected(self):
-        p = named_basis("pauli")
-        sb = SpectralBasis(p.rows, p.center, p.cols,
-                           central_unit=Multivector.generator(p.sig, 0))
-        with pytest.raises(ExtractorUnavailableError, match="central unit"):
-            sb.mv_to_matrix(Multivector.scalar(p.sig, 1))
 
     def test_radical_border_round_trips(self):
         # rows [1, sqrt(2) a] and cols [1, b/sqrt(2)] are matrix units with
