@@ -15,14 +15,16 @@ every end-to-end metric of the workload the record holds both sides'
 quartiles (statistics.quantiles, method 'inclusive'), the pairs the change
 wins, the ratio of the medians and the parent's IQR, plus the attempted and
 failed operation counts; "runs" lists every run, pair by pair, with its
-seed, the side that ran first, and each side's metric values and counts.  The machine line records the Python version, the
-usable cores and PYTHONDONTWRITEBYTECODE, which decides whether each fresh
-child compiles src/ again.  An existing --out file keeps its other workloads
-and its other keys (such as a hand-written "change" line), so one file can
-collect several runs of this script.  --claim METRIC marks METRIC of
-WORKLOAD as claimed: met when the change wins at least 9 of 10 pairs
-(rounded up) and the medians differ, in the better direction, by more than
-the parent's IQR.  Only the standard library is used.
+seed, the side that ran first, and each side's metric values and counts.
+The machine line records the Python version, the usable cores,
+PYTHONDONTWRITEBYTECODE, which decides whether each fresh child compiles
+src/ again, and PYTHONUNBUFFERED, which decides whether each write to a
+child's stdout is a system call of its own.  An existing --out file keeps
+its other workloads and its other keys (such as a hand-written "change"
+line), so one file can collect several runs of this script.  --claim
+METRIC marks METRIC of WORKLOAD as claimed: met when the change wins at
+least 9 of 10 pairs (rounded up) and the medians differ, in the better
+direction, by more than the parent's IQR.  Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -154,10 +156,12 @@ def main(argv=None) -> int:
                    "own copy of src/, perfbench/ and BENCHMARK.json; a pair is won when the "
                    "change's value is better; quartiles by "
                    "statistics.quantiles(method='inclusive')"),
-        # import cost depends on whether the children may cache bytecode
+        # the children inherit these: import cost depends on whether they may
+        # cache bytecode, output cost on whether their stdout is buffered
         "machine": f"Python {platform.python_version()}, "
-                   f"{len(os.sched_getaffinity(0))} usable cores, PYTHONDONTWRITEBYTECODE="
-                   f"{os.environ.get('PYTHONDONTWRITEBYTECODE', 'unset')}"})
+                   f"{len(os.sched_getaffinity(0))} usable cores, " + ", ".join(
+                       f"{var}={os.environ.get(var, 'unset')}"
+                       for var in ("PYTHONDONTWRITEBYTECODE", "PYTHONUNBUFFERED"))})
     entry = summarize(runs, seeds, spec)
     record.setdefault("workloads", {})[args.workload] = entry
     if args.claim:

@@ -8,15 +8,16 @@ Three subcommands:
             named spectral basis, JSON on stdin/stdout
   verify    run named identity suites and print a report
 
-Exit codes: 0 pass, 1 verification failure or stdout closed early, 2 bad
-input, 3 unsupported conversion.  CONFLICT entries in reports never affect
-the exit code.  The default seed for randomized checks is 0; the
-WITTKIT_SEED environment variable overrides it when --seed is absent.
+Each response is rendered in full and written in one piece.  Exit codes: 0 pass,
+1 verification failure or stdout closed early (any format, buffered or not), 2 bad
+input, 3 unsupported conversion.  CONFLICT entries never affect the exit code.  The
+default seed for randomized checks is 0; WITTKIT_SEED overrides it when --seed is absent.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -34,6 +35,18 @@ _VARIANTS = ("plain", "minus", "complex-plain", "complex-minus")
 # verify.SUITES, by name: parsing --suite imports no suite
 _SUITES = ("table1", "witt-global", "witt-local", "omega", "dirac", "pauli",
            "negative-g12")
+
+
+def _emit(text: str) -> None:
+    """Write text to stdout, encoded once, until the binary layer has taken every byte:
+    a write-through text layer (PYTHONUNBUFFERED) drops the rest of a short write."""
+    if hasattr(out := sys.stdout, "buffer"):
+        out.flush()
+        data = memoryview(text.encode(out.encoding, out.errors))
+        while data:
+            data = data[out.buffer.write(data):]
+    else:                                # a StringIO, in tests
+        out.write(text)
 
 
 def _basis(name: str):
@@ -97,7 +110,7 @@ def cmd_generate(args) -> int:
         from .omega import omega
         w = omega(args.k, args.variant)
         if fmt == "csv":
-            sys.stdout.write(w.to_csv())
+            _emit(w.to_csv())
             return 0
         out = w.to_json() if fmt == "json" else [w.latex()]
     elif obj == "dirac-standard":
@@ -143,13 +156,13 @@ def cmd_generate(args) -> int:
                               "entries")
 
     if fmt == "json":
-        json.dump(out, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit(json.dumps(out, indent=2) + "\n")
     elif fmt == "latex":
-        sys.stdout.write("\n".join(out) + "\n")
+        _emit("\n".join(out) + "\n")
     else:
         import csv
-        csv.writer(sys.stdout).writerows(out)
+        csv.writer(text := io.StringIO()).writerows(out)
+        _emit(text.getvalue())
     return 0
 
 
@@ -170,8 +183,7 @@ def cmd_convert(args) -> int:
         if mat.dim != sb.dim:
             raise ValueError(f"matrix dim {mat.dim} does not match basis dim {sb.dim}")
         out = sb.matrix_to_mv(mat)
-    json.dump(out.to_json(), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _emit(json.dumps(out.to_json(), indent=2) + "\n")
     return 0
 
 
@@ -193,22 +205,17 @@ def cmd_verify(args) -> int:
         reports = run_all(seed=seed, samples=args.samples)
     else:
         reports = [run_suite(args.suite, seed=seed, samples=args.samples)]
+    summary = {"pass": sum(r.n_pass for r in reports),
+               "fail": sum(r.n_fail for r in reports),
+               "conflict": sum(r.n_conflict for r in reports)}
     if args.format == "json":
-        summary = {"pass": sum(r.n_pass for r in reports),
-                   "fail": sum(r.n_fail for r in reports),
-                   "conflict": sum(r.n_conflict for r in reports)}
-        json.dump({"seed": seed, "samples": args.samples,
-                   "reports": [r.to_json() for r in reports],
-                   "summary": summary}, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit(json.dumps({"seed": seed, "samples": args.samples,
+                          "reports": [r.to_json() for r in reports],
+                          "summary": summary}, indent=2) + "\n")
     else:
-        for r in reports:
-            print(r.format_text())
-        total_fail = sum(r.n_fail for r in reports)
-        total = sum(len(r.checks) for r in reports)
-        print(f"TOTAL {total} checks: "
-              f"{sum(r.n_pass for r in reports)} pass, {total_fail} fail, "
-              f"{sum(r.n_conflict for r in reports)} conflict")
+        _emit("".join(f"{r.format_text()}\n" for r in reports) +
+              f"TOTAL {sum(len(r.checks) for r in reports)} checks: " +
+              "{pass} pass, {fail} fail, {conflict} conflict\n".format(**summary))
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -36,7 +36,7 @@ so both maps run the n stages of scalars.walsh on the n low bits of a slot
 lane; SpectralBasis._build_plan builds their gather and scatter lists from
 s(I, J).  A lane where nnz 2**n table multiply-adds cost less (see
 _lane_limit) reads table rows instead, each the butterfly's image of one
-unit lane, computed on its first read and cached on the basis.
+unit lane, read off in closed form (_row) and cached on its first read.
 tests/test_witt_global.py::TestButterfly checks the lists, every row of
 both tables and forced-butterfly round trips against E at n = 1..4, every
 size spectral_basis_nn builds.
@@ -494,7 +494,7 @@ class SpectralBasis:
         # scan for rows to cache only while some of the 4**n are missing
         if n and len(rows := table[0][1, False]) < 1 << 2 * n:
             for k in {k for s in rest.values() for k in s} - rows.keys():
-                rows[k] = [(i, v) for i, v in self._butterfly({k: 1}, forward).items() if v]
+                rows[k] = self._row(k, forward)
         acc, den = apply_slots(rest, den, table)
         acc.update(lanes)
         return acc, den
@@ -510,12 +510,20 @@ class SpectralBasis:
             return dict(zip(scatter, map(mul, signs, walsh(v, self._pairs))))
         return dict(zip(scatter, walsh(list(map(mul, signs, v)), self._pairs)))
 
+    def _row(self, k: int, forward: bool) -> list:
+        """_butterfly({k: 1}, forward) without zeros, in closed form: the n stages
+        send lane f + x N to (-1)^|f & t| at lane x + t N for each t < N."""
+        gather, scatter, signs = self._plan[forward]
+        n, lane = self._pairs, gather.index(k)      # lane & t == f & t for t < N
+        return [(scatter[o], (signs[o] if forward else signs[lane]) *
+                 (-1) ** (lane & o >> n).bit_count()) for o in range(lane >> n, 4 ** n, 1 << n)]
+
     def _build_plan(self):
         """The butterfly's gather list, scatter list and signs s(I, J) for
         each direction of the basis of g(n,n) (see the module docstring): no
         E and no gp.  Blade e_I f_J and entry (I, J) enter the stages at lane
         J + (I ^ J) N and leave them at I ^ J + J N.  Both tables start
-        empty; _apply caches their rows from the butterfly."""
+        empty; _apply caches their rows from _row."""
         n, size = self._pairs, self.dim
         self._plan = [[[0] * size * size for _ in range(3)] for _ in range(2)]
         (flat_in, mask_out, sign_in), (mask_in, flat_out, sign_out) = self._plan

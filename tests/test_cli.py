@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from wittkit import cli
 from wittkit.ga import Multivector, g13
 from wittkit.scalars import Scalar
-from wittkit.witt_global import MvMatrix, SpectralBasis, make_global_witt
+from wittkit.witt_global import MvMatrix, SpectralBasis, make_global_witt, spectral_basis_nn
 from wittkit.ga import gp
 
 
@@ -400,9 +400,9 @@ class TestClosedStdout:
 
     ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
-    def spawn(self, argv, stdout):
+    def spawn(self, argv, stdout, env=ENV):
         return subprocess.Popen([sys.executable, "-m", "wittkit.cli", *argv],
-                                stdout=stdout, stderr=subprocess.PIPE, env=self.ENV)
+                                stdout=stdout, stderr=subprocess.PIPE, env=env)
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "table1", "--format", "json"],
@@ -416,10 +416,71 @@ class TestClosedStdout:
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err) == (1, b"")
 
-    def test_reader_stops_after_one_line(self):
-        # about 1 MB of JSON: far more than a pipe holds
-        proc = self.spawn(["generate", "spectral", "--algebra", "g44"], subprocess.PIPE)
-        assert proc.stdout.readline() == b"{\n"
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("fmt, head", [
+        ("json", b'{\n  "signa'), ("latex", b"\\begin{pma"), ("csv", b"1/16 + 1/1"),
+    ], ids=["json", "latex", "csv"])
+    def test_reader_stops_after_ten_bytes(self, fmt, head, unbuffered):
+        # 77 kB (csv) to 1 MB (json) of output, more than a pipe holds, read
+        # as `head -c 10` reads it.  One write of it all returns short when
+        # the reader goes, so the rest must be written again to fail.
+        env = {k: v for k, v in self.ENV.items() if k != "PYTHONUNBUFFERED"}
+        proc = self.spawn(["generate", "spectral", "--algebra", "g44", "--format", fmt],
+                          subprocess.PIPE, env | {"PYTHONUNBUFFERED": "1"} if unbuffered else env)
+        got = b""
+        while len(got) < 10 and (chunk := os.read(proc.stdout.fileno(), 10 - len(got))):
+            got += chunk
+        assert got == head
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(timeout=60), err) == (1, b"")
+
+
+class ShortWrites(io.RawIOBase):
+    """A raw stream that takes at most 4096 bytes per write and counts its calls."""
+
+    def __init__(self):
+        self.data, self.calls = bytearray(), 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.calls += 1
+        self.data += b[:4096]
+        return min(len(b), 4096)
+
+
+class TestShortWrites:
+    """Each response reaches a write-through stdout whole, in as few raw
+    writes as a stream taking 4096 bytes a call allows, not one per
+    encoder chunk."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "spectral", "--algebra", "g33", "--format", "json"],
+        ["generate", "spectral", "--algebra", "g33", "--format", "latex"],
+        ["generate", "spectral", "--algebra", "g33", "--format", "csv"],
+        ["convert", "mv2mat", "--algebra", "g33"],
+        ["convert", "mat2mv", "--algebra", "g33"],
+        ["verify", "--suite", "table1", "--format", "json"],
+    ], ids=["json", "latex", "csv", "mv2mat", "mat2mv", "verify"])
+    def test_every_byte_in_the_fewest_writes(self, argv, monkeypatch):
+        # every blade of g33 with a rational and a j part: 5.7 kB and 10.7 kB out
+        sb = spectral_basis_nn(3)
+        g = Multivector(sb.sig, {m: Scalar.from_json([{"d": 1, "re": f"{m % 7 - 3}/{m % 5 + 1}",
+                                                        "im": str(m * 3 % 5 - 2)}])
+                                 for m in range(64)})
+        stdin = {"mv2mat": g.to_json(), "mat2mv": sb.mv_to_matrix(g).to_json()}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(stdin.get(argv[1]))))
+        raw, emitted, emit = ShortWrites(), [], cli._emit
+
+        def spy(text):
+            emitted.append(text)
+            emit(text)
+
+        monkeypatch.setattr(cli, "_emit", spy)
+        monkeypatch.setattr("sys.stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
+        assert cli.main(argv) == 0
+        [text] = emitted
+        assert raw.data == text.encode()
+        assert raw.calls == -(-len(raw.data) // 4096)

@@ -1037,6 +1037,15 @@ class TestButterfly:
                 assert fly == ref.E[i][j]
         assert cached_rows(sb, False) == cached_rows(ref, False)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_rows_are_butterfly_rows(self, n):
+        sb = spectral_basis_nn(n)
+        sb._build_plan()
+        for forward in (True, False):
+            for k in range(4 ** n):
+                want = [(i, v) for i, v in sb._butterfly({k: 1}, forward).items() if v]
+                assert sb._row(k, forward) == want
+
     def test_rows_cached_only_when_read(self):
         # dense lanes of g44 all take the butterfly and cache no row; a
         # sparse round trip caches the rows of its blades and of the entries
