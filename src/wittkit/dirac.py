@@ -6,9 +6,11 @@ coordinate matrices take entries in the center span{1, e123} of the odd
 algebra.  The central pseudoscalar i = e123 has i^2 = -1 but is a blade,
 not the scalar j; the two are kept distinct throughout.
 
-The Dirac algebra g(1,3) gets two 4x4 complex representations: the standard
-one from the idempotent u_pp = (1+g0)(1+j g12)/4 with borders in the rest
-frame bivectors, and a new one, spectral_basis_from_pairs on the nilpotent
+The Dirac algebra g(1,3) gets two 4x4 complex representations, each
+spectral_basis_from_pairs on two nilpotent pairs.  The standard one takes
+the pairs (j g2 g3 +- e1 e3)/2 and (e3 +- g3)/2, with e_k = g_k g0: their
+bordering is the idempotent u_pp = (1+g0)(1+j g12)/4 with rows (1, e13, e3,
+e1) and columns (1, -e13, e3, e1) in the rest frame.  The new one takes the
 pairs (g0 -+ g3)/2 and (j g2 +- g1)/2 of gammas: the g(2,2) bordering of
 subset words, transported by that (27)-style pairing.  Pauli is the same
 bordering of the one pair (e1 +- e1 e3)/2 over the center of g(3).
@@ -160,13 +162,14 @@ def g11_embedding_check() -> bool:
 
 
 def _standard_basis(fr: DiracFrame) -> SpectralBasis:
-    """Matrix units around u_pp, bordered by (1, e13, e3, e1) and (1, -e13, e3, e1)."""
-    one = Multivector.scalar(fr.gammas[0].sig, 1)
+    """Matrix units around u_pp, bordered by (1, e13, e3, e1) and (1, -e13, e3, e1):
+    spectral_basis_from_pairs on (j g2 g3 +- e13)/2 and (e3 +- g3)/2."""
+    _, _, g2, g3v = fr.gammas
     e1, _, e3 = fr.rest
-    e13 = gp(e1, e3)
-    return SpectralBasis([one, e13, e3, e1], dirac_idempotents(fr).u_pp, [one, -e13, e3, e1],
-                         row_labels=["1", "e13", "e3", "e1"],
-                         col_labels=["1", "-e13", "e3", "e1"])
+    (a1, b1), (a2, b2) = null_pair(gp(g2, g3v).scale(Scalar.j()), gp(e1, e3)), null_pair(e3, g3v)
+    sb = spectral_basis_from_pairs([a1, a2], [b1, b2])
+    sb.row_labels, sb.col_labels = ["1", "e13", "e3", "e1"], ["1", "-e13", "e3", "e1"]
+    return sb
 
 
 def dirac_spectral_standard() -> tuple[SpectralBasis, list[MvMatrix]]:

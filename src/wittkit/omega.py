@@ -150,7 +150,8 @@ def gram_check(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> bool
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free integer determinant (Bareiss elimination)."""
+    """Fraction-free integer determinant (Bareiss elimination); the 0 x 0
+    matrix has determinant 1."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise DimensionMismatchError("matrix must be square")
@@ -171,7 +172,7 @@ def bareiss_det(rows: list[list[int]]) -> int:
                 m[r][c2] = (m[r][c2] * m[c][c] - m[r][c] * m[c][c2]) // prev
             m[r][c] = 0
         prev = m[c][c]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def det_omega(k: int, variant: OmegaVariant | str = OmegaVariant.PLAIN) -> int:

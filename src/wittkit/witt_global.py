@@ -2,44 +2,45 @@
 multivector <-> coordinate-matrix isomorphism.
 
 A globally dual pair consists of nilpotent vectors a_1..a_n, b_1..b_n in the
-neutral algebra g(n,n) with a_i*b_j + b_j*a_i = delta_ij: the family a, b
-has the anticommutator table [[0, I], [I, 0]], which check_duality_relations
-checks with ga.anticommutator_relations.  Bordering the
+neutral algebra g(n,n) with a_i*b_j + b_j*a_i = delta_ij: the anticommutator
+table [[0, I], [I, 0]] that check_duality_relations checks.  Bordering the
 product of the n idempotents b_i*a_i with subset words in the a's (rows) and
-b's (columns) yields a complete family of matrix units E[i][j], which turns
-the 4**n dimensional algebra into the full 2**n x 2**n matrix algebra over
-the rational-plus-j subfield.
+b's (columns) yields matrix units E[i][j], which turn the algebra into the
+2**n x 2**n matrices over the rational-plus-j subfield.
 
-Coordinates come from the trace: for matrix units the scalar part is the
+Coordinates are the trace form: for matrix units the scalar part is the
 normalized trace, so the (i, j) coordinate of g is x_ij = n <E[j][i] g>_t
 over the blades t of the centre, which the signature fixes (_centre).  A
 coordinate matrix stores blade t of entry (i, j) at the index
 (t n + i) n + j of integer slots over one denominator: MvMatrix is the
 scalar case t = 0 and CentralMatrix carries the pseudoscalar of an odd
-algebra too.  Each coordinate map is one scalars.apply_slots of a table
-built from the slots of E, and builds no Scalar.  A basis certifies once
-that its family is a complete set of matrix units before mv_to_matrix
-reads coordinates (SpectralBasis._build_extraction); matrix_to_mv needs no
-certificate.  Inputs and basis entries may carry radicals.
+algebra too.  Inputs may carry radicals.
 
-The basis of g(n,n) that spectral_basis_nn builds needs neither E nor the
-certificate.  Its pairs sit on disjoint generators, so E[I][J] is a signed
-product s(I, J) w_1 ... w_n of one g(1,1) unit per pair (w_k = u, a_k, b_k
-or a_k b_k by bit k of I and J), with s(I, J) = (-1)^(C(|J|, 2) + #{l < k :
-I_k = 1, J_l = 1}), the sign that reorders a_I (ascending) u b_J
-(descending) into pair order.  Since 2u = 1 + ef, 2a = e + f, 2b = e - f
-and 2ab = 1 - ef, each coordinate map is a Walsh-Hadamard transform: let
-lane f + x N hold the blade with f_k at bit k of f and e_k ^ f_k at bit k
-of x, or the entry (x ^ f, f) times s(x ^ f, f).  Then the map sends lane
-f + x N to sum_t (-1)^|f & t| lane t + x N, symmetric and squaring to 2**n,
-so both maps run the n stages of scalars.walsh on the n low bits of a slot
-lane; SpectralBasis._build_plan builds their gather and scatter lists from
+Both coordinate maps are read off the pairs (Jordan and Wigner, Z. Phys.
+47 (1928) 631).  On the words a_I u that spectral_basis_from_pairs borders,
+a_k and b_k act as fixed creation and annihilation matrices, whatever the
+pairs hold.  SpectralBasis._build_extraction checks the blade relations of
+the pair blades a_k +- b_k on those matrices and builds the trace table
+and the unit table from the monomial images of all blades, so each map is
+one scalars.apply_slots with no E, no gp and no Scalar.  A hand-bordered
+SpectralBasis(rows, center, cols) has E and no coordinate maps.
+
+The basis of g(n,n) that spectral_basis_nn builds has a butterfly too.  Its
+pairs sit on disjoint generators, so E[I][J] is a signed product s(I, J)
+w_1 ... w_n of one g(1,1) unit per pair (w_k = u, a_k, b_k or a_k b_k by
+bit k of I and J), with s(I, J) = (-1)^(C(|J|, 2) + #{l < k : I_k = 1,
+J_l = 1}), the sign that reorders a_I (ascending) u b_J (descending) into
+pair order.  Since 2u = 1 + ef, 2a = e + f, 2b = e - f and 2ab = 1 - ef,
+each coordinate map is a Walsh-Hadamard transform: let lane f + x N hold
+the blade with f_k at bit k of f and e_k ^ f_k at bit k of x, or the entry
+(x ^ f, f) times s(x ^ f, f).  Then the map sends lane f + x N to sum_t
+(-1)^|f & t| lane t + x N, symmetric and squaring to 2**n, so both maps run
+the n stages of scalars.walsh on the n low bits of a slot lane;
+SpectralBasis._build_plan builds their gather and scatter lists from
 s(I, J).  A lane where nnz 2**n table multiply-adds cost less (see
-_lane_limit) reads table rows instead, each the butterfly's image of one
-unit lane, read off in closed form (_row) and cached on its first read.
-tests/test_witt_global.py::TestButterfly checks the lists, every row of
-both tables and forced-butterfly round trips against E at n = 1..4, every
-size spectral_basis_nn builds.
+_lane_limit) reads the tables instead.  tests/test_witt_global.py::
+TestButterfly checks the lists and forced-butterfly round trips against E
+at n = 1..4, every size spectral_basis_nn builds.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product, repeat
-from math import comb, gcd, lcm
+from math import comb
 from operator import mul
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, _blade_product, anticommutator_relations,
-                 blade_product, g_nn, gp, gp_chain, null_pair)
+                 g_nn, gp, gp_chain, null_pair)
 from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
                       json_slots, pmatrix, reduce_slots, split_slots, walsh)
 
@@ -83,15 +84,11 @@ def _lane_limit(n: int) -> int | None:
     return limit if limit < 1 << 2 * n else None
 
 
-def _product_part(x: Multivector, y: Multivector, t: int) -> Scalar:
-    """<x y>_t without forming x y: blade a of x meets blade a ^ t of y."""
-    acc = Scalar()
-    for a, ca in x.terms.items():
-        cb = y.terms.get(a ^ t)
-        if cb is not None:
-            p = ca * cb
-            acc = acc + (p if blade_product(a, a ^ t, x.sig)[0] > 0 else -p)
-    return acc
+def _times(x: list, y: list, flip: int = 0) -> list:
+    """The monomial matrix x y, negated when flip is 2.  Column c of a
+    monomial matrix is (r, w): the entry j^(w & 3) iota^(w >> 2) in row r,
+    iota the centre blade of an odd algebra, which at most one factor holds."""
+    return [(x[r][0], (x[r][1] + w) & 3 ^ flip | (x[r][1] | w) & 4) for r, w in y]
 
 
 def _centre(sig: Signature) -> tuple[int, ...]:
@@ -336,9 +333,10 @@ class SpectralBasis:
         self.center = center
         self.row_labels = list(row_labels) if row_labels else None
         self.col_labels = list(col_labels) if col_labels else None
+        self._pairs = None            # (a, b) for a basis spectral_basis_from_pairs built
         self._extraction = None       # the trace table, for mv_to_matrix
         self._units = None            # the unit table, for matrix_to_mv
-        self._pairs = None            # n for the basis of g(n,n) that spectral_basis_nn built
+        self._nn = None               # n for the basis of g(n,n) that spectral_basis_nn built
         self._plan = None             # its butterfly's gather and scatter lists
 
     @cached_property
@@ -373,64 +371,75 @@ class SpectralBasis:
     # -- coordinate maps ---------------------------------------------------
 
     def _build_extraction(self):
-        """Certify the family as matrix units, then cache the trace table.
+        """Certify a pair basis, then build its trace table and unit table
+        from the Jordan-Wigner images of its blades; a hand-bordered basis
+        raises ExtractorUnavailableError.
 
-        With tau(X) = n * sum_t <X>_t e_t, where t runs over the blades of
-        the centre (_centre: the scalar, and for an odd generator count the
-        pseudoscalar), the certificate is:
+        Row I of a pair basis is the word a_I u, I a bit mask.  A_k holds
+        (-1)^#{i in I : i < k} at (I + {k}, I) for each I without k, and B_k
+        the same sign at (I - {k}, I) for each I with k.  Each pair blade
+        x_k = a_k + b_k and y_k = a_k - b_k must be a unit c (+-1 or +-j)
+        times one blade, which is sent to (A_k + B_k)/c and (A_k - B_k)/c;
+        an odd algebra also sends its pseudoscalar to iota I.
 
-        1. there are sig.dim elements: n**2, or 2 n**2 in an odd algebra;
-        2. u = center satisfies u u = u and tau(u) = 1;
-        3. tau(u c_i r_k) = delta_ik for all i, k.
+        Why that suffices.  The images of every two pair blades p, q must
+        keep the relation _blade_product gives them, p q = s(p, q) s(q, p) q p,
+        and p p = s(p, p).  The pseudoscalar is central (_centre) and iota I
+        squares as CentralMatrix multiplies it, so its relations hold as
+        built.  The products of these blades must reach all sig.dim blades,
+        each once, so blades and relations present the algebra: the blade
+        map extends to a homomorphism phi, with phi(a_k) = (phi(x_k) +
+        phi(y_k))/2 = A_k and phi(b_k) = B_k.  On the words a_I, A_k creates
+        k and B_k annihilates it, so phi(u) = prod B_k A_k is the matrix unit
+        (0, 0) and phi(E_IJ) = phi(a_I u b_J) the unit (I, J).  So phi is
+        onto, hence bijective by dimension: it is the trace map.
 
-        Why that suffices.  The centre Z is the scalars for an even generator
-        count and span{1, pseudoscalar} for an odd one, since every other
-        blade anticommutes with some generator (_centre;
-        tests/test_witt_global.py::TestCentre checks it with gp).  So the
-        algebra is central simple over the scalars (even count) or over Z (odd
-        count), where it is a product of simple factors; either way tau is its
-        reduced trace, Z-valued: blades outside Z have trace 0.  An idempotent
-        of reduced trace 1 has rank one in every factor, so u X u = tau(u X) u
-        for all X.  By (3), u c_i r_k u = delta_ik u, hence E_ij E_kl =
-        r_i (u c_j r_k u) c_l = delta_jk E_il: the matrix-unit law.  Matrix
-        units with tau(E_ii) = tau(u c_i r_i) = 1 are independent over Z, and
-        by (1) there are as many as the dimension, so they form a basis;
-        expanding g = sum z_kl E_kl gives tau(E_ji g) = z_ij exactly.
-
-        The table maps each blade mask b to the flat indices it feeds and
-        their weights, idx = (t n + i) n + j for blade t, so the coordinates
-        are one scalars.apply_slots of the input's slots: blade t of entry
-        (i, j) is n <E_ji g>_t, the sum of n E_ji[a] g[b] over the masks
-        a = b ^ t, already at its slot index in the matrix.  The table is
-        split as scalars.split_map splits it, over the lcm of the reduced
-        weight dens E_ji.den / gcd(E_ji.den, n), but built straight from the
-        slots of the E_ji: no Scalar is formed and no conversion splits it.
-        """
-        n, sig, u = self.dim, self.sig, self.center
-        blades = _centre(sig)            # tau(X) = (n <X>_t for t in blades)
-        if len(blades) * n * n != sig.dim:
-            raise ExtractorUnavailableError(f"{len(blades) * n * n} basis elements "
-                                            f"cannot span a {sig.dim}-dimensional algebra")
-        zeros = (0,) * (len(blades) - 1)
-        if gp(u, u) != u or tuple(n * u.coeff(t) for t in blades) != (1,) + zeros:
-            raise ExtractorUnavailableError("the center is not an idempotent of trace 1")
-        for i, c in enumerate(self.cols):
-            uc = gp(u, c)
-            for k, r in enumerate(self.rows):
-                if tuple(n * _product_part(uc, r, t) for t in blades) != \
-                        (int(i == k),) + zeros:
-                    raise ExtractorUnavailableError(
-                        f"tau(u c{i} r{k}) is not {int(i == k)}: "
-                        "the family breaks the matrix-unit law")
-        den, split = lcm(*(e.den // gcd(e.den, n) for row in self.E for e in row)), {}
-        for t, i, j in product(blades, range(n), range(n)):
-            e, idx = self.E[j][i], (t * n + i) * n + j
-            for key, slot in e.slots.items():
-                rows, f = split.setdefault(key, {}), n * den // e.den
-                for a, v in slot.items():
-                    rows.setdefault(a ^ t, []).append(
-                        (idx, _blade_product(a, a ^ t, sig.squares)[0] * f * v))
-        self._extraction = split, den
+        Doubling over the generating blades, phi(e_(M ^ p)) = s(M, p)
+        phi(e_M) phi(e_p), gives every image, a monomial matrix (_times).
+        The trace table sends blade M to its image's entries at
+        (t n + r) n + c over den 1.  The images are unitary and tr(phi(e_M)^H
+        phi(e_K)) has scalar part n delta_MK, so the unit table is the
+        conjugate transpose over den n."""
+        if self._pairs is None:
+            raise ExtractorUnavailableError("a hand-bordered basis has no coordinate maps; "
+                                            "border it with spectral_basis_from_pairs")
+        n, sig, sq = self.dim, self.sig, self.sig.squares
+        one, gens = [(i, 0) for i in range(n)], []
+        for k, (ak, bk) in enumerate(zip(*self._pairs)):
+            for name, x, minus in (("x", ak + bk, 0), ("y", ak - bk, 2)):
+                match x.den, [(key, *mv) for key, slot in x.slots.items() for mv in slot.items()]:
+                    case 1, [((1, imag), mask, (1 | -1) as v)]:     # x = j^p e_mask
+                        p, bit = 1 - v + imag, 1 << k
+                        gens.append((f"{name}{k + 1}", mask, [
+                            (i ^ bit, (2 * (i & bit - 1).bit_count() + (i & bit and minus) - p) & 3)
+                            for i in range(n)]))
+                    case _:
+                        raise ExtractorUnavailableError(f"pair {k + 1}: a{k + 1} {'+-'[minus > 0]} "
+                                                        f"b{k + 1} is not a unit times one blade")
+        for i, (x, mx, px) in enumerate(gens):
+            for y, my, py in gens[i:]:
+                s = _blade_product(mx, my, sq)[0] * (1 if x == y else _blade_product(my, mx, sq)[0])
+                if _times(px, py) != _times(one, one if x == y else _times(py, px), 1 - s):
+                    rel = f"{x}^2 = {s}" if x == y else f"{x} {y} = {'-' * (s < 0)}{y} {x}"
+                    raise ExtractorUnavailableError(f"the images of the pair blades break {rel}")
+        if sig.m & 1:
+            gens.append(("iota", sig.dim - 1, [(i, 4) for i in range(n)]))
+        images = {0: one}
+        for _, p, image in gens:
+            images.update({m ^ p: _times(x, image, 1 - _blade_product(m, p, sq)[0])
+                           for m, x in images.items()})
+        if not len(images) == 1 << len(gens) == sig.dim:
+            raise ExtractorUnavailableError(f"the products of the {len(gens)} pair blades "
+                                            f"reach {len(images)} of the {sig.dim} blades")
+        top, fwd, back = sig.dim - 1, ({}, {}), ({}, {})      # real and j parts
+        for m, image in images.items():
+            for c, (r, w) in enumerate(image):
+                idx, imag, v = ((w >> 2) * top * n + r) * n + c, w & 1, 1 - (w & 2)
+                fwd[imag].setdefault(m, []).append((idx, v))
+                back[imag].setdefault(idx, []).append((m, -v if imag else v))
+        self._extraction, self._units = (
+            ({(1, imag == 1): rows for imag, rows in enumerate(table) if rows}, den)
+            for table, den in ((fwd, 1), (back, n)))
 
     def mv_to_matrix(self, g: Multivector):
         """x_ij = n <E_ji g>_t for each blade t of the centre: an MvMatrix
@@ -441,22 +450,6 @@ class SpectralBasis:
         if len(_centre(self.sig)) == 1:
             return MvMatrix._of_sums(self.dim, sums, den)
         return CentralMatrix._of_sums(self.dim, sums, den, self.sig)
-
-    def _split_units(self):
-        """The unit table: row (t n + i) n + j is t E_ij, which holds
-        sign(t, a) E_ij[a] at blade a ^ t for each blade a of E_ij and t of
-        the centre, over the lcm of the E_ij.den.  It is built from the
-        slots of E, as the trace table is.  No certificate is needed to
-        expand sum x_ij E_ij, so this never builds the trace table."""
-        n, squares = self.dim, self.sig.squares
-        den, split = lcm(*(e.den for row in self.E for e in row)), {}
-        for t, i, j in product(_centre(self.sig), range(n), range(n)):
-            e = self.E[i][j]
-            for key, slot in e.slots.items():
-                split.setdefault(key, {})[(t * n + i) * n + j] = [
-                    (a ^ t, _blade_product(t, a, squares)[0] * den // e.den * v)
-                    for a, v in slot.items()]
-        self._units = split, den
 
     def matrix_to_mv(self, mat) -> Multivector:
         """sum x_ij E_ij; a central entry x_ij contributes x_ij E_ij as a
@@ -472,29 +465,20 @@ class SpectralBasis:
 
     def _apply(self, slots: dict, den: int, forward: bool):
         """apply_slots of the trace table (forward, mv_to_matrix) or the unit
-        table (backward, matrix_to_mv).  Another basis builds its table from
-        E on first use.  On the basis of g(n,n) every lane longer than
-        _lane_limit(n) runs through the butterfly, and a table holds only
-        the rows that shorter lanes have read: row k is the butterfly's
-        image of the unit lane {k: 1} without its zeros, cached on its first
-        read, over den 1 forward and den 2**n backward, the dens the
-        butterfly sums over, so lanes of either path join."""
-        n = self._pairs
+        table (backward, matrix_to_mv), both built by _build_extraction when
+        a lane first goes to a table.  On the basis of g(n,n) every lane
+        longer than _lane_limit(n) runs through the butterfly instead, over
+        the tables' dens, 1 forward and 2**n backward, so the paths join."""
+        n = self._nn
         if n and self._plan is None:
             self._build_plan()
-        elif forward and self._extraction is None:
-            self._build_extraction()
-        elif not forward and self._units is None:
-            self._split_units()
-        table = self._extraction if forward else self._units
         limit = _lane_limit(n) if n else None
         lanes = {key: self._butterfly(s, forward) for key, s in slots.items()
                  if limit is not None and len(s) > limit}
         rest = {key: s for key, s in slots.items() if key not in lanes}
-        # scan for rows to cache only while some of the 4**n are missing
-        if n and len(rows := table[0][1, False]) < 1 << 2 * n:
-            for k in {k for s in rest.values() for k in s} - rows.keys():
-                rows[k] = self._row(k, forward)
+        if self._extraction is None and (rest or not lanes):
+            self._build_extraction()
+        table = (self._extraction if forward else self._units) or ({}, 1 << n * (not forward))
         acc, den = apply_slots(rest, den, table)
         acc.update(lanes)
         return acc, den
@@ -507,24 +491,15 @@ class SpectralBasis:
         gather, scatter, signs = self._plan[forward]
         v = list(map(slot.get, gather, repeat(0)))
         if forward:
-            return dict(zip(scatter, map(mul, signs, walsh(v, self._pairs))))
-        return dict(zip(scatter, walsh(list(map(mul, signs, v)), self._pairs)))
-
-    def _row(self, k: int, forward: bool) -> list:
-        """_butterfly({k: 1}, forward) without zeros, in closed form: the n stages
-        send lane f + x N to (-1)^|f & t| at lane x + t N for each t < N."""
-        gather, scatter, signs = self._plan[forward]
-        n, lane = self._pairs, gather.index(k)      # lane & t == f & t for t < N
-        return [(scatter[o], (signs[o] if forward else signs[lane]) *
-                 (-1) ** (lane & o >> n).bit_count()) for o in range(lane >> n, 4 ** n, 1 << n)]
+            return dict(zip(scatter, map(mul, signs, walsh(v, self._nn))))
+        return dict(zip(scatter, walsh(list(map(mul, signs, v)), self._nn)))
 
     def _build_plan(self):
         """The butterfly's gather list, scatter list and signs s(I, J) for
         each direction of the basis of g(n,n) (see the module docstring): no
         E and no gp.  Blade e_I f_J and entry (I, J) enter the stages at lane
-        J + (I ^ J) N and leave them at I ^ J + J N.  Both tables start
-        empty; _apply caches their rows from _row."""
-        n, size = self._pairs, self.dim
+        J + (I ^ J) N and leave them at I ^ J + J N."""
+        n, size = self._nn, self.dim
         self._plan = [[[0] * size * size for _ in range(3)] for _ in range(2)]
         (flat_in, mask_out, sign_in), (mask_in, flat_out, sign_out) = self._plan
         for i, j in product(range(size), range(size)):
@@ -535,7 +510,6 @@ class SpectralBasis:
                                                 for k in range(n))
             flat_in[lane] = flat_out[out] = i * size + j
             sign_in[lane] = sign_out[out] = -1 if parity & 1 else 1
-        self._extraction, self._units = ({(1, False): {}}, 1), ({(1, False): {}}, size)
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)
@@ -554,7 +528,7 @@ def spectral_basis_from_pairs(a: list[Multivector], b: list[Multivector]) -> Spe
     (columns, descending inner index), around the idempotent product
     (b_1 a_1)...(b_n a_n).  Row and column 0 are the empty word 1.  The
     coordinates lie in the centre, so an odd algebra gets CentralMatrix
-    coordinates."""
+    coordinates; the pairs are kept for both coordinate maps."""
     if not a or len(a) != len(b):
         raise DimensionMismatchError("the pairs need one b for every a, and at least one a")
     n, one = len(a), Multivector.scalar(a[0].sig, 1)
@@ -566,7 +540,9 @@ def spectral_basis_from_pairs(a: list[Multivector], b: list[Multivector]) -> Spe
         row_labels.append("a" + "".join(str(i + 1) for i in idx))
         col_labels.append("b" + "".join(str(i + 1) for i in reversed(idx)))
     center = gp_chain([gp(bi, ai) for ai, bi in zip(a, b)])
-    return SpectralBasis(rows, center, cols, row_labels=row_labels, col_labels=col_labels)
+    sb = SpectralBasis(rows, center, cols, row_labels=row_labels, col_labels=col_labels)
+    sb._pairs = list(a), list(b)
+    return sb
 
 
 def spectral_basis_nn(n: int) -> SpectralBasis:
@@ -575,5 +551,5 @@ def spectral_basis_nn(n: int) -> SpectralBasis:
         raise RangeError("spectral bases are built for 1 <= n <= 4")
     w = make_global_witt(n)
     sb = spectral_basis_from_pairs(w.a, w.b)
-    sb._pairs = n
+    sb._nn = n
     return sb

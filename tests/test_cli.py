@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittkit import cli
-from wittkit.ga import Multivector, g13
+from wittkit.ga import Multivector, g13, gp
 from wittkit.scalars import Scalar
-from wittkit.witt_global import MvMatrix, SpectralBasis, make_global_witt, spectral_basis_nn
-from wittkit.ga import gp
+from wittkit.witt_global import (MvMatrix, SpectralBasis, make_global_witt,
+                                 spectral_basis_from_pairs, spectral_basis_nn)
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -208,20 +208,31 @@ class TestConvert:
         assert err == f"wittkit: bad input: {message}\n"
 
     @pytest.mark.parametrize("algebra", ["g13", "g13new"])
-    @pytest.mark.parametrize("direction, builds", [("mat2mv", 0), ("mv2mat", 1)])
+    @pytest.mark.parametrize("direction, builds", [("mv2mat", 1)])
     def test_trace_table_built_only_to_read_coordinates(self, capsys, monkeypatch,
                                                         algebra, direction, builds):
-        # matrix_to_mv expands sum x_ij E_ij and reads no trace table
         calls = []
         build = SpectralBasis._build_extraction
         monkeypatch.setattr(SpectralBasis, "_build_extraction",
                             lambda sb: calls.append(sb) or build(sb))
-        payload = (MvMatrix.identity(4) if direction == "mat2mv"
-                   else Multivector.generator(g13(), 2)).to_json()
+        payload = Multivector.generator(g13(), 2).to_json()
         code, out, _ = run_cli(capsys, ["convert", direction, "--algebra", algebra],
                                json.dumps(payload), monkeypatch)
         assert code == 0 and out
         assert len(calls) == builds
+
+    @pytest.mark.parametrize("algebra", ["g13", "g13new"])
+    def test_mat2mv_certifies_the_pairs_once(self, capsys, monkeypatch, algebra):
+        # matrix_to_mv reads the unit table, which the certificate of the
+        # pairs builds together with the trace table
+        calls = []
+        build = SpectralBasis._build_extraction
+        monkeypatch.setattr(SpectralBasis, "_build_extraction",
+                            lambda sb: calls.append(sb) or build(sb))
+        code, out, _ = run_cli(capsys, ["convert", "mat2mv", "--algebra", algebra],
+                               json.dumps(MvMatrix.identity(4).to_json()), monkeypatch)
+        assert (code, json.loads(out)) == (0, Multivector.scalar(g13(), 1).to_json())
+        assert len(calls) == 1 and calls[0]._units is not None
 
     def test_deep_nesting_exits_2(self, capsys, monkeypatch):
         code, out, err = run_cli(capsys, ["convert", "mv2mat", "--algebra", "g11"],
@@ -232,18 +243,17 @@ class TestConvert:
         assert err.count("\n") == 1
 
     def test_unavailable_extractor_exits_3(self, capsys, monkeypatch):
-        # the sqrt(2)-scaled border is not a family of matrix units (its
-        # border squares to 2), so the basis cannot support conversion
+        # b1 with its sign flipped breaks the blade relation x1^2 = -1 of
+        # its pair blades, so the basis cannot support conversion
         w = make_global_witt(1)
         one = Multivector.scalar(w.sig, 1)
-        e = (w.a[0] + w.b[0]).scale(Scalar.sqrt(2))
-        broken = SpectralBasis([one, e], gp(w.b[0], w.a[0]), [one, e])
+        broken = spectral_basis_from_pairs(w.a, [-w.b[0]])
         monkeypatch.setattr(cli, "_basis", lambda name: broken)
         payload = json.dumps(one.to_json())
         code, _, err = run_cli(capsys, ["convert", "mv2mat", "--algebra", "g11"],
                                payload, monkeypatch)
         assert code == 3
-        assert "unsupported conversion" in err
+        assert "unsupported conversion" in err and "x1^2 = -1" in err
 
 
 # leaves and keys that reach past the first shape checks of the parsers

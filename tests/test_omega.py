@@ -152,6 +152,10 @@ class TestBareiss:
         assert bareiss_det([[1, 2], [3, 4]]) == -2
         assert bareiss_det([[0, 1], [1, 0]]) == -1
 
+    def test_empty_matrix_is_one(self):
+        # the empty product: the 0 x 0 matrix once raised IndexError
+        assert bareiss_det([]) == 1
+
     def test_singular(self):
         assert bareiss_det([[1, 2], [2, 4]]) == 0
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from tests.conftest import bounded_fractions
 from wittkit import ga, scalars, witt_global
 from wittkit.cli import _basis
-from wittkit.dirac import (dirac_frame, dirac_spectral_new, dirac_spectral_standard,
-                           pauli_spectral)
+from wittkit.dirac import (dirac_frame, dirac_idempotents, dirac_spectral_new,
+                           dirac_spectral_standard, pauli_spectral)
 from wittkit.errors import (DimensionMismatchError, ExtractorUnavailableError,
                             RangeError, SignatureMismatchError)
 from wittkit.ga import Multivector, g3, gp, gp_chain, null_pair, reverse
@@ -229,6 +229,18 @@ def reference_pauli():
                          row_labels=["1", "a"], col_labels=["1", "b"])
 
 
+def reference_g13_standard():
+    """g(1,3) around u_pp = (1 + g0)(1 + j g12)/4, bordered by
+    (1, e13, e3, e1) and (1, -e13, e3, e1) with e_k = g_k g0."""
+    fr = dirac_frame()
+    one = Multivector.scalar(fr.gammas[0].sig, 1)
+    e1, _, e3 = fr.rest
+    e13 = gp(e1, e3)
+    return SpectralBasis([one, e13, e3, e1], dirac_idempotents(fr).u_pp, [one, -e13, e3, e1],
+                         row_labels=["1", "e13", "e3", "e1"],
+                         col_labels=["1", "-e13", "e3", "e1"])
+
+
 class TestFromPairs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_neutral_matches_subset_words(self, n):
@@ -246,13 +258,17 @@ class TestFromPairs:
     def test_pauli_matches_hand_bordering(self):
         ref, (sb, mats) = reference_pauli(), pauli_spectral()
         assert (sb.E, sb.center, witt_global._centre(sb.sig)) == (ref.E, ref.center, (0, 7))
-        assert mats == [ref.mv_to_matrix(Multivector.generator(sb.sig, k)) for k in range(3)]
+        assert mats == [trace_form(ref, Multivector.generator(sb.sig, k)) for k in range(3)]
         # the labels are the pair words; no output prints them
         assert (sb.row_labels, sb.col_labels) == (["1", "a1"], ["1", "b1"])
 
     def test_cli_g13_is_the_standard_basis(self):
-        sb, ref = _basis("g13"), dirac_spectral_standard()[0]
-        assert (sb.E, sb.row_labels, sb.col_labels) == (ref.E, ref.row_labels, ref.col_labels)
+        # the standard pairs (j g23 +- e13)/2, (e3 +- g3)/2 border the
+        # hand-bordered basis around u_pp exactly; only the labels are set
+        ref = reference_g13_standard()
+        for sb in (_basis("g13"), dirac_spectral_standard()[0]):
+            assert (sb.E, sb.center) == (ref.E, ref.center)
+            assert (sb.row_labels, sb.col_labels) == (ref.row_labels, ref.col_labels)
 
     @pytest.mark.parametrize("na, nb", [(2, 1), (1, 2), (0, 0)])
     def test_unpaired_families_rejected(self, na, nb):
@@ -493,30 +509,68 @@ def dense_multivector(sig, seed):
                              for m in range(sig.dim)})
 
 
-class TestTraceTable:
-    @pytest.mark.parametrize("name", BASES)
-    def test_matches_scalar_reference(self, name):
-        # the table built from integer slots against the Scalar-weight oracle
-        sb, ref = fresh_basis(name), fresh_basis(name)
-        ref._build_extraction()          # certify, then swap in the oracle
-        ref._extraction = reference_extraction(ref)
-        sb._build_extraction()
-        # the same rows over the same den, so no conversion reduces more
-        (split, den), (ref_split, ref_den) = sb._extraction, ref._extraction
-        assert den == ref_den
-        assert sorted_rows(split) == sorted_rows(ref_split)
-        for seed in range(3):
-            g = dense_multivector(sb.sig, seed)
-            assert sb.mv_to_matrix(g) == ref.mv_to_matrix(g)
+# every basis with coordinate tables: the CLI's, Pauli and g(1, m-1) from its
+# local family
+TABLE_BASES = BASES + [f"local{m}" for m in range(2, 9)]
 
-    @pytest.mark.parametrize("name", BASES)
+
+def table_basis(name):
+    """A fresh basis of TABLE_BASES with both tables built."""
+    sb = (spectral_basis_from_pairs(*local_pairs(int(name[5:]))) if name.startswith("local")
+          else fresh_basis(name))
+    sb._build_extraction()
+    return sb
+
+
+def through(sb, table, value):
+    """value's slots through one table alone: a multivector through a trace
+    table gives its coordinate matrix, a matrix through a unit table its
+    multivector."""
+    sums, den = scalars.apply_slots(value.slots, value.den, table)
+    if not isinstance(value, Multivector):
+        return Multivector._of_sums(sb.sig, sums, den)
+    if sb.sig.m % 2:
+        return CentralMatrix._of_sums(sb.dim, sums, den, sb.sig)
+    return MvMatrix._of_sums(sb.dim, sums, den)
+
+
+def expansion(sb, mat):
+    """sum x_ij E_ij through gp, a scalar entry as a multiple of 1."""
+    return sum((gp(x if isinstance(x, Multivector) else Multivector.scalar(sb.sig, x), u)
+                for row, units in zip(mat.entries, sb.E) for x, u in zip(row, units)),
+               Multivector.zero(sb.sig))
+
+
+class TestTraceTable:
+    """Both tables, read off the Jordan-Wigner images of the pair blades,
+    against the oracles built from E with gp, on seeded dense inputs."""
+
+    @pytest.mark.parametrize("name", TABLE_BASES)
+    def test_matches_scalar_reference(self, name):
+        # the same rows over the same den as the Scalar-weight oracle, so no
+        # conversion reduces more
+        sb = table_basis(name)
+        (split, den), ref = sb._extraction, reference_extraction(sb)
+        assert den == ref[1]
+        assert sorted_rows(split) == sorted_rows(ref[0])
+        for seed in range(2):
+            g = dense_multivector(sb.sig, seed)
+            mat = through(sb, sb._extraction, g)
+            assert mat == through(sb, ref, g)
+            assert seed or mat == trace_form(sb, g)
+
+    @pytest.mark.parametrize("name", TABLE_BASES)
     def test_unit_table_matches_products(self, name):
-        # built from the slots of E against the split gp products t E_ij
-        sb = fresh_basis(name)
-        sb._split_units()
-        (split, den), (ref_split, ref_den) = sb._units, reference_units(sb)
-        assert den == ref_den
-        assert sorted_rows(split) == sorted_rows(ref_split)
+        # the conjugate transpose over den n against the split products t E_ij
+        sb = table_basis(name)
+        (split, den), ref = sb._units, reference_units(sb)
+        assert den == ref[1]
+        assert sorted_rows(split) == sorted_rows(ref[0])
+        for seed in range(2):
+            g = dense_multivector(sb.sig, seed)
+            mat = through(sb, sb._extraction, g)
+            assert through(sb, sb._units, mat) == through(sb, ref, mat) == g
+            assert seed or expansion(sb, mat) == g
 
 
 class TestConversionCaches:
@@ -552,20 +606,19 @@ class TestConversionCaches:
             assert sb.matrix_to_mv(mat) == want
 
     @pytest.mark.parametrize("name", BASES)
-    def test_matrix_to_mv_builds_no_trace_table(self, name, monkeypatch):
+    def test_matrix_to_mv_builds_no_trace_table(self, name):
+        # a hand-bordered copy of each basis has E but no pairs: either map
+        # raises before a table is built, while the pair basis converts
         p = named_basis(name)
-        images = [p.mv_to_matrix(Multivector.generator(p.sig, k))
-                  for k in range(p.sig.m)]
-
-        def refuse(self):
-            raise AssertionError("the trace table was built")
-
-        monkeypatch.setattr(SpectralBasis, "_build_extraction", refuse)
+        images = [p.mv_to_matrix(Multivector.generator(p.sig, k)) for k in range(p.sig.m)]
         sb = SpectralBasis(p.rows, p.center, p.cols)
         for k, mat in enumerate(images):
-            assert sb.matrix_to_mv(mat) == Multivector.generator(sb.sig, k)
-        with pytest.raises(AssertionError, match="trace table"):
+            assert p.matrix_to_mv(mat) == Multivector.generator(p.sig, k)
+            with pytest.raises(ExtractorUnavailableError, match="hand-bordered"):
+                sb.matrix_to_mv(mat)
+        with pytest.raises(ExtractorUnavailableError, match="hand-bordered"):
             sb.mv_to_matrix(Multivector.scalar(sb.sig, 1))
+        assert (sb._extraction, sb._units) == (None, None)
 
 
 def reference_central_matmul(a, b):
@@ -655,53 +708,67 @@ class TestCentralMatrix:
         assert central == CentralMatrix._of_sums(2, mv.slots, mv.den, g3())
 
 
+def refused(sb, match):
+    """Both maps of sb raise ExtractorUnavailableError matching match."""
+    one = Multivector.scalar(sb.sig, 1)
+    with pytest.raises(ExtractorUnavailableError, match=match):
+        sb.mv_to_matrix(one)
+    with pytest.raises(ExtractorUnavailableError, match=match):
+        sb.matrix_to_mv(MvMatrix.identity(sb.dim))
+
+
 class TestExtractorGuards:
+    """The certificate of the pairs names the rule a basis breaks."""
+
     def test_radical_basis_entries_rejected(self):
-        # the sqrt(2)-scaled border squares to 2, so u c1 r1 has trace 2 and
-        # the family breaks the matrix-unit law
+        # sqrt(2) a1 and b1 / sqrt(2) are still dual and border matrix units,
+        # but a1 + b1 is no longer a unit times one blade
         w = make_global_witt(1)
-        one = Multivector.scalar(w.sig, 1)
-        e = (w.a[0] + w.b[0]).scale(Scalar.sqrt(2))
-        sb = SpectralBasis([one, e], gp(w.b[0], w.a[0]), [one, e])
-        with pytest.raises(ExtractorUnavailableError):
-            sb.mv_to_matrix(one)
+        r2 = Scalar.sqrt(2)
+        sb = spectral_basis_from_pairs([w.a[0].scale(r2)], [w.b[0].scale(r2.inv())])
+        assert check_duality_relations(sb._pairs[0], sb._pairs[1]) == []
+        refused(sb, r"pair 1: a1 \+ b1 is not a unit times one blade")
 
     def test_dependent_basis_rejected(self):
-        w = make_global_witt(1)
-        one = Multivector.scalar(w.sig, 1)
-        sb = SpectralBasis([one, one], gp(w.b[0], w.a[0]), [one, one])
-        with pytest.raises(ExtractorUnavailableError):
-            sb.mv_to_matrix(one)
+        # the pair of g(1,1) twice: x1 = x2 = e1 commute, their images do not
+        w = make_global_witt(2)
+        refused(spectral_basis_from_pairs([w.a[0]] * 2, [w.b[0]] * 2), "break x1 x2 = x2 x1")
 
     def test_spanning_non_unit_family_rejected(self):
-        # spans g(1,1), but the elements are not matrix units
+        # b1 -> -b1 borders -ba, b, -a, ab: they span g(1,1) but are not
+        # matrix units.  x1 = a1 - b1 = f1 squares to -1, its image to +1
         w = make_global_witt(1)
-        a, b = w.a[0], w.b[0]
-        one = Multivector.scalar(w.sig, 1)
-        sb = SpectralBasis([one, one + a], gp(b, a), [one, b])
+        sb = spectral_basis_from_pairs(w.a, [-w.b[0]])
         assert not sb.matrix_unit_law()
-        with pytest.raises(ExtractorUnavailableError):
-            sb.mv_to_matrix(a)
+        refused(sb, r"break x1\^2 = -1")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sign_flipped_b_names_the_relation(self, n):
+        w = make_global_witt(n)
+        for k in range(n):
+            b = [-x if i == k else x for i, x in enumerate(w.b)]
+            refused(spectral_basis_from_pairs(w.a, b), rf"break x{k + 1}\^2 = -1")
+
+    def test_pair_sum_not_one_blade_rejected(self):
+        # a1 -> a1 + a2 keeps every a nilpotent, but a1 + b1 = e1 + a2
+        w = make_global_witt(2)
+        refused(spectral_basis_from_pairs([w.a[0] + w.a[1], w.a[1]], w.b),
+                r"pair 1: a1 \+ b1 is not a unit times one blade")
 
     def test_count_mismatch_rejected(self):
+        # one pair of g(2,2) gives 2 x 2 matrices: its blades reach 4 of 16
         w = make_global_witt(2)
-        one = Multivector.scalar(w.sig, 1)
-        sb = SpectralBasis([one], gp(w.b[0], w.a[0]), [one])
-        with pytest.raises(ExtractorUnavailableError, match="cannot span"):
-            sb.mv_to_matrix(one)
+        refused(spectral_basis_from_pairs(w.a[:1], w.b[:1]),
+                "the products of the 2 pair blades reach 4 of the 16 blades")
 
-    def test_radical_border_round_trips(self):
-        # rows [1, sqrt(2) a] and cols [1, b/sqrt(2)] are matrix units with
-        # radical entries
+    def test_hand_bordered_basis_has_no_maps(self):
+        # the (1, e) border of g(1,1) is matrix units, but not from pairs
         w = make_global_witt(1)
-        a, b = w.a[0], w.b[0]
         one = Multivector.scalar(w.sig, 1)
-        r2 = Scalar.sqrt(2)
-        sb = SpectralBasis([one, a.scale(r2)], gp(b, a), [one, b.scale(r2.inv())])
+        e, u_plus = w.a[0] + w.b[0], gp(w.b[0], w.a[0])
+        sb = SpectralBasis([one, e], u_plus, [one, e])
         assert sb.matrix_unit_law()
-        assert sb.mv_to_matrix(a) == MvMatrix([[0, 0], [r2.inv(), 0]])
-        g = a.scale(Scalar.j()) + b.scale(Scalar.sqrt(3)) + one.scale(Fraction(2, 5))
-        assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
+        refused(sb, "hand-bordered basis has no coordinate maps")
 
 
 def reference_matmul(a, b):
@@ -925,12 +992,11 @@ PAIR_UNITS = (((0, 1), (3, 1)), ((1, 1), (2, 1)), ((1, 1), (2, -1)), ((0, 1), (3
 @cache
 def e_derived(n):
     """g(n,n) bordered from its Witt pairs but not marked as spectral_basis_nn
-    marks it, so both its tables are derived from E (the trace table behind
-    the certificate): the oracle of the butterfly's rows."""
+    marks it, with both tables derived from E through gp (reference_extraction
+    and reference_units): the oracle of the butterfly and the tables."""
     w = make_global_witt(n)
     ref = spectral_basis_from_pairs(w.a, w.b)
-    ref._build_extraction()
-    ref._split_units()
+    ref._extraction, ref._units = reference_extraction(ref), reference_units(ref)
     return ref
 
 
@@ -971,7 +1037,7 @@ def plan_from_E(sb, n):
 
 
 def cached_rows(sb, forward):
-    """The rows sb's trace table (forward) or unit table holds, sorted."""
+    """The rows of sb's trace table (forward) or unit table, sorted."""
     rows, den = sb._extraction if forward else sb._units
     return {k: sorted(row) for k, row in rows[KEY].items()}, den
 
@@ -982,7 +1048,7 @@ def all_on_the_butterfly(sb, monkeypatch):
 
     def apply(slots, den, forward):
         return ({key: sb._butterfly(s, forward) for key, s in slots.items()},
-                den if forward else den << sb._pairs)
+                den if forward else den << sb._nn)
 
     monkeypatch.setattr(sb, "_apply", apply)
 
@@ -1001,22 +1067,21 @@ def spy_lanes(monkeypatch):
 
 
 class TestButterfly:
-    """The butterfly of g(n,n) and the table rows it caches against the
+    """The butterfly of g(n,n) and the tables of its pairs against the
     tables derived from E, their oracle."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closed_form_matches_E(self, n):
-        # the same lanes and signs, and both tables empty until a lane reads them
+        # the same lanes and signs, and no table until a lane reads one
         sb, ref = spectral_basis_nn(n), e_derived(n)
         sb._build_plan()
         assert sb._plan == plan_from_E(ref, n)
-        assert cached_rows(sb, True) == ({}, 1) and cached_rows(sb, False) == ({}, 1 << n)
-        assert "E" not in vars(sb)
+        assert (sb._extraction, sb._units) == (None, None) and "E" not in vars(sb)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_blade_through_both_forward_paths(self, n):
-        # one blade at a time, each a lane the table takes: the rows it
-        # caches are the rows of the trace table derived from E
+        # one blade at a time, each a lane the table takes: the trace table
+        # of the pairs holds the rows of the one derived from E
         sb, ref = spectral_basis_nn(n), e_derived(n)
         for m in range(sb.sig.dim):
             want = ref.mv_to_matrix(Multivector.blade(sb.sig, m))
@@ -1039,36 +1104,40 @@ class TestButterfly:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_closed_form_rows_are_butterfly_rows(self, n):
+        # every row of both Jordan-Wigner tables is the butterfly's image of
+        # its unit lane without zeros, over the same den
         sb = spectral_basis_nn(n)
         sb._build_plan()
+        sb._build_extraction()
         for forward in (True, False):
+            rows, den = cached_rows(sb, forward)
+            assert len(rows) == 4 ** n and den == (1 if forward else 1 << n)
             for k in range(4 ** n):
                 want = [(i, v) for i, v in sb._butterfly({k: 1}, forward).items() if v]
-                assert sb._row(k, forward) == want
+                assert rows[k] == sorted(want)
 
     def test_rows_cached_only_when_read(self):
-        # dense lanes of g44 all take the butterfly and cache no row; a
-        # sparse round trip caches the rows of its blades and of the entries
-        # of its lanes of at most 66 nonzeros
+        # dense lanes of g44 all take the butterfly and build no table; the
+        # first sparse lane builds both tables in full, once
         sb = spectral_basis_nn(4)
         g = Multivector(sb.sig, {m: Scalar.of(Fraction(m * m % 11 + 1, 3))
                                  for m in range(256)})
         mat = sb.mv_to_matrix(g)
         assert len(mat.slots[KEY]) > 66 and sb.matrix_to_mv(mat) == g
-        assert cached_rows(sb, True) == ({}, 1) and cached_rows(sb, False) == ({}, 16)
+        assert (sb._extraction, sb._units) == (None, None)
         g = seeded_multivector(sb.sig, 0)
-        mat = sb.mv_to_matrix(g)
-        assert sb.matrix_to_mv(mat) == g
-        assert cached_rows(sb, True)[0].keys() == {m for s in g.slots.values() for m in s}
-        read = {k for s in mat.slots.values() if len(s) <= 66 for k in s}
-        assert read and cached_rows(sb, False)[0].keys() == read
+        assert sb.mv_to_matrix(g) == e_derived(4).mv_to_matrix(g)
+        tables = sb._extraction, sb._units
+        assert [len(cached_rows(sb, forward)[0]) for forward in (True, False)] == [256, 256]
+        assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
+        assert (sb._extraction, sb._units) == tables
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_forced_butterfly_matches_tables_on_seeded_inputs(self, n, monkeypatch):
         # sparse and dense inputs, with the cost rule patched away, against
         # a basis on the tables derived from E alone
         ref = spectral_basis_nn(n)
-        ref._pairs = None
+        ref._nn = None
         gs = [seeded_multivector(ref.sig, seed) for seed in range(5)] + \
             [dense_multivector(ref.sig, seed) for seed in range(2)]
         want = [(ref.mv_to_matrix(g), g) for g in gs]
@@ -1080,23 +1149,29 @@ class TestButterfly:
         assert sb._plan is not None and ref._plan is None
 
     def test_maps_call_no_gp_and_build_no_E(self, monkeypatch):
-        # sparse lanes on the closed-form tables, dense ones on the butterfly
-        ref = e_derived(4)
-        gs = [seeded_multivector(ref.sig, seed) for seed in range(3)] + \
-            [dense_multivector(ref.sig, 0)]
-        want = [(ref.mv_to_matrix(g), g) for g in gs]
-        sb = spectral_basis_nn(4)
+        # every pair basis, fresh, through both maps: the certificate and
+        # both tables, sparse lanes on the tables and dense g33 and g44 lanes
+        # on the butterfly, with gp and Scalar arithmetic refused
+        bases = {name: table_basis(name) for name in TABLE_BASES}
+        cases = {name: [(ref.mv_to_matrix(g), g) for g in
+                        [seeded_multivector(ref.sig, seed) for seed in range(3)]
+                        + [dense_multivector(ref.sig, 0)]] for name, ref in bases.items()}
+        fresh = {name: (spectral_basis_from_pairs(*ref._pairs), ref._nn)
+                 for name, ref in bases.items()}
 
         def refuse(*args):
-            raise AssertionError("gp or an E-derived table ran")
+            raise AssertionError("gp or Scalar arithmetic ran")
 
+        monkeypatch.setattr(ga, "_product", refuse)
         monkeypatch.setattr(witt_global, "gp", refuse)
-        monkeypatch.setattr(SpectralBasis, "_build_extraction", refuse)
-        monkeypatch.setattr(SpectralBasis, "_split_units", refuse)
-        for mat, g in want:
-            assert sb.mv_to_matrix(g) == mat
-            assert sb.matrix_to_mv(mat) == g
-        assert "E" not in vars(sb)
+        for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            monkeypatch.setattr(Scalar, op, refuse)
+        for name, (sb, n) in fresh.items():
+            sb._nn = n
+            for mat, g in cases[name]:
+                assert sb.mv_to_matrix(g) == mat
+                assert sb.matrix_to_mv(mat) == g
+            assert "E" not in vars(sb) and sb._units is not None
         with pytest.raises(AssertionError, match="gp or"):
             sb.E                                        # the patch is live
 
@@ -1129,19 +1204,12 @@ class TestButterfly:
             assert sb.mv_to_matrix(g) == trace_form(sb, g)
         assert lanes == [(True, most + 1)]
 
-    @pytest.mark.parametrize("name", ["g11", "g22", "g44", "g13", "g13new", "pauli",
-                                      "hand-bordered"])
+    @pytest.mark.parametrize("name", ["g11", "g22", "g44", "g13", "g13new", "pauli"])
     def test_sparse_inputs_and_other_bases_stay_on_the_tables(self, name, monkeypatch):
-        # the butterfly runs only on the unit lane of a row not yet cached
-        fly = SpectralBasis._butterfly
-
         def refuse(self, slot, forward):
-            rows = (self._extraction if forward else self._units)[0][KEY]
-            assert [*slot.values()] == [1] and slot.keys().isdisjoint(rows), \
-                "the butterfly ran on a lane"
-            return fly(self, slot, forward)
+            raise AssertionError("the butterfly ran on a lane")
 
-        sb = reference_subset_basis(2) if name == "hand-bordered" else fresh_basis(name)
+        sb = fresh_basis(name)
         monkeypatch.setattr(SpectralBasis, "_butterfly", refuse)
         gs = [seeded_multivector(sb.sig, seed) for seed in range(5)]
         if name != "g44":
@@ -1149,7 +1217,7 @@ class TestButterfly:
         for g in gs:
             assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
         # a g(n,n) basis builds its plan with its tables; no other basis has one
-        assert (sb._plan is None) == (sb._pairs is None)
+        assert (sb._plan is None) == (sb._nn is None)
 
     def test_plan_built_once(self, monkeypatch):
         sb = spectral_basis_nn(3)
