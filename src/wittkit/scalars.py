@@ -23,7 +23,7 @@ fixed linear combination), and apply_slots sums a vector against a fixed
 map split once by split_map (both coordinate maps, matmul and dense_apply).
 ga._product runs the same loop on the slots of its two operands.  walsh runs
 the radix-2 stages of the fast Walsh-Hadamard transform on one lane of
-numerators, for omega.fast_apply and the butterfly of g(n,n).
+numerators, for omega.fast_apply and the coordinate maps of a pair basis.
 """
 
 from __future__ import annotations

@@ -5,7 +5,8 @@ status, detail) rows plus counts.  Status is PASS or FAIL, with CONFLICT
 reserved for exactly two checks whose tabulated source values are known to
 disagree with the defining construction; those carry the corrected value in
 their detail and do not affect the exit status.  A failing relation row
-names the relations that fail in its detail.
+names the relations that fail in its detail.  A suite whose certificate
+fails is one FAIL row, <suite>-setup, naming the error.
 
 Randomized checks draw rational coefficients with numerator and denominator
 bounded by 9 from a seeded generator, so reports are reproducible.  Every
@@ -25,7 +26,7 @@ from .dirac import (dirac_frame, dirac_idempotents,
                     new_border_form, new_rep_extra_matrices,
                     pauli_impostor_check, pauli_spectral,
                     pseudoscalar_anticommutes)
-from .errors import RangeError
+from .errors import ExtractorUnavailableError, RangeError
 from .ga import Multivector, gp, reverse
 from .omega import OmegaVariant, bareiss_det, det_omega, fast_apply, gram_check, omega
 from .scalars import Scalar
@@ -599,7 +600,11 @@ def run_suite(name: str, seed: int = 0, samples: int = 100) -> VerifyReport:
         raise KeyError(f"unknown suite {name!r}")
     if not 1 <= samples <= MAX_SAMPLES:
         raise RangeError(f"samples must be in 1..{MAX_SAMPLES}, got {samples}")
-    return SUITES[name](seed=seed, samples=samples)
+    try:
+        return SUITES[name](seed=seed, samples=samples)
+    except ExtractorUnavailableError as exc:     # a verification failure, not bad input
+        return VerifyReport(name, [_ck(f"{name}-setup", "suite set-up", False,
+                                       f"ExtractorUnavailableError: {exc}")])
 
 
 def run_all(seed: int = 0, samples: int = 100) -> list[VerifyReport]:

@@ -20,36 +20,27 @@ Both coordinate maps are read off the pairs (Jordan and Wigner, Z. Phys.
 47 (1928) 631).  On the words a_I u that spectral_basis_from_pairs borders,
 a_k and b_k act as fixed creation and annihilation matrices, whatever the
 pairs hold.  SpectralBasis._build_extraction checks the blade relations of
-the pair blades a_k +- b_k on those matrices and builds the trace table
-and the unit table from the monomial images of all blades, so each map is
-one scalars.apply_slots with no E, no gp and no Scalar.  A hand-bordered
-SpectralBasis(rows, center, cols) has E and no coordinate maps.
-
-The basis of g(n,n) that spectral_basis_nn builds has a butterfly too.  Its
-pairs sit on disjoint generators, so E[I][J] is a signed product s(I, J)
-w_1 ... w_n of one g(1,1) unit per pair (w_k = u, a_k, b_k or a_k b_k by
-bit k of I and J), with s(I, J) = (-1)^(C(|J|, 2) + #{l < k : I_k = 1,
-J_l = 1}), the sign that reorders a_I (ascending) u b_J (descending) into
-pair order.  Since 2u = 1 + ef, 2a = e + f, 2b = e - f and 2ab = 1 - ef,
-each coordinate map is a Walsh-Hadamard transform: let lane f + x N hold
-the blade with f_k at bit k of f and e_k ^ f_k at bit k of x, or the entry
-(x ^ f, f) times s(x ^ f, f).  Then the map sends lane f + x N to sum_t
-(-1)^|f & t| lane t + x N, symmetric and squaring to 2**n, so both maps run
-the n stages of scalars.walsh on the n low bits of a slot lane;
-SpectralBasis._build_plan builds their gather and scatter lists from
-s(I, J).  A lane where nnz 2**n table multiply-adds cost less (see
-_lane_limit) reads the tables instead.  tests/test_witt_global.py::
-TestButterfly checks the lists and forced-butterfly round trips against E
-at n = 1..4, every size spectral_basis_nn builds.
+the pair blades a_k +- b_k on those matrices, so the image of each blade is
+a product of Pauli strings, itself one: j^w iota^z X^f Z^d in the (f, d)
+bit form of Aaronson and Gottesman (Phys. Rev. A 70 (2004) 052328), where
+X^f sends column c to row c ^ f and Z^d multiplies it by (-1)^|d & c|.  So
+entry (c ^ f, c) of the image of g is the sum over d of (-1)^|d & c| j^w
+g_M for the blades M = (f, d, z), and g_M is j^-w / n times the same sum
+over c.  Each map runs scalars.walsh on lanes of sig.dim positions
+(z n + f) n + d (SpectralBasis._walsh), or, on a lane with few nonzeros
+(see _LANE_OVERHEAD), one scalars.apply_slots of a table read off the same
+images: no E, no gp and no Scalar.  A hand-bordered SpectralBasis(rows,
+center, cols) has E and no coordinate maps.  tests/test_witt_global.py::
+TestButterfly checks the Pauli form and forced-walsh round trips against E
+and gp at every pair basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product, repeat
-from math import comb
-from operator import mul
+from itertools import repeat
+from operator import add, mul
 
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
@@ -59,29 +50,19 @@ from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
                       json_slots, pmatrix, reduce_slots, split_slots, walsh)
 
 
-# -- the butterfly of g(n,n) -----------------------------------------------
+# -- the images of a pair basis --------------------------------------------
 
-# the fixed cost of a lane on the butterfly, in table multiply-adds.  Timed
-# through both maps with CPython 3.11 on a 2-core x86-64 machine, a lane on
-# the radix-2 stages of scalars.walsh breaks even with cached table rows at
-# 18-26 nonzeros in g(3,3), where the rule gives 28, and at 46-54 in g(4,4),
-# where it gives 66; of a g(3,3) lane's 27 us, slicing it n times takes
-# about 2 us and its gather and scatter about 13
-_LANE_OVERHEAD = 32
-
-
-def _lane_limit(n: int) -> int | None:
-    """The most nonzeros a lane of g(n,n) keeps on the tables, or None when
-    no lane of 4**n can have more.
-
-    A lane of nnz numerators costs about nnz 2**n multiply-adds on the
-    table, since every E_ij has 2**n blades, and n 4**n additions plus
-    _LANE_OVERHEAD on the butterfly, which takes the lane when that is less.
-    So g(1,1) and g(2,2) lanes stay on the tables, and a g(3,3) or g(4,4)
-    lane moves at more than 28 or 66 nonzeros.
-    """
-    limit = ((n << 2 * n) + _LANE_OVERHEAD) >> n
-    return limit if limit < 1 << 2 * n else None
+# A lane of nnz numerators costs nnz n multiply-adds on a table of n x n
+# matrices, since every image has n entries, and about 3 per lane position
+# plus this overhead through SpectralBasis._walsh, whose gather, signs and
+# scatter cost more than its log2(n) stages; _apply gives a lane to the
+# cheaper one.  Timed through both maps over Q and Q(j) with CPython 3.11 on
+# a 2-core x86-64 machine, a lane breaks even at 24 nonzeros in g(3,3) (the
+# rule gives 26), at 48 in g(4,4) (49) and at 53-57 in g(1,7) (49; 85
+# forward over Q, where one real lane fills both keys), while lanes of 16
+# nonzeros in g(2,2) and g(1,3) cost as much or more on the stages and stay
+# on the tables
+_LANE_OVERHEAD = 16
 
 
 def _times(x: list, y: list, flip: int = 0) -> list:
@@ -336,8 +317,7 @@ class SpectralBasis:
         self._pairs = None            # (a, b) for a basis spectral_basis_from_pairs built
         self._extraction = None       # the trace table, for mv_to_matrix
         self._units = None            # the unit table, for matrix_to_mv
-        self._nn = None               # n for the basis of g(n,n) that spectral_basis_nn built
-        self._plan = None             # its butterfly's gather and scatter lists
+        self._lanes = None            # the gather and scatter lists of _walsh, both ways
 
     @cached_property
     def E(self) -> list[list[Multivector]]:
@@ -371,9 +351,9 @@ class SpectralBasis:
     # -- coordinate maps ---------------------------------------------------
 
     def _build_extraction(self):
-        """Certify a pair basis, then build its trace table and unit table
-        from the Jordan-Wigner images of its blades; a hand-bordered basis
-        raises ExtractorUnavailableError.
+        """Certify a pair basis, then build its trace table, its unit table
+        and the lanes of _walsh from the Jordan-Wigner images of its blades;
+        a hand-bordered basis raises ExtractorUnavailableError.
 
         Row I of a pair basis is the word a_I u, I a bit mask.  A_k holds
         (-1)^#{i in I : i < k} at (I + {k}, I) for each I without k, and B_k
@@ -431,15 +411,38 @@ class SpectralBasis:
         if not len(images) == 1 << len(gens) == sig.dim:
             raise ExtractorUnavailableError(f"the products of the {len(gens)} pair blades "
                                             f"reach {len(images)} of the {sig.dim} blades")
+        # each image is j^w iota^z X^f Z^d, as a product of the Pauli strings
+        # A_k +- B_k and iota I: f is the row of column 0, w and z its phase,
+        # and bit k of d flips the sign of column 2**k.  Lane position
+        # (z n + f) n + c holds blade (f, c, z) or entry (c ^ f, c) of blade
+        # z; after the stages it sits at z n + f + c sig.dim / n
         top, fwd, back = sig.dim - 1, ({}, {}), ({}, {})      # real and j parts
+        blades, phases = [0] * sig.dim, [0] * sig.dim
         for m, image in images.items():
             for c, (r, w) in enumerate(image):
                 idx, imag, v = ((w >> 2) * top * n + r) * n + c, w & 1, 1 - (w & 2)
                 fwd[imag].setdefault(m, []).append((idx, v))
                 back[imag].setdefault(idx, []).append((m, -v if imag else v))
+            f, p = image[0]
+            d = sum(1 << k for k in range(n.bit_length() - 1) if image[1 << k][1] != p)
+            pos = ((p >> 2) * n + f) * n + d
+            blades[pos], phases[pos] = m, p & 3
         self._extraction, self._units = (
             ({(1, imag == 1): rows for imag, rows in enumerate(table) if rows}, den)
             for table, den in ((fwd, 1), (back, n)))
+        flats = [(pos // n // n * top * n + (pos ^ pos // n) % n) * n + pos % n
+                 for pos in range(sig.dim)]
+        order = [h * n + c for c in range(n) for h in range(sig.dim // n)]
+
+        def signs(ws, e):
+            """Row s, im: at each lane position the sign of j^(e w) j^(im ^ s),
+            from input key j^(im ^ s) to output key j^im, or 0 unless w & 1
+            is s."""
+            return [[[1 - ((im ^ s) + e * w & 2) if w & 1 == s else 0 for w in ws]
+                     for im in (0, 1)] for s in range(1 + any(w & 1 for w in ws))]
+
+        self._lanes = ((flats, [blades[q] for q in order], signs([phases[q] for q in order], -1)),
+                       (blades, [flats[q] for q in order], signs(phases, 1)))
 
     def mv_to_matrix(self, g: Multivector):
         """x_ij = n <E_ji g>_t for each blade t of the centre: an MvMatrix
@@ -461,55 +464,47 @@ class SpectralBasis:
         sums, den = self._apply(mat.slots, mat.den, False)
         return Multivector._of_sums(self.sig, sums, den)
 
-    # -- the butterfly of g(n,n) -------------------------------------------
+    # -- the Walsh lanes -----------------------------------------------------
 
     def _apply(self, slots: dict, den: int, forward: bool):
         """apply_slots of the trace table (forward, mv_to_matrix) or the unit
-        table (backward, matrix_to_mv), both built by _build_extraction when
-        a lane first goes to a table.  On the basis of g(n,n) every lane
-        longer than _lane_limit(n) runs through the butterfly instead, over
-        the tables' dens, 1 forward and 2**n backward, so the paths join."""
-        n = self._nn
-        if n and self._plan is None:
-            self._build_plan()
-        limit = _lane_limit(n) if n else None
-        lanes = {key: self._butterfly(s, forward) for key, s in slots.items()
-                 if limit is not None and len(s) > limit}
-        rest = {key: s for key, s in slots.items() if key not in lanes}
-        if self._extraction is None and (rest or not lanes):
+        table (backward, matrix_to_mv), built on the first map, or _walsh for
+        a lane longer than the rule at _LANE_OVERHEAD allows, over the same
+        dens, 1 forward and n backward; a j-swapped lane of _walsh adds into
+        a key the tables also write."""
+        if self._extraction is None:
             self._build_extraction()
-        table = (self._extraction if forward else self._units) or ({}, 1 << n * (not forward))
-        acc, den = apply_slots(rest, den, table)
-        acc.update(lanes)
+        limit = (3 * self.sig.dim + _LANE_OVERHEAD) // self.dim
+        acc, den = apply_slots({key: s for key, s in slots.items() if len(s) <= limit}, den,
+                               self._extraction if forward else self._units)
+        lanes = {key: s for key, s in slots.items() if len(s) > limit}
+        for key, lane in (self._walsh(lanes, forward) if lanes else {}).items():
+            for i, v in acc.get(key, {}).items():
+                lane[i] += v
+            acc[key] = lane
         return acc, den
 
-    def _butterfly(self, slot: dict, forward: bool) -> dict:
-        """One lane of numerators through the n stages of scalars.walsh: the
-        forward map reads blade masks and writes flat indices, the backward
-        map reads flat indices and writes blade masks with every sum 2**n
-        times too large.  Zero sums are kept, for reduce_slots."""
-        gather, scatter, signs = self._plan[forward]
-        v = list(map(slot.get, gather, repeat(0)))
-        if forward:
-            return dict(zip(scatter, map(mul, signs, walsh(v, self._nn))))
-        return dict(zip(scatter, walsh(list(map(mul, signs, v)), self._nn)))
-
-    def _build_plan(self):
-        """The butterfly's gather list, scatter list and signs s(I, J) for
-        each direction of the basis of g(n,n) (see the module docstring): no
-        E and no gp.  Blade e_I f_J and entry (I, J) enter the stages at lane
-        J + (I ^ J) N and leave them at I ^ J + J N."""
-        n, size = self._nn, self.dim
-        self._plan = [[[0] * size * size for _ in range(3)] for _ in range(2)]
-        (flat_in, mask_out, sign_in), (mask_in, flat_out, sign_out) = self._plan
-        for i, j in product(range(size), range(size)):
-            lane, out = j | (i ^ j) << n, i ^ j | j << n
-            parity = comb(j.bit_count(), 2) + sum(
-                (j & (1 << k) - 1).bit_count() for k in range(n) if i >> k & 1)
-            mask_in[lane] = mask_out[out] = sum((i >> k & 1 | (j >> k & 1) << 1) << 2 * k
-                                                for k in range(n))
-            flat_in[lane] = flat_out[out] = i * size + j
-            sign_in[lane] = sign_out[out] = -1 if parity & 1 else 1
+    def _walsh(self, slots: dict, forward: bool) -> dict:
+        """Lanes of numerators through the log2(n) stages of scalars.walsh:
+        forward from blade masks, each times j^w, to flat indices; backward
+        from flat indices to blade masks, each times j^-w and n times too
+        large.  An odd w swaps the real and j keys, so output key (rad, im)
+        reads key (rad, im ^ 1) through the second row of signs, 0 at every
+        even w.  Zero sums are kept, for reduce_slots."""
+        gather, scatter, signs = self._lanes[forward]
+        stages = self.dim.bit_length() - 1
+        if not forward:
+            slots = {key: walsh(list(map(slot.get, gather, repeat(0))), stages)
+                     for key, slot in slots.items()}
+        out = {}
+        for rad, im in slots if len(signs) == 1 else {(rad, im): 0 for rad, _ in slots
+                                                      for im in (False, True)}:
+            v = [map(mul, sign[im], map(slots[rad, im != s].get, gather, repeat(0))
+                     if forward else slots[rad, im != s])
+                 for s, sign in enumerate(signs) if (rad, im != s) in slots]
+            v = map(add, *v) if len(v) > 1 else v[0]
+            out[rad, im] = dict(zip(scatter, walsh(list(v), stages) if forward else v))
+        return out
 
     def latex(self) -> str:
         return pmatrix(self.E, Multivector.latex)
@@ -550,6 +545,4 @@ def spectral_basis_nn(n: int) -> SpectralBasis:
     if not 1 <= n <= 4:
         raise RangeError("spectral bases are built for 1 <= n <= 4")
     w = make_global_witt(n)
-    sb = spectral_basis_from_pairs(w.a, w.b)
-    sb._nn = n
-    return sb
+    return spectral_basis_from_pairs(w.a, w.b)

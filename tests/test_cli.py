@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittkit import cli
+from wittkit import cli, witt_global
 from wittkit.ga import Multivector, g13, gp
 from wittkit.scalars import Scalar
 from wittkit.witt_global import (MvMatrix, SpectralBasis, make_global_witt,
@@ -312,6 +312,29 @@ class TestVerify:
         assert data["summary"]["fail"] == 0
         assert data["summary"]["conflict"] == 2
         assert len(data["reports"]) == 7
+
+    def test_failed_certificate_is_a_fail_row(self, capsys, monkeypatch):
+        # the square of generator 1 flipped where the certificate reads
+        # _blade_product: each suite that converts through a pair basis is
+        # one FAIL row naming the broken relation, and the others still run
+        real = witt_global._blade_product
+
+        def flipped(a, b, squares):
+            sign, m = real(a, b, squares)
+            return -sign if a & b & 1 else sign, m
+
+        monkeypatch.setattr(witt_global, "_blade_product", flipped)
+        code, out, err = run_cli(capsys, ["verify", "--suite", "all", "--samples", "1",
+                                          "--format", "json"])
+        assert (code, err) == (1, "")
+        reports = {r["suite"]: r for r in json.loads(out)["reports"]}
+        for suite, gen in (("witt-global", 1), ("dirac", 2), ("pauli", 1)):
+            assert reports.pop(suite)["checks"] == [{
+                "id": f"{suite}-setup", "anchor": "suite set-up", "status": "FAIL",
+                "detail": "ExtractorUnavailableError: the images of the pair blades "
+                          f"break x{gen}^2 = -1"}]
+        assert sorted(reports) == ["negative-g12", "omega", "table1", "witt-local"]
+        assert all(r["summary"]["fail"] == 0 and r["checks"] for r in reports.values())
 
     def test_seed_flag_recorded(self, capsys):
         code, out, _ = run_cli(

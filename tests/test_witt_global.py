@@ -369,7 +369,7 @@ class TestIsomorphism:
 
     @pytest.mark.parametrize("name", NN_BASES)
     def test_dense_roundtrip(self, name):
-        # every blade set: the lanes the butterfly of g(n,n) takes
+        # every blade set: at g33 and g44, the lanes _walsh takes
         sb = named_basis(name)
 
         @settings(max_examples=10 if name == "g44" else 20)
@@ -549,8 +549,8 @@ class TestTraceTable:
     def test_matches_scalar_reference(self, name):
         # the same rows over the same den as the Scalar-weight oracle, so no
         # conversion reduces more
-        sb = table_basis(name)
-        (split, den), ref = sb._extraction, reference_extraction(sb)
+        sb, ref, _ = oracles(name)
+        split, den = sb._extraction
         assert den == ref[1]
         assert sorted_rows(split) == sorted_rows(ref[0])
         for seed in range(2):
@@ -562,8 +562,8 @@ class TestTraceTable:
     @pytest.mark.parametrize("name", TABLE_BASES)
     def test_unit_table_matches_products(self, name):
         # the conjugate transpose over den n against the split products t E_ij
-        sb = table_basis(name)
-        (split, den), ref = sb._units, reference_units(sb)
+        sb, _, ref = oracles(name)
+        split, den = sb._units
         assert den == ref[1]
         assert sorted_rows(split) == sorted_rows(ref[0])
         for seed in range(2):
@@ -983,57 +983,26 @@ class TestSlotForm:
 
 KEY = (1, False)                        # the lane of rational numerators
 
-# the unit w of g(1,1) by its pair digit I + 2 J, as 2 w written in blades
-# (digit d: 1, e, f, ef for d = 0, 1, 2, 3): u = b a = (1 + ef)/2,
-# a = (e + f)/2, b = (e - f)/2, a b = (1 - ef)/2
-PAIR_UNITS = (((0, 1), (3, 1)), ((1, 1), (2, 1)), ((1, 1), (2, -1)), ((0, 1), (3, -1)))
-
 
 @cache
 def e_derived(n):
-    """g(n,n) bordered from its Witt pairs but not marked as spectral_basis_nn
-    marks it, with both tables derived from E through gp (reference_extraction
-    and reference_units): the oracle of the butterfly and the tables."""
+    """g(n,n) bordered from its Witt pairs, with both tables derived from E
+    through gp (reference_extraction and reference_units): the oracle of
+    the Walsh lanes and the tables.  Only lanes the tables take may reach
+    it, since it has no lanes of its own."""
     w = make_global_witt(n)
     ref = spectral_basis_from_pairs(w.a, w.b)
     ref._extraction, ref._units = reference_extraction(ref), reference_units(ref)
     return ref
 
 
-def plan_from_E(sb, n):
-    """The butterfly's gather and scatter lists read off E: every E[I][J] is
-    checked, slot for slot, to be s(I, J) 2**-n times the product of the
-    PAIR_UNITS of its pair digits, and s(I, J) is taken from its lowest
-    blade.  Lane f + x N holds the blade with f_k at bit k of f and e_k ^ f_k
-    at bit k of x, or the entry (x ^ f, f); after the n stages, position
-    x + s N holds what lane s + x N maps to: for each direction, the gather
-    list, the scatter list and the signs on the entry side."""
-    size = 1 << n
-    sign = {}
-    for i in range(size):
-        for j in range(size):
-            want = {0: 1}
-            for k in range(n):
-                digit = (i >> k & 1) | (j >> k & 1) << 1
-                want = {m | d << 2 * k: s * t for m, s in want.items()
-                        for d, t in PAIR_UNITS[digit]}
-            e = sb.E[i][j]
-            sign[i, j] = e.slots[KEY][min(want)]
-            assert sign[i, j] in (1, -1) and e.den == size and len(e.slots) == 1
-            assert e.slots[KEY] == {m: sign[i, j] * s for m, s in want.items()}, (i, j)
-
-    def blade(lane):
-        f, x = lane % size, lane // size
-        return sum(((f ^ x) >> k & 1) << 2 * k | (f >> k & 1) << 2 * k + 1 for k in range(n))
-
-    def entry(lane):
-        j, x = lane % size, lane // size
-        return (x ^ j) * size + j, sign[x ^ j, j]
-
-    lanes, swap = range(size * size), [c // size + c % size * size for c in range(size * size)]
-    flats, signs = zip(*map(entry, lanes))
-    return [[list(flats), [blade(c) for c in swap], list(signs)],
-            [[blade(c) for c in lanes], [flats[c] for c in swap], [signs[c] for c in swap]]]
+@cache
+def oracles(name):
+    """A basis of TABLE_BASES, certified, and the trace and unit tables
+    built from its E with gp.  Tests that patch a basis border a fresh one
+    from its pairs."""
+    sb = table_basis(name)
+    return sb, reference_extraction(sb), reference_units(sb)
 
 
 def cached_rows(sb, forward):
@@ -1042,41 +1011,86 @@ def cached_rows(sb, forward):
     return {k: sorted(row) for k, row in rows[KEY].items()}, den
 
 
-def all_on_the_butterfly(sb, monkeypatch):
-    """Patch the cost rule away on sb: every lane takes the butterfly."""
-    sb._build_plan()
+def all_on_walsh(sb, monkeypatch):
+    """Patch the cost rule away on sb: every lane takes _walsh."""
+    sb._build_extraction()
 
     def apply(slots, den, forward):
-        return ({key: sb._butterfly(s, forward) for key, s in slots.items()},
-                den if forward else den << sb._nn)
+        return sb._walsh(slots, forward), den if forward else den * sb.dim
 
     monkeypatch.setattr(sb, "_apply", apply)
 
 
 def spy_lanes(monkeypatch):
-    """The lanes given to SpectralBasis._butterfly from now on, as
-    (forward, nnz)."""
-    lanes, fly = [], SpectralBasis._butterfly
+    """The lanes given to SpectralBasis._walsh from now on, as (forward,
+    nnz)."""
+    lanes, run = [], SpectralBasis._walsh
 
-    def spy(self, slot, forward):
-        lanes.append((forward, len(slot)))
-        return fly(self, slot, forward)
+    def spy(self, slots, forward):
+        lanes.extend((forward, len(s)) for s in slots.values())
+        return run(self, slots, forward)
 
-    monkeypatch.setattr(SpectralBasis, "_butterfly", spy)
+    monkeypatch.setattr(SpectralBasis, "_walsh", spy)
     return lanes
 
 
-class TestButterfly:
-    """The butterfly of g(n,n) and the tables of its pairs against the
-    tables derived from E, their oracle."""
+def nonzero(sums):
+    """Integer sums {key: {index: numerator}} as sorted rows, zeros and
+    empty keys dropped."""
+    return {key: sorted((i, v) for i, v in out.items() if v)
+            for key, out in sums.items() if any(out.values())}
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_closed_form_matches_E(self, n):
-        # the same lanes and signs, and no table until a lane reads one
-        sb, ref = spectral_basis_nn(n), e_derived(n)
-        sb._build_plan()
-        assert sb._plan == plan_from_E(ref, n)
-        assert (sb._extraction, sb._units) == (None, None) and "E" not in vars(sb)
+
+class TestButterfly:
+    """The Walsh lanes of every pair basis and the tables of its pairs
+    against the tables derived from E, their oracle."""
+
+    @pytest.mark.parametrize("name", TABLE_BASES)
+    def test_images_are_pauli_strings(self, name):
+        # the image of each blade, through the trace table derived from E,
+        # is j^w iota^z X^f Z^d at every column, and (f, d, z) is the lane
+        # position that holds the blade: each (f, d) once in an even
+        # algebra and twice, told apart by z, in an odd one
+        sb, ref, _ = oracles(name)
+        n, positions = sb.dim, {}
+        for m in range(sb.sig.dim):
+            image = {}
+            for (_, imag), slot in through(sb, ref, Multivector.blade(sb.sig, m)).slots.items():
+                for idx, v in slot.items():
+                    assert v in (1, -1) and idx % n not in image
+                    image[idx % n] = idx // n % n, idx // n // n > 0, imag + 1 - v
+            f, z, w = image[0]
+            d = sum(1 << k for k in range(n.bit_length() - 1) if image[1 << k][2] != w)
+            assert image == {c: (c ^ f, z, w ^ 2 * ((d & c).bit_count() & 1))
+                             for c in range(n)}, m
+            positions[(z * n + f) * n + d] = m
+        assert len(positions) == sb.sig.dim
+        assert sb._lanes[True][0] == [positions[p] for p in range(sb.sig.dim)]
+
+    @pytest.mark.parametrize("name", TABLE_BASES)
+    def test_forced_walsh_matches_oracles(self, name, monkeypatch):
+        # sparse and dense inputs, every lane on the stages, against the
+        # tables derived from E
+        ref, fwd, back = oracles(name)
+        sb = spectral_basis_from_pairs(*ref._pairs)
+        all_on_walsh(sb, monkeypatch)
+        for g in [seeded_multivector(sb.sig, seed) for seed in range(5)] + \
+                [dense_multivector(sb.sig, seed) for seed in range(2)]:
+            mat = through(ref, fwd, g)
+            assert sb.mv_to_matrix(g) == mat
+            assert sb.matrix_to_mv(mat) == through(ref, back, mat) == g
+
+    @pytest.mark.parametrize("name", TABLE_BASES)
+    def test_table_rows_are_walsh_images(self, name):
+        # every row of both tables is the image of its unit lane through
+        # _walsh, zeros dropped, over the same den
+        sb = table_basis(name)
+        for forward, lanes in ((True, range(sb.sig.dim)), (False, sb._lanes[False][0])):
+            rows, den = sb._extraction if forward else sb._units
+            assert den == (1 if forward else sb.dim)
+            for k in lanes:
+                assert nonzero(sb._walsh({KEY: {k: 1}}, forward)) == \
+                    {key: sorted(r[k]) for key, r in rows.items() if k in r}
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_blade_through_both_forward_paths(self, n):
@@ -1086,7 +1100,7 @@ class TestButterfly:
         for m in range(sb.sig.dim):
             want = ref.mv_to_matrix(Multivector.blade(sb.sig, m))
             assert sb.mv_to_matrix(Multivector.blade(sb.sig, m)) == want
-            fly = MvMatrix._of_sums(sb.dim, {KEY: sb._butterfly({m: 1}, True)}, 1)
+            fly = MvMatrix._of_sums(sb.dim, sb._walsh({KEY: {m: 1}}, True), 1)
             assert fly == want
         assert cached_rows(sb, True) == cached_rows(ref, True)
 
@@ -1097,67 +1111,55 @@ class TestButterfly:
             for j in range(size):
                 unit = {KEY: {i * size + j: 1}}
                 assert sb.matrix_to_mv(MvMatrix._of_sums(size, unit, 1)) == ref.E[i][j]
-                fly = Multivector._of_sums(sb.sig, {KEY: sb._butterfly(unit[KEY], False)},
-                                           size)
+                fly = Multivector._of_sums(sb.sig, sb._walsh(unit, False), size)
                 assert fly == ref.E[i][j]
         assert cached_rows(sb, False) == cached_rows(ref, False)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_closed_form_rows_are_butterfly_rows(self, n):
-        # every row of both Jordan-Wigner tables is the butterfly's image of
-        # its unit lane without zeros, over the same den
-        sb = spectral_basis_nn(n)
-        sb._build_plan()
-        sb._build_extraction()
-        for forward in (True, False):
-            rows, den = cached_rows(sb, forward)
-            assert len(rows) == 4 ** n and den == (1 if forward else 1 << n)
-            for k in range(4 ** n):
-                want = [(i, v) for i, v in sb._butterfly({k: 1}, forward).items() if v]
-                assert rows[k] == sorted(want)
-
-    def test_rows_cached_only_when_read(self):
-        # dense lanes of g44 all take the butterfly and build no table; the
-        # first sparse lane builds both tables in full, once
-        sb = spectral_basis_nn(4)
-        g = Multivector(sb.sig, {m: Scalar.of(Fraction(m * m % 11 + 1, 3))
-                                 for m in range(256)})
-        mat = sb.mv_to_matrix(g)
-        assert len(mat.slots[KEY]) > 66 and sb.matrix_to_mv(mat) == g
-        assert (sb._extraction, sb._units) == (None, None)
-        g = seeded_multivector(sb.sig, 0)
-        assert sb.mv_to_matrix(g) == e_derived(4).mv_to_matrix(g)
-        tables = sb._extraction, sb._units
-        assert [len(cached_rows(sb, forward)[0]) for forward in (True, False)] == [256, 256]
-        assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
-        assert (sb._extraction, sb._units) == tables
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_forced_butterfly_matches_tables_on_seeded_inputs(self, n, monkeypatch):
         # sparse and dense inputs, with the cost rule patched away, against
-        # a basis on the tables derived from E alone
+        # the tables of the same pairs alone
         ref = spectral_basis_nn(n)
-        ref._nn = None
+        ref._build_extraction()
         gs = [seeded_multivector(ref.sig, seed) for seed in range(5)] + \
             [dense_multivector(ref.sig, seed) for seed in range(2)]
-        want = [(ref.mv_to_matrix(g), g) for g in gs]
+        want = [(through(ref, ref._extraction, g), g) for g in gs]
         sb = spectral_basis_nn(n)
-        all_on_the_butterfly(sb, monkeypatch)
+        all_on_walsh(sb, monkeypatch)
         for mat, g in want:
             assert sb.mv_to_matrix(g) == mat
-            assert sb.matrix_to_mv(mat) == g
-        assert sb._plan is not None and ref._plan is None
+            assert sb.matrix_to_mv(mat) == through(ref, ref._units, mat) == g
+
+    def test_plan_built_once(self, monkeypatch):
+        # the first conversion of either kind, a dense g44 one on the stages
+        # or a sparse one on the tables, either way, certifies the pairs and
+        # builds the tables and the lanes once; later conversions never do
+        built, build = [], SpectralBasis._build_extraction
+        monkeypatch.setattr(SpectralBasis, "_build_extraction",
+                            lambda sb: built.append(sb) or build(sb))
+        ref, fwd, _ = oracles("g44")
+        gs = [dense_multivector(ref.sig, 0), seeded_multivector(ref.sig, 0)]
+        mats = [through(ref, fwd, g) for g in gs]
+        for g, mat in zip(gs, mats):
+            for forward in (True, False):
+                built.clear()
+                sb = spectral_basis_nn(4)
+                assert (sb.mv_to_matrix(g) if forward else sb.matrix_to_mv(mat)) == \
+                    (mat if forward else g)
+                assert built == [sb]
+                for h, other in zip(gs, mats):
+                    assert sb.mv_to_matrix(h) == other and sb.matrix_to_mv(other) == h
+                assert built == [sb]
 
     def test_maps_call_no_gp_and_build_no_E(self, monkeypatch):
         # every pair basis, fresh, through both maps: the certificate and
-        # both tables, sparse lanes on the tables and dense g33 and g44 lanes
-        # on the butterfly, with gp and Scalar arithmetic refused
+        # both tables, sparse lanes on the tables and dense lanes past the
+        # cost rule on _walsh, with gp and Scalar arithmetic refused
         bases = {name: table_basis(name) for name in TABLE_BASES}
         cases = {name: [(ref.mv_to_matrix(g), g) for g in
                         [seeded_multivector(ref.sig, seed) for seed in range(3)]
                         + [dense_multivector(ref.sig, 0)]] for name, ref in bases.items()}
-        fresh = {name: (spectral_basis_from_pairs(*ref._pairs), ref._nn)
-                 for name, ref in bases.items()}
+        fresh = {name: spectral_basis_from_pairs(*ref._pairs) for name, ref in bases.items()}
 
         def refuse(*args):
             raise AssertionError("gp or Scalar arithmetic ran")
@@ -1166,8 +1168,7 @@ class TestButterfly:
         monkeypatch.setattr(witt_global, "gp", refuse)
         for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
             monkeypatch.setattr(Scalar, op, refuse)
-        for name, (sb, n) in fresh.items():
-            sb._nn = n
+        for name, sb in fresh.items():
             for mat, g in cases[name]:
                 assert sb.mv_to_matrix(g) == mat
                 assert sb.matrix_to_mv(mat) == g
@@ -1176,9 +1177,10 @@ class TestButterfly:
             sb.E                                        # the patch is live
 
     def test_cost_rule_picks_each_lane(self, monkeypatch):
-        # g33, where a lane moves at more than 28 nonzeros: a full rational
-        # lane and a sqrt(2) lane of 3 blades, whose image has 3 * 2**3; the
-        # second round trip reads the rows the first one cached
+        # g33, where a lane moves at more than 26 nonzeros: a full rational
+        # lane and a sqrt(2) lane of 3 blades, whose image has 3 * 2**3; and
+        # g44, where it moves at more than 49: the images of 4 and of 3
+        # blades of grade 1, 64 and 48 nonzeros, whose forward lanes stay
         sb = spectral_basis_nn(3)
         g = Multivector(sb.sig, {m: Scalar.of(Fraction(m * m % 11 + 1, 3))
                                  for m in range(64)}) + \
@@ -1186,49 +1188,55 @@ class TestButterfly:
         mat = sb.mv_to_matrix(g)
         assert mat == trace_form(sb, g)
         assert sb.matrix_to_mv(mat) == g
-        assert len(mat.slots[(2, False)]) == 24 and len(mat.slots[KEY]) > 28
+        assert len(mat.slots[(2, False)]) == 24 and len(mat.slots[KEY]) > 26
         lanes = spy_lanes(monkeypatch)
         assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
         assert lanes == [(True, 64), (False, len(mat.slots[KEY]))]
+        sb = spectral_basis_nn(4)
+        lanes.clear()
+        for blades in ((1, 4, 16, 64), (1, 4, 16)):
+            g = Multivector(sb.sig, {m: Scalar.of(m) for m in blades})
+            assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
+        assert lanes == [(False, 64)]
 
-    @pytest.mark.parametrize("n, most", [(3, 28), (4, 66)])
+    @pytest.mark.parametrize("name", ["local5", "local8"])
+    def test_j_swapped_lanes_join_the_tables(self, name, monkeypatch):
+        # odd w: a full rational lane on the stages fills the j key too,
+        # where a j lane of 3 numerators on the tables adds to it, both ways
+        ref, fwd, back = oracles(name)
+        sb, flats = spectral_basis_from_pairs(*ref._pairs), ref._lanes[False][0]
+        g = Multivector._of_sums(sb.sig, {KEY: {m: m % 7 + 1 for m in range(sb.sig.dim)},
+                                          (1, True): {1: 2, 2: -1, 5: 3}}, 1)
+        sums = {KEY: {i: i % 5 + 1 for i in flats}, (1, True): {i: 2 for i in flats[:3]}}
+        mat = (CentralMatrix._of_sums(sb.dim, sums, 1, sb.sig) if sb.sig.m % 2
+               else MvMatrix._of_sums(sb.dim, sums, 1))
+        lanes = spy_lanes(monkeypatch)
+        assert sb.mv_to_matrix(g) == through(ref, fwd, g)
+        assert sb.matrix_to_mv(mat) == through(ref, back, mat)
+        assert lanes == [(True, sb.sig.dim), (False, sb.sig.dim)]
+
+    @pytest.mark.parametrize("n, most", [(3, 26), (4, 49)])
     def test_lane_moves_past_the_break_even(self, n, most, monkeypatch):
-        # nnz 2**n multiply-adds against n 4**n additions plus the overhead;
-        # the rows of the shorter lane are cached before the spy starts
+        # nnz 2**n multiply-adds against 3 per lane position plus the
+        # overhead
         sb = spectral_basis_nn(n)
         gs = [Multivector(sb.sig, {m: Scalar.of(m + 1) for m in range(nnz)})
               for nnz in (most, most + 1)]
-        sb.mv_to_matrix(gs[0])
         lanes = spy_lanes(monkeypatch)
         for g in gs:
             assert sb.mv_to_matrix(g) == trace_form(sb, g)
         assert lanes == [(True, most + 1)]
 
-    @pytest.mark.parametrize("name", ["g11", "g22", "g44", "g13", "g13new", "pauli"])
+    @pytest.mark.parametrize("name", ["g11", "g22", "g13", "g13new", "pauli"])
     def test_sparse_inputs_and_other_bases_stay_on_the_tables(self, name, monkeypatch):
-        def refuse(self, slot, forward):
-            raise AssertionError("the butterfly ran on a lane")
+        # no lane of these bases has more nonzeros than the cost rule allows
+        def refuse(self, slots, forward):
+            raise AssertionError("_walsh ran on a lane")
 
         sb = fresh_basis(name)
-        monkeypatch.setattr(SpectralBasis, "_butterfly", refuse)
-        gs = [seeded_multivector(sb.sig, seed) for seed in range(5)]
-        if name != "g44":
-            gs += [dense_multivector(sb.sig, seed) for seed in range(2)]
+        monkeypatch.setattr(SpectralBasis, "_walsh", refuse)
+        gs = [seeded_multivector(sb.sig, seed) for seed in range(5)] + \
+            [dense_multivector(sb.sig, seed) for seed in range(2)]
         for g in gs:
             assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
-        # a g(n,n) basis builds its plan with its tables; no other basis has one
-        assert (sb._plan is None) == (sb._nn is None)
-
-    def test_plan_built_once(self, monkeypatch):
-        sb = spectral_basis_nn(3)
-        g = dense_multivector(sb.sig, 1)
-        sb.matrix_to_mv(sb.mv_to_matrix(g))
-        plan = sb._plan
-        assert plan is not None
-
-        def refuse(self):
-            raise AssertionError("the plan was built again")
-
-        monkeypatch.setattr(SpectralBasis, "_build_plan", refuse)
-        assert sb.matrix_to_mv(sb.mv_to_matrix(g)) == g
-        assert sb._plan is plan
+        assert sb._lanes is not None
