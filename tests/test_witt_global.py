@@ -1130,6 +1130,25 @@ class TestButterfly:
             assert sb.mv_to_matrix(g) == mat
             assert sb.matrix_to_mv(mat) == through(ref, ref._units, mat) == g
 
+    def test_rows_cached_only_when_read(self):
+        # a fresh basis caches nothing; the first conversion, a dense g44
+        # one whose lanes all take _walsh, builds both tables in full and
+        # the lanes, and later conversions keep the same ones
+        sb = spectral_basis_nn(4)
+        assert (sb._extraction, sb._units, sb._lanes) == (None, None, None)
+        g = Multivector(sb.sig, {m: Scalar.of(Fraction(m * m % 11 + 1, 3))
+                                 for m in range(256)})
+        mat = sb.mv_to_matrix(g)
+        assert len(mat.slots[KEY]) > 49
+        cached = sb._extraction, sb._units, sb._lanes
+        assert [len(cached_rows(sb, forward)[0]) for forward in (True, False)] == [256, 256]
+        assert sb.matrix_to_mv(mat) == g
+        h = seeded_multivector(sb.sig, 0)
+        assert sb.mv_to_matrix(h) == e_derived(4).mv_to_matrix(h)
+        assert sb.matrix_to_mv(sb.mv_to_matrix(h)) == h
+        assert all(now is then for now, then in
+                   zip((sb._extraction, sb._units, sb._lanes), cached))
+
     def test_plan_built_once(self, monkeypatch):
         # the first conversion of either kind, a dense g44 one on the stages
         # or a sparse one on the tables, either way, certifies the pairs and
