@@ -57,8 +57,8 @@ def _basis(name: str):
     from .dirac import _standard_basis, dirac_frame, new_witt_pair
     if name == "g13":
         return _standard_basis(dirac_frame())
-    from .witt_global import spectral_basis_from_pairs
-    return spectral_basis_from_pairs(*new_witt_pair(dirac_frame())[1:])
+    from .witt_global import SpectralBasis
+    return SpectralBasis(*new_witt_pair(dirac_frame())[1:])
 
 
 def _labeled_family(fmt: str, labels_mvs, header: dict, key: str):

@@ -6,13 +6,14 @@ coordinate matrices take entries in the center span{1, e123} of the odd
 algebra.  The central pseudoscalar i = e123 has i^2 = -1 but is a blade,
 not the scalar j; the two are kept distinct throughout.
 
-The Dirac algebra g(1,3) gets two 4x4 complex representations, each
-spectral_basis_from_pairs on two nilpotent pairs.  The standard one takes
+The Dirac algebra g(1,3) gets two 4x4 complex representations, each the
+SpectralBasis of two nilpotent pairs.  The standard one takes
 the pairs (j g2 g3 +- e1 e3)/2 and (e3 +- g3)/2, with e_k = g_k g0: their
 bordering is the idempotent u_pp = (1+g0)(1+j g12)/4 with rows (1, e13, e3,
 e1) and columns (1, -e13, e3, e1) in the rest frame.  The new one takes the
 pairs (g0 -+ g3)/2 and (j g2 +- g1)/2 of gammas: the g(2,2) bordering of
-subset words, transported by that (27)-style pairing.  Pauli is the same
+subset words, transported by that (27)-style pairing; new_border_form
+borders the same array by hand, with witt_global.border.  Pauli is the same
 bordering of the one pair (e1 +- e1 e3)/2 over the center of g(3).
 
 The gammas are an orthonormal frame: gamma_anticommutation_check checks
@@ -29,7 +30,7 @@ from fractions import Fraction
 from .ga import (Multivector, anticommutator_relations, g3, g13, g_nn, gp, gp_chain,
                  null_pair, relation_name)
 from .scalars import Scalar
-from .witt_global import CentralMatrix, MvMatrix, SpectralBasis, spectral_basis_from_pairs
+from .witt_global import CentralMatrix, MvMatrix, SpectralBasis, border
 
 QUARTER = Fraction(1, 4)
 
@@ -105,7 +106,7 @@ def pauli_spectral() -> tuple[SpectralBasis, list[CentralMatrix]]:
     sig = g3()
     e = Multivector.generator(sig, 0)
     a, b = null_pair(e, gp(e, Multivector.generator(sig, 2)))   # e1 e3 squares to -1
-    sb = spectral_basis_from_pairs([a], [b])
+    sb = SpectralBasis([a], [b])
     mats = [sb.mv_to_matrix(Multivector.generator(sig, k)) for k in range(3)]
     return sb, mats
 
@@ -163,11 +164,11 @@ def g11_embedding_check() -> bool:
 
 def _standard_basis(fr: DiracFrame) -> SpectralBasis:
     """Matrix units around u_pp, bordered by (1, e13, e3, e1) and (1, -e13, e3, e1):
-    spectral_basis_from_pairs on (j g2 g3 +- e13)/2 and (e3 +- g3)/2."""
+    the basis of the pairs (j g2 g3 +- e13)/2 and (e3 +- g3)/2."""
     _, _, g2, g3v = fr.gammas
     e1, _, e3 = fr.rest
     (a1, b1), (a2, b2) = null_pair(gp(g2, g3v).scale(Scalar.j()), gp(e1, e3)), null_pair(e3, g3v)
-    sb = spectral_basis_from_pairs([a1, a2], [b1, b2])
+    sb = SpectralBasis([a1, a2], [b1, b2])
     sb.row_labels, sb.col_labels = ["1", "e13", "e3", "e1"], ["1", "-e13", "e3", "e1"]
     return sb
 
@@ -201,13 +202,14 @@ def new_witt_pair(frame: DiracFrame):
 
 def dirac_spectral_new() -> NewDiracData:
     fr, a, b = new_witt_pair(dirac_frame())
-    sb = spectral_basis_from_pairs(a, b)
+    sb = SpectralBasis(a, b)
     mats = [sb.mv_to_matrix(g) for g in fr.gammas]
     return NewDiracData(fr, a, b, gp(b[0], a[0]), gp(b[1], a[1]), sb, mats)
 
 
-def new_border_form(data: NewDiracData) -> SpectralBasis:
-    """Same array, bordered by (1, g0, j g2, -j e2) and (1, g0, j g2, j e2)."""
+def new_border_form(data: NewDiracData) -> list[list[Multivector]]:
+    """The array of data.basis as the paper borders it by hand, through gp:
+    rows (1, g0, j g2, -j e2) and columns (1, g0, j g2, j e2) around u1 u2."""
     fr = data.frame
     sig = fr.gammas[0].sig
     one = Multivector.scalar(sig, 1)
@@ -216,9 +218,7 @@ def new_border_form(data: NewDiracData) -> SpectralBasis:
     e2 = fr.rest[1]
     rows = [one, g0, g2.scale(j), e2.scale(-j)]
     cols = [one, g0, g2.scale(j), e2.scale(j)]
-    return SpectralBasis(rows, gp(data.u1, data.u2), cols,
-                         row_labels=["1", "g0", "jg2", "-je2"],
-                         col_labels=["1", "g0", "jg2", "je2"])
+    return border(rows, gp(data.u1, data.u2), cols)
 
 
 def new_rep_extra_matrices(data: NewDiracData) -> dict[str, MvMatrix]:

@@ -16,11 +16,12 @@ coordinate matrix stores blade t of entry (i, j) at the index
 scalar case t = 0 and CentralMatrix carries the pseudoscalar of an odd
 algebra too.  Inputs may carry radicals.
 
-Both coordinate maps are read off the pairs (Jordan and Wigner, Z. Phys.
-47 (1928) 631).  On the words a_I u that spectral_basis_from_pairs borders,
-a_k and b_k act as fixed creation and annihilation matrices, whatever the
-pairs hold.  SpectralBasis._build_extraction checks the blade relations of
-the pair blades a_k +- b_k on those matrices, so the image of each blade is
+Every SpectralBasis is built from its pairs, and both coordinate maps are
+read off them (Jordan and Wigner, Z. Phys. 47 (1928) 631).  On the words
+a_I u that SpectralBasis(a, b) borders, a_k and b_k act as fixed creation
+and annihilation matrices, whatever the pairs hold.
+SpectralBasis._build_extraction checks the blade relations of the pair
+blades a_k +- b_k on those matrices, so the image of each blade is
 a product of Pauli strings, itself one: j^w iota^z X^f Z^d in the (f, d)
 bit form of Aaronson and Gottesman (Phys. Rev. A 70 (2004) 052328), where
 X^f sends column c to row c ^ f and Z^d multiplies it by (-1)^|d & c|.  So
@@ -29,10 +30,10 @@ g_M for the blades M = (f, d, z), and g_M is j^-w / n times the same sum
 over c.  Each map runs scalars.walsh on lanes of sig.dim positions
 (z n + f) n + d (SpectralBasis._walsh), or, on a lane with few nonzeros
 (see _LANE_OVERHEAD), one scalars.apply_slots of a table read off the same
-images: no E, no gp and no Scalar.  A hand-bordered SpectralBasis(rows,
-center, cols) has E and no coordinate maps.  tests/test_witt_global.py::
-TestButterfly checks the Pauli form and forced-walsh round trips against E
-and gp at every pair basis.
+images: no E, no gp and no Scalar.  E is read off the unit table, as the
+preimages of the matrix units; border() builds with gp the arrays the paper
+borders by hand.  tests/test_witt_global.py::TestButterfly checks the Pauli
+form and forced-walsh round trips against gp at every pair basis.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from operator import add, mul
 from .errors import (DimensionMismatchError, ExtractorUnavailableError,
                      RangeError, SignatureMismatchError)
 from .ga import (Multivector, Signature, _blade_product, anticommutator_relations,
-                 g_nn, gp, gp_chain, null_pair)
+                 g_nn, gp, null_pair)
 from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
                       json_slots, pmatrix, reduce_slots, split_slots, walsh)
 
@@ -301,34 +302,37 @@ def check_duality_relations(a: list[Multivector], b: list[Multivector]) -> list[
 
 
 class SpectralBasis:
-    """Matrix units E[i][j] = rows[i] * center * cols[j] plus the coordinate maps."""
+    """Matrix units E[I][J] = a_I u b_J bordered from nilpotent pairs a_k, b_k,
+    plus the coordinate maps: subset words in the a's (rows, ascending inner
+    index) against subset words in the b's (columns, descending inner index),
+    around the idempotent product u = (b_1 a_1)...(b_n a_n).  Row and column
+    0 are the empty word 1.  The coordinates lie in the centre, so an odd
+    algebra gets CentralMatrix coordinates."""
 
-    def __init__(self, rows, center, cols, row_labels=None, col_labels=None):
-        if len(rows) != len(cols):
-            raise DimensionMismatchError("row and column borders must have equal length")
-        if {x.sig.squares for x in (*rows, *cols)} - {center.sig.squares}:
-            raise SignatureMismatchError("the borders and the center belong to different algebras")
-        self.sig = center.sig
-        self.rows = list(rows)
-        self.cols = list(cols)
-        self.center = center
-        self.row_labels = list(row_labels) if row_labels else None
-        self.col_labels = list(col_labels) if col_labels else None
-        self._pairs = None            # (a, b) for a basis spectral_basis_from_pairs built
+    def __init__(self, a: list[Multivector], b: list[Multivector]):
+        if not a or len(a) != len(b):
+            raise DimensionMismatchError("the pairs need one b for every a, and at least one a")
+        if len({x.sig.squares for x in (*a, *b)}) > 1:
+            raise SignatureMismatchError("the pairs belong to different algebras")
+        n = len(a)
+        self.sig, self.dim, self._pairs = a[0].sig, 1 << n, (list(a), list(b))
+        words = [[str(i + 1) for i in range(n) if s >> i & 1] for s in range(1, 1 << n)]
+        self.row_labels = ["1"] + ["a" + "".join(w) for w in words]
+        self.col_labels = ["1"] + ["b" + "".join(reversed(w)) for w in words]
         self._extraction = None       # the trace table, for mv_to_matrix
-        self._units = None            # the unit table, for matrix_to_mv
+        self._units = None            # the unit table, for matrix_to_mv and E
         self._lanes = None            # the gather and scatter lists of _walsh, both ways
 
     @cached_property
     def E(self) -> list[list[Multivector]]:
-        """The matrix units, built on first read: each row product r_i *
-        center once, in the same left-to-right order as gp_chain."""
-        return [[gp(rc, c) for c in self.cols]
-                for rc in (gp(r, self.center) for r in self.rows)]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+        """The matrix units, read off the unit table on first read: E_IJ is
+        the preimage of the matrix unit (I, J), row I n + J of the table."""
+        if self._extraction is None:
+            self._build_extraction()
+        (units, den), n = self._units, self.dim
+        return [[Multivector._of_sums(self.sig, {key: dict(rows.get(i * n + j, ()))
+                                                 for key, rows in units.items()}, den)
+                 for j in range(n)] for i in range(n)]
 
     # -- structural checks -------------------------------------------------
 
@@ -351,11 +355,10 @@ class SpectralBasis:
     # -- coordinate maps ---------------------------------------------------
 
     def _build_extraction(self):
-        """Certify a pair basis, then build its trace table, its unit table
-        and the lanes of _walsh from the Jordan-Wigner images of its blades;
-        a hand-bordered basis raises ExtractorUnavailableError.
+        """Certify the pairs, then build the trace table, the unit table and
+        the lanes of _walsh from the Jordan-Wigner images of their blades.
 
-        Row I of a pair basis is the word a_I u, I a bit mask.  A_k holds
+        Row I of the basis is the word a_I u, I a bit mask.  A_k holds
         (-1)^#{i in I : i < k} at (I + {k}, I) for each I without k, and B_k
         the same sign at (I - {k}, I) for each I with k.  Each pair blade
         x_k = a_k + b_k and y_k = a_k - b_k must be a unit c (+-1 or +-j)
@@ -380,9 +383,6 @@ class SpectralBasis:
         (t n + r) n + c over den 1.  The images are unitary and tr(phi(e_M)^H
         phi(e_K)) has scalar part n delta_MK, so the unit table is the
         conjugate transpose over den n."""
-        if self._pairs is None:
-            raise ExtractorUnavailableError("a hand-bordered basis has no coordinate maps; "
-                                            "border it with spectral_basis_from_pairs")
         n, sig, sq = self.dim, self.sig, self.sig.squares
         one, gens = [(i, 0) for i in range(n)], []
         for k, (ak, bk) in enumerate(zip(*self._pairs)):
@@ -517,27 +517,11 @@ class SpectralBasis:
                 "entries": [[e.to_json() for e in row] for row in self.E]}
 
 
-def spectral_basis_from_pairs(a: list[Multivector], b: list[Multivector]) -> SpectralBasis:
-    """Matrix units bordered from nilpotent pairs a_i, b_i: subset words in
-    the a's (rows, ascending inner index) against subset words in the b's
-    (columns, descending inner index), around the idempotent product
-    (b_1 a_1)...(b_n a_n).  Row and column 0 are the empty word 1.  The
-    coordinates lie in the centre, so an odd algebra gets CentralMatrix
-    coordinates; the pairs are kept for both coordinate maps."""
-    if not a or len(a) != len(b):
-        raise DimensionMismatchError("the pairs need one b for every a, and at least one a")
-    n, one = len(a), Multivector.scalar(a[0].sig, 1)
-    rows, cols, row_labels, col_labels = [one], [one], ["1"], ["1"]
-    for subset in range(1, 1 << n):
-        idx = [i for i in range(n) if subset >> i & 1]
-        rows.append(gp_chain([a[i] for i in idx]))
-        cols.append(gp_chain([b[i] for i in reversed(idx)]))
-        row_labels.append("a" + "".join(str(i + 1) for i in idx))
-        col_labels.append("b" + "".join(str(i + 1) for i in reversed(idx)))
-    center = gp_chain([gp(bi, ai) for ai, bi in zip(a, b)])
-    sb = SpectralBasis(rows, center, cols, row_labels=row_labels, col_labels=col_labels)
-    sb._pairs = list(a), list(b)
-    return sb
+def border(rows, center, cols) -> list[list[Multivector]]:
+    """The array rows[i] * center * cols[j] through gp, each row product
+    rows[i] * center once, in the same left-to-right order as gp_chain: the
+    forms the paper borders by hand, and the oracle of SpectralBasis.E."""
+    return [[gp(rc, c) for c in cols] for rc in (gp(r, center) for r in rows)]
 
 
 def spectral_basis_nn(n: int) -> SpectralBasis:
@@ -545,4 +529,4 @@ def spectral_basis_nn(n: int) -> SpectralBasis:
     if not 1 <= n <= 4:
         raise RangeError("spectral bases are built for 1 <= n <= 4")
     w = make_global_witt(n)
-    return spectral_basis_from_pairs(w.a, w.b)
+    return SpectralBasis(w.a, w.b)

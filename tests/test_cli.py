@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from wittkit import cli, witt_global
 from wittkit.ga import Multivector, g13, gp
 from wittkit.scalars import Scalar
-from wittkit.witt_global import (MvMatrix, SpectralBasis, make_global_witt,
-                                 spectral_basis_from_pairs, spectral_basis_nn)
+from wittkit.witt_global import MvMatrix, SpectralBasis, make_global_witt, spectral_basis_nn
 
 
 def run_cli(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -247,7 +246,7 @@ class TestConvert:
         # its pair blades, so the basis cannot support conversion
         w = make_global_witt(1)
         one = Multivector.scalar(w.sig, 1)
-        broken = spectral_basis_from_pairs(w.a, [-w.b[0]])
+        broken = SpectralBasis(w.a, [-w.b[0]])
         monkeypatch.setattr(cli, "_basis", lambda name: broken)
         payload = json.dumps(one.to_json())
         code, _, err = run_cli(capsys, ["convert", "mv2mat", "--algebra", "g11"],

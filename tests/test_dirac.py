@@ -204,7 +204,7 @@ class TestNewRepresentation:
 
     def test_border_forms_agree(self):
         nd = dirac_spectral_new()
-        assert new_border_form(nd).E == nd.basis.E
+        assert new_border_form(nd) == nd.basis.E
 
     def test_pair_matrices_transpose_related(self):
         extra = new_rep_extra_matrices(dirac_spectral_new())

@@ -149,6 +149,24 @@ class TestFailingRows:
         assert status["iso-g11-homomorphism"] == "FAIL"
         assert status["iso-g11-roundtrip"] == "FAIL"
 
+    def test_E_rows_fail_when_the_unit_table_is_wrong(self, monkeypatch):
+        # E is read off the unit table, so a negated row of unit (0, 0)
+        # must fail every row that reads E in full or at index 0
+        build = SpectralBasis._build_extraction
+
+        def negated(sb):
+            build(sb)
+            units, den = sb._units
+            sb._units = ({key: {**rows, 0: [(m, -v) for m, v in rows[0]]} if 0 in rows else rows
+                          for key, rows in units.items()}, den)
+
+        monkeypatch.setattr(SpectralBasis, "_build_extraction", negated)
+        rep = run_suite("witt-global", seed=0, samples=3)
+        status = {c.check_id: c.status for c in rep.checks}
+        rows = [f"spectral-n{n}-identity-sum" for n in range(1, 5)] + \
+            [f"spectral-n{n}-{what}" for n in (1, 2) for what in ("matrix-units", "array")]
+        assert {row: status[row] for row in rows} == dict.fromkeys(rows, "FAIL")
+
 
 def reference_random_scalar(rng, complex_):
     """A draw built as Fraction, Scalar.of, Scalar.j and Scalar +."""

@@ -17,9 +17,9 @@ from wittkit.errors import (DimensionMismatchError, ExtractorUnavailableError,
                             RangeError, SignatureMismatchError)
 from wittkit.ga import Multivector, g3, gp, gp_chain, null_pair, reverse
 from wittkit.scalars import Scalar
-from wittkit.witt_global import (CentralMatrix, MvMatrix, SpectralBasis,
+from wittkit.witt_global import (CentralMatrix, MvMatrix, SpectralBasis, border,
                                  check_duality_relations, make_global_witt,
-                                 spectral_basis_from_pairs, spectral_basis_nn)
+                                 spectral_basis_nn)
 from wittkit.witt_local import make_local_witt
 
 fractions = bounded_fractions(9, 9)
@@ -31,8 +31,23 @@ exact_scalars = st.tuples(fractions, fractions, fractions,
 
 
 def fresh_basis(name):
-    """Every basis the CLI converts through, plus the Pauli basis."""
+    """Every basis the CLI converts through, the Pauli basis, and g(1, m-1)
+    from its local family as local<m>."""
+    if name.startswith("local"):
+        return SpectralBasis(*local_pairs(int(name[5:])))
     return pauli_spectral()[0] if name == "pauli" else _basis(name)
+
+
+@cache
+def pair_border(sb):
+    """The matrix units of sb through gp alone, the oracle of sb.E: border of
+    the subset words in the a's, u = (b_1 a_1)...(b_n a_n) and the reversed
+    subset words in the b's."""
+    (a, b), one = sb._pairs, Multivector.scalar(sb.sig, 1)
+    words = [[i for i in range(len(a)) if s >> i & 1] for s in range(sb.dim)]
+    return border([gp_chain([one] + [a[i] for i in w]) for w in words],
+                  gp_chain([gp(bi, ai) for ai, bi in zip(a, b)]),
+                  [gp_chain([one] + [b[i] for i in reversed(w)]) for w in words])
 
 
 named_basis = cache(fresh_basis)
@@ -177,11 +192,12 @@ class TestSpectralArrays:
         e = w.a[0] + w.b[0]
         u_plus = gp(w.b[0], w.a[0])
         u_minus = one - u_plus
-        alt = SpectralBasis([one, e], u_plus, [one, e])
-        assert alt.E == [[u_plus, gp(e, u_minus)], [gp(e, u_plus), u_minus]]
+        alt = border([one, e], u_plus, [one, e])
+        assert alt == [[u_plus, gp(e, u_minus)], [gp(e, u_plus), u_minus]]
 
 
-# the bases as each was bordered by hand before spectral_basis_from_pairs
+# the arrays of the bases as each was bordered by hand before the pairs
+# bordered them, and their labels
 
 
 def reference_subset_basis(n):
@@ -202,7 +218,7 @@ def reference_subset_basis(n):
             row_labels.append("1")
             col_labels.append("1")
     center = gp_chain([gp(w.b[i], w.a[i]) for i in range(n)]) if n > 1 else gp(w.b[0], w.a[0])
-    return SpectralBasis(rows, center, cols, row_labels=row_labels, col_labels=col_labels)
+    return border(rows, center, cols), row_labels, col_labels
 
 
 def reference_g13new():
@@ -212,10 +228,9 @@ def reference_g13new():
     a1, b1 = (g0 - g3_).scale(half), (g0 + g3_).scale(half)
     a2, b2 = (jg2 + g1).scale(half), (jg2 - g1).scale(half)
     one = Multivector.scalar(g0.sig, 1)
-    return SpectralBasis([one, a1, a2, gp(a1, a2)], gp(gp(b1, a1), gp(b2, a2)),
-                         [one, b1, b2, gp(b2, b1)],
-                         row_labels=["1", "a1", "a2", "a12"],
-                         col_labels=["1", "b1", "b2", "b21"])
+    return (border([one, a1, a2, gp(a1, a2)], gp(gp(b1, a1), gp(b2, a2)),
+                   [one, b1, b2, gp(b2, b1)]),
+            ["1", "a1", "a2", "a12"], ["1", "b1", "b2", "b21"])
 
 
 def reference_pauli():
@@ -225,8 +240,7 @@ def reference_pauli():
     f = gp(e, Multivector.generator(sig, 2))
     a, b = (e + f).scale(Fraction(1, 2)), (e - f).scale(Fraction(1, 2))
     one = Multivector.scalar(sig, 1)
-    return SpectralBasis([one, a], gp(b, a), [one, b],
-                         row_labels=["1", "a"], col_labels=["1", "b"])
+    return border([one, a], gp(b, a), [one, b])
 
 
 def reference_g13_standard():
@@ -236,28 +250,26 @@ def reference_g13_standard():
     one = Multivector.scalar(fr.gammas[0].sig, 1)
     e1, _, e3 = fr.rest
     e13 = gp(e1, e3)
-    return SpectralBasis([one, e13, e3, e1], dirac_idempotents(fr).u_pp, [one, -e13, e3, e1],
-                         row_labels=["1", "e13", "e3", "e1"],
-                         col_labels=["1", "-e13", "e3", "e1"])
+    return (border([one, e13, e3, e1], dirac_idempotents(fr).u_pp, [one, -e13, e3, e1]),
+            ["1", "e13", "e3", "e1"], ["1", "-e13", "e3", "e1"])
 
 
 class TestFromPairs:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_neutral_matches_subset_words(self, n):
         ref, w = reference_subset_basis(n), make_global_witt(n)
-        for sb in (spectral_basis_nn(n), spectral_basis_from_pairs(w.a, w.b)):
-            assert (sb.E, sb.center, witt_global._centre(sb.sig)) == (ref.E, ref.center, (0,))
-            assert (sb.row_labels, sb.col_labels) == (ref.row_labels, ref.col_labels)
+        for sb in (spectral_basis_nn(n), SpectralBasis(w.a, w.b)):
+            assert (sb.E, sb.row_labels, sb.col_labels) == ref
+            assert witt_global._centre(sb.sig) == (0,)
 
     def test_g13new_matches_hand_bordering(self):
         ref = reference_g13new()
         for sb in (dirac_spectral_new().basis, _basis("g13new")):
-            assert (sb.E, sb.center) == (ref.E, ref.center)
-            assert (sb.row_labels, sb.col_labels) == (ref.row_labels, ref.col_labels)
+            assert (sb.E, sb.row_labels, sb.col_labels) == ref
 
     def test_pauli_matches_hand_bordering(self):
         ref, (sb, mats) = reference_pauli(), pauli_spectral()
-        assert (sb.E, sb.center, witt_global._centre(sb.sig)) == (ref.E, ref.center, (0, 7))
+        assert (sb.E, witt_global._centre(sb.sig)) == (ref, (0, 7))
         assert mats == [trace_form(ref, Multivector.generator(sb.sig, k)) for k in range(3)]
         # the labels are the pair words; no output prints them
         assert (sb.row_labels, sb.col_labels) == (["1", "a1"], ["1", "b1"])
@@ -267,14 +279,13 @@ class TestFromPairs:
         # hand-bordered basis around u_pp exactly; only the labels are set
         ref = reference_g13_standard()
         for sb in (_basis("g13"), dirac_spectral_standard()[0]):
-            assert (sb.E, sb.center) == (ref.E, ref.center)
-            assert (sb.row_labels, sb.col_labels) == (ref.row_labels, ref.col_labels)
+            assert (sb.E, sb.row_labels, sb.col_labels) == ref
 
     @pytest.mark.parametrize("na, nb", [(2, 1), (1, 2), (0, 0)])
     def test_unpaired_families_rejected(self, na, nb):
         w = make_global_witt(2)
         with pytest.raises(DimensionMismatchError):
-            spectral_basis_from_pairs(w.a[:na], w.b[:nb])
+            SpectralBasis(w.a[:na], w.b[:nb])
 
 
 def local_pairs(m):
@@ -299,12 +310,12 @@ class TestLocalBases:
     def test_certifies_round_trips_and_keeps_products(self, m):
         a, b = local_pairs(m)
         assert check_duality_relations(a, b) == []
-        sb = spectral_basis_from_pairs(a, b)
+        sb = SpectralBasis(a, b)
         assert (1 + m % 2) * sb.dim ** 2 == sb.sig.dim
         gs = [seeded_multivector(sb.sig, seed) for seed in range(4)]
         mats = [sb.mv_to_matrix(g) for g in gs]          # certifies the basis
         assert {type(x) for x in mats} == {CentralMatrix if m % 2 else MvMatrix}
-        assert mats[0] == trace_form(sb, gs[0])
+        assert mats[0] == trace_form(pair_border(sb), gs[0])
         for g, x in zip(gs, mats):
             assert sb.matrix_to_mv(x) == g
         for (g, x), (h, y) in zip(zip(gs, mats), zip(gs[1:], mats[1:])):
@@ -363,7 +374,7 @@ class TestIsomorphism:
         @settings(max_examples=10 if name == "g44" else 20)
         @given(multivectors(sb.sig, exact_scalars))
         def check(g):
-            assert sb.mv_to_matrix(g) == trace_form(sb, g)
+            assert sb.mv_to_matrix(g) == trace_form(pair_border(sb), g)
 
         check()
 
@@ -387,7 +398,7 @@ class TestIsomorphism:
         @settings(max_examples={"g33": 10, "g44": 3}.get(name, 20))
         @given(dense_multivectors(sb.sig))
         def check(g):
-            assert sb.mv_to_matrix(g) == trace_form(sb, g)
+            assert sb.mv_to_matrix(g) == trace_form(pair_border(sb), g)
 
         check()
 
@@ -412,7 +423,7 @@ class TestIsomorphism:
         sb = named_basis("pauli")
         mat = MvMatrix([[Fraction(1, 2), 3], [0, Scalar.sqrt(2)]])
         want = sum((gp(Multivector.scalar(sb.sig, x), e) for row, units in
-                    zip(mat.entries, sb.E) for x, e in zip(row, units)),
+                    zip(mat.entries, pair_border(sb)) for x, e in zip(row, units)),
                    Multivector.zero(sb.sig))
         assert sb.matrix_to_mv(mat) == want
 
@@ -428,13 +439,12 @@ class TestIsomorphism:
             sb.mv_to_matrix(Multivector.generator(g3(), 0))
 
     def test_borders_from_another_algebra_rejected(self):
-        # E is built on first read, so the constructor compares signatures
-        sb, other = spectral_basis_nn(1), Multivector.scalar(g3(), 1)
-        for rows, center, cols in (([other, sb.rows[1]], sb.center, sb.cols),
-                                   (sb.rows, sb.center, [sb.cols[0], other]),
-                                   (sb.rows, other, sb.cols)):
-            with pytest.raises(SignatureMismatchError):
-                SpectralBasis(rows, center, cols)
+        # the constructor computes nothing, so it compares the signatures of
+        # the pairs: g(2,2) and g(3,3) in either family or within one
+        w2, w3 = make_global_witt(2), make_global_witt(3)
+        for a, b in ((w2.a, w3.b[:2]), (w3.a[:2], w2.b), ([w2.a[0], w3.a[1]], w2.b)):
+            with pytest.raises(SignatureMismatchError, match="different algebras"):
+                SpectralBasis(a, b)
 
     def test_scalar_maps_to_scaled_identity(self):
         sb = spectral_basis_nn(2)
@@ -442,20 +452,20 @@ class TestIsomorphism:
         assert sb.mv_to_matrix(g) == MvMatrix.identity(4).scale(Fraction(3, 7))
 
 
-def trace_form(sb, g):
+def trace_form(units, g):
     """x_ij = n <E_ji g>_0, plus n <E_ji g>_c on the pseudoscalar c of an
-    odd algebra, from gp alone."""
-    n = sb.dim
-    if sb.sig.m % 2 == 0:
-        return MvMatrix([[gp(sb.E[j][i], g).coeff(0) * n for j in range(n)]
+    odd algebra, from gp alone, for the matrix units E = units."""
+    n, sig = len(units), g.sig
+    if sig.m % 2 == 0:
+        return MvMatrix([[gp(units[j][i], g).coeff(0) * n for j in range(n)]
                          for i in range(n)])
-    c = sb.sig.dim - 1
+    c = sig.dim - 1
 
     def entry(p):
-        return Multivector.blade(sb.sig, 0, p.coeff(0) * n) + \
-            Multivector.blade(sb.sig, c, p.coeff(c) * n)
+        return Multivector.blade(sig, 0, p.coeff(0) * n) + \
+            Multivector.blade(sig, c, p.coeff(c) * n)
 
-    return CentralMatrix([[entry(gp(sb.E[j][i], g)) for j in range(n)]
+    return CentralMatrix([[entry(gp(units[j][i], g)) for j in range(n)]
                           for i in range(n)])
 
 
@@ -473,12 +483,13 @@ def seeded_multivector(sig, seed):
 
 def reference_extraction(sb):
     """The trace table as it was first built: n <E_ji g>_t as Scalar weights
-    sign(a, a ^ t) n E_ji[a] on blade a ^ t, split once by split_map."""
-    n, table = sb.dim, {}
+    sign(a, a ^ t) n E_ji[a] on blade a ^ t, split once by split_map, with E
+    from gp (pair_border)."""
+    n, table, units = sb.dim, {}, pair_border(sb)
     for t in witt_global._centre(sb.sig):
         for i in range(n):
             for j in range(n):
-                for a, c in sb.E[j][i].terms.items():
+                for a, c in units[j][i].terms.items():
                     table.setdefault(a ^ t, {})[(t * n + i) * n + j] = \
                         ga.blade_product(a, a ^ t, sb.sig)[0] * n * c
     return scalars.split_map(table)
@@ -486,11 +497,13 @@ def reference_extraction(sb):
 
 def reference_units(sb):
     """The unit table as it was first built: the products t E_ij for each
-    blade t of the centre, split by split_map at row (t n + i) n + j."""
+    blade t of the centre, split by split_map at row (t n + i) n + j, with E
+    from gp (pair_border)."""
     n = sb.dim
     return scalars.split_map({(t * n + i) * n + j: gp(Multivector.blade(sb.sig, t), u).terms
                               for t in witt_global._centre(sb.sig)
-                              for i, row in enumerate(sb.E) for j, u in enumerate(row)})
+                              for i, row in enumerate(pair_border(sb))
+                              for j, u in enumerate(row)})
 
 
 def sorted_rows(split):
@@ -516,8 +529,7 @@ TABLE_BASES = BASES + [f"local{m}" for m in range(2, 9)]
 
 def table_basis(name):
     """A fresh basis of TABLE_BASES with both tables built."""
-    sb = (spectral_basis_from_pairs(*local_pairs(int(name[5:]))) if name.startswith("local")
-          else fresh_basis(name))
+    sb = fresh_basis(name)
     sb._build_extraction()
     return sb
 
@@ -537,13 +549,33 @@ def through(sb, table, value):
 def expansion(sb, mat):
     """sum x_ij E_ij through gp, a scalar entry as a multiple of 1."""
     return sum((gp(x if isinstance(x, Multivector) else Multivector.scalar(sb.sig, x), u)
-                for row, units in zip(mat.entries, sb.E) for x, u in zip(row, units)),
+                for row, units in zip(mat.entries, pair_border(sb)) for x, u in zip(row, units)),
                Multivector.zero(sb.sig))
 
 
+def refuse_gp_and_scalars(monkeypatch):
+    """Patch gp and Scalar arithmetic to raise AssertionError."""
+    def refuse(*args):
+        raise AssertionError("gp or Scalar arithmetic ran")
+
+    monkeypatch.setattr(ga, "_product", refuse)
+    monkeypatch.setattr(witt_global, "gp", refuse)
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Scalar, op, refuse)
+
+
 class TestTraceTable:
-    """Both tables, read off the Jordan-Wigner images of the pair blades,
-    against the oracles built from E with gp, on seeded dense inputs."""
+    """Both tables and E, read off the Jordan-Wigner images of the pair
+    blades, against the oracles built with gp, on seeded dense inputs."""
+
+    @pytest.mark.parametrize("name", TABLE_BASES)
+    def test_E_is_the_gp_border(self, name, monkeypatch):
+        # the first read of a fresh basis builds the tables and reads E off
+        # the unit table, with gp and Scalar arithmetic refused
+        sb = fresh_basis(name)
+        want = pair_border(sb)
+        refuse_gp_and_scalars(monkeypatch)
+        assert sb.E == want
 
     @pytest.mark.parametrize("name", TABLE_BASES)
     def test_matches_scalar_reference(self, name):
@@ -557,7 +589,7 @@ class TestTraceTable:
             g = dense_multivector(sb.sig, seed)
             mat = through(sb, sb._extraction, g)
             assert mat == through(sb, ref, g)
-            assert seed or mat == trace_form(sb, g)
+            assert seed or mat == trace_form(pair_border(sb), g)
 
     @pytest.mark.parametrize("name", TABLE_BASES)
     def test_unit_table_matches_products(self, name):
@@ -601,24 +633,17 @@ class TestConversionCaches:
             mat = CentralMatrix([[Multivector.blade(sig, 0, part())
                                   + Multivector.blade(sig, sig.dim - 1, part())
                                   for _ in range(n)] for _ in range(n)])
-            want = sum((gp(e, u) for row, units in zip(mat.entries, sb.E)
+            want = sum((gp(e, u) for row, units in zip(mat.entries, pair_border(sb))
                         for e, u in zip(row, units)), Multivector.zero(sig))
             assert sb.matrix_to_mv(mat) == want
 
     @pytest.mark.parametrize("name", BASES)
     def test_matrix_to_mv_builds_no_trace_table(self, name):
-        # a hand-bordered copy of each basis has E but no pairs: either map
-        # raises before a table is built, while the pair basis converts
+        # the image of each generator converts back through the unit table
         p = named_basis(name)
         images = [p.mv_to_matrix(Multivector.generator(p.sig, k)) for k in range(p.sig.m)]
-        sb = SpectralBasis(p.rows, p.center, p.cols)
         for k, mat in enumerate(images):
             assert p.matrix_to_mv(mat) == Multivector.generator(p.sig, k)
-            with pytest.raises(ExtractorUnavailableError, match="hand-bordered"):
-                sb.matrix_to_mv(mat)
-        with pytest.raises(ExtractorUnavailableError, match="hand-bordered"):
-            sb.mv_to_matrix(Multivector.scalar(sb.sig, 1))
-        assert (sb._extraction, sb._units) == (None, None)
 
 
 def reference_central_matmul(a, b):
@@ -725,21 +750,24 @@ class TestExtractorGuards:
         # but a1 + b1 is no longer a unit times one blade
         w = make_global_witt(1)
         r2 = Scalar.sqrt(2)
-        sb = spectral_basis_from_pairs([w.a[0].scale(r2)], [w.b[0].scale(r2.inv())])
+        sb = SpectralBasis([w.a[0].scale(r2)], [w.b[0].scale(r2.inv())])
         assert check_duality_relations(sb._pairs[0], sb._pairs[1]) == []
         refused(sb, r"pair 1: a1 \+ b1 is not a unit times one blade")
 
     def test_dependent_basis_rejected(self):
         # the pair of g(1,1) twice: x1 = x2 = e1 commute, their images do not
         w = make_global_witt(2)
-        refused(spectral_basis_from_pairs([w.a[0]] * 2, [w.b[0]] * 2), "break x1 x2 = x2 x1")
+        refused(SpectralBasis([w.a[0]] * 2, [w.b[0]] * 2), "break x1 x2 = x2 x1")
 
     def test_spanning_non_unit_family_rejected(self):
         # b1 -> -b1 borders -ba, b, -a, ab: they span g(1,1) but are not
-        # matrix units.  x1 = a1 - b1 = f1 squares to -1, its image to +1
+        # matrix units.  x1 = a1 - b1 = f1 squares to -1, its image to +1,
+        # so E, which is read off the unit table, is refused with the maps
         w = make_global_witt(1)
-        sb = spectral_basis_from_pairs(w.a, [-w.b[0]])
-        assert not sb.matrix_unit_law()
+        sb = SpectralBasis(w.a, [-w.b[0]])
+        for read in (lambda: sb.E, sb.matrix_unit_law, sb.to_json):
+            with pytest.raises(ExtractorUnavailableError, match=r"break x1\^2 = -1"):
+                read()
         refused(sb, r"break x1\^2 = -1")
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -747,28 +775,19 @@ class TestExtractorGuards:
         w = make_global_witt(n)
         for k in range(n):
             b = [-x if i == k else x for i, x in enumerate(w.b)]
-            refused(spectral_basis_from_pairs(w.a, b), rf"break x{k + 1}\^2 = -1")
+            refused(SpectralBasis(w.a, b), rf"break x{k + 1}\^2 = -1")
 
     def test_pair_sum_not_one_blade_rejected(self):
         # a1 -> a1 + a2 keeps every a nilpotent, but a1 + b1 = e1 + a2
         w = make_global_witt(2)
-        refused(spectral_basis_from_pairs([w.a[0] + w.a[1], w.a[1]], w.b),
+        refused(SpectralBasis([w.a[0] + w.a[1], w.a[1]], w.b),
                 r"pair 1: a1 \+ b1 is not a unit times one blade")
 
     def test_count_mismatch_rejected(self):
         # one pair of g(2,2) gives 2 x 2 matrices: its blades reach 4 of 16
         w = make_global_witt(2)
-        refused(spectral_basis_from_pairs(w.a[:1], w.b[:1]),
+        refused(SpectralBasis(w.a[:1], w.b[:1]),
                 "the products of the 2 pair blades reach 4 of the 16 blades")
-
-    def test_hand_bordered_basis_has_no_maps(self):
-        # the (1, e) border of g(1,1) is matrix units, but not from pairs
-        w = make_global_witt(1)
-        one = Multivector.scalar(w.sig, 1)
-        e, u_plus = w.a[0] + w.b[0], gp(w.b[0], w.a[0])
-        sb = SpectralBasis([one, e], u_plus, [one, e])
-        assert sb.matrix_unit_law()
-        refused(sb, "hand-bordered basis has no coordinate maps")
 
 
 def reference_matmul(a, b):
@@ -986,12 +1005,12 @@ KEY = (1, False)                        # the lane of rational numerators
 
 @cache
 def e_derived(n):
-    """g(n,n) bordered from its Witt pairs, with both tables derived from E
-    through gp (reference_extraction and reference_units): the oracle of
+    """g(n,n) bordered from its Witt pairs, with both tables derived through
+    gp (reference_extraction and reference_units): the oracle of
     the Walsh lanes and the tables.  Only lanes the tables take may reach
     it, since it has no lanes of its own."""
     w = make_global_witt(n)
-    ref = spectral_basis_from_pairs(w.a, w.b)
+    ref = SpectralBasis(w.a, w.b)
     ref._extraction, ref._units = reference_extraction(ref), reference_units(ref)
     return ref
 
@@ -999,8 +1018,8 @@ def e_derived(n):
 @cache
 def oracles(name):
     """A basis of TABLE_BASES, certified, and the trace and unit tables
-    built from its E with gp.  Tests that patch a basis border a fresh one
-    from its pairs."""
+    built with gp from its pairs (pair_border).  Tests that patch a basis
+    border a fresh one from its pairs."""
     sb = table_basis(name)
     return sb, reference_extraction(sb), reference_units(sb)
 
@@ -1072,7 +1091,7 @@ class TestButterfly:
         # sparse and dense inputs, every lane on the stages, against the
         # tables derived from E
         ref, fwd, back = oracles(name)
-        sb = spectral_basis_from_pairs(*ref._pairs)
+        sb = SpectralBasis(*ref._pairs)
         all_on_walsh(sb, monkeypatch)
         for g in [seeded_multivector(sb.sig, seed) for seed in range(5)] + \
                 [dense_multivector(sb.sig, seed) for seed in range(2)]:
@@ -1110,9 +1129,10 @@ class TestButterfly:
         for i in range(size):
             for j in range(size):
                 unit = {KEY: {i * size + j: 1}}
-                assert sb.matrix_to_mv(MvMatrix._of_sums(size, unit, 1)) == ref.E[i][j]
+                want = pair_border(ref)[i][j]
+                assert sb.matrix_to_mv(MvMatrix._of_sums(size, unit, 1)) == want
                 fly = Multivector._of_sums(sb.sig, sb._walsh(unit, False), size)
-                assert fly == ref.E[i][j]
+                assert fly == want
         assert cached_rows(sb, False) == cached_rows(ref, False)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1130,10 +1150,11 @@ class TestButterfly:
             assert sb.mv_to_matrix(g) == mat
             assert sb.matrix_to_mv(mat) == through(ref, ref._units, mat) == g
 
-    def test_rows_cached_only_when_read(self):
+    def test_rows_cached_only_when_read(self, monkeypatch):
         # a fresh basis caches nothing; the first conversion, a dense g44
         # one whose lanes all take _walsh, builds both tables in full and
-        # the lanes, and later conversions keep the same ones
+        # the lanes, and later conversions keep the same ones.  A fresh
+        # basis whose first read is E builds them once too
         sb = spectral_basis_nn(4)
         assert (sb._extraction, sb._units, sb._lanes) == (None, None, None)
         g = Multivector(sb.sig, {m: Scalar.of(Fraction(m * m % 11 + 1, 3))
@@ -1148,6 +1169,16 @@ class TestButterfly:
         assert sb.matrix_to_mv(sb.mv_to_matrix(h)) == h
         assert all(now is then for now, then in
                    zip((sb._extraction, sb._units, sb._lanes), cached))
+        built, build = [], SpectralBasis._build_extraction
+        monkeypatch.setattr(SpectralBasis, "_build_extraction",
+                            lambda sb: built.append(sb) or build(sb))
+        sb = spectral_basis_nn(4)
+        assert sb.E == pair_border(e_derived(4)) and built == [sb]
+        cached = sb._extraction, sb._units, sb._lanes
+        assert sb.mv_to_matrix(g) == mat and sb.matrix_to_mv(mat) == g
+        assert sb.mv_to_matrix(h) == e_derived(4).mv_to_matrix(h)
+        assert built == [sb] and all(now is then for now, then in
+                                     zip((sb._extraction, sb._units, sb._lanes), cached))
 
     def test_plan_built_once(self, monkeypatch):
         # the first conversion of either kind, a dense g44 one on the stages
@@ -1178,22 +1209,15 @@ class TestButterfly:
         cases = {name: [(ref.mv_to_matrix(g), g) for g in
                         [seeded_multivector(ref.sig, seed) for seed in range(3)]
                         + [dense_multivector(ref.sig, 0)]] for name, ref in bases.items()}
-        fresh = {name: spectral_basis_from_pairs(*ref._pairs) for name, ref in bases.items()}
-
-        def refuse(*args):
-            raise AssertionError("gp or Scalar arithmetic ran")
-
-        monkeypatch.setattr(ga, "_product", refuse)
-        monkeypatch.setattr(witt_global, "gp", refuse)
-        for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
-            monkeypatch.setattr(Scalar, op, refuse)
+        fresh = {name: SpectralBasis(*ref._pairs) for name, ref in bases.items()}
+        refuse_gp_and_scalars(monkeypatch)
         for name, sb in fresh.items():
             for mat, g in cases[name]:
                 assert sb.mv_to_matrix(g) == mat
                 assert sb.matrix_to_mv(mat) == g
             assert "E" not in vars(sb) and sb._units is not None
         with pytest.raises(AssertionError, match="gp or"):
-            sb.E                                        # the patch is live
+            border([g], g, [g])                         # the patch is live
 
     def test_cost_rule_picks_each_lane(self, monkeypatch):
         # g33, where a lane moves at more than 26 nonzeros: a full rational
@@ -1205,7 +1229,7 @@ class TestButterfly:
                                  for m in range(64)}) + \
             Multivector(sb.sig, {m: Scalar.sqrt(2, m - 2) for m in (1, 6, 40)})
         mat = sb.mv_to_matrix(g)
-        assert mat == trace_form(sb, g)
+        assert mat == trace_form(pair_border(sb), g)
         assert sb.matrix_to_mv(mat) == g
         assert len(mat.slots[(2, False)]) == 24 and len(mat.slots[KEY]) > 26
         lanes = spy_lanes(monkeypatch)
@@ -1223,7 +1247,7 @@ class TestButterfly:
         # odd w: a full rational lane on the stages fills the j key too,
         # where a j lane of 3 numerators on the tables adds to it, both ways
         ref, fwd, back = oracles(name)
-        sb, flats = spectral_basis_from_pairs(*ref._pairs), ref._lanes[False][0]
+        sb, flats = SpectralBasis(*ref._pairs), ref._lanes[False][0]
         g = Multivector._of_sums(sb.sig, {KEY: {m: m % 7 + 1 for m in range(sb.sig.dim)},
                                           (1, True): {1: 2, 2: -1, 5: 3}}, 1)
         sums = {KEY: {i: i % 5 + 1 for i in flats}, (1, True): {i: 2 for i in flats[:3]}}
@@ -1243,7 +1267,7 @@ class TestButterfly:
               for nnz in (most, most + 1)]
         lanes = spy_lanes(monkeypatch)
         for g in gs:
-            assert sb.mv_to_matrix(g) == trace_form(sb, g)
+            assert sb.mv_to_matrix(g) == trace_form(pair_border(sb), g)
         assert lanes == [(True, most + 1)]
 
     @pytest.mark.parametrize("name", ["g11", "g22", "g13", "g13new", "pauli"])
