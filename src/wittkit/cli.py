@@ -53,7 +53,7 @@ def _basis(name: str):
     if name in ("g11", "g22", "g33", "g44"):
         from .witt_global import spectral_basis_nn
         return spectral_basis_nn(int(name[1]))
-    # the basis alone: its trace table is built on the first mv_to_matrix
+    # the basis alone: both tables are built on its first conversion
     from .dirac import _standard_basis, dirac_frame, new_witt_pair
     if name == "g13":
         return _standard_basis(dirac_frame())

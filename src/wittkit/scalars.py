@@ -20,7 +20,8 @@ store this form.  split_slots brings index -> Scalar into slots, join_slots
 turns them back into Scalars and json_slots into JSON, with no Fraction;
 combine_slots sums scalar multiples of slot values (+, -, scale and every
 fixed linear combination), and apply_slots sums a vector against a fixed
-map split once by split_map (both coordinate maps, matmul and dense_apply).
+map in split form: a pair basis's tables, matmul's right factor, and the
+sign-matrix columns that split_map splits for omega's dense_apply.
 ga._product runs the same loop on the slots of its two operands.  walsh runs
 the radix-2 stages of the fast Walsh-Hadamard transform on one lane of
 numerators, for omega.fast_apply and the coordinate maps of a pair basis.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, sub
 
 from .errors import NonMonomialError
@@ -38,8 +39,8 @@ from .errors import NonMonomialError
 # term key: (squarefree radicand d, imaginary part?)
 Key = tuple[int, bool]
 
-# largest radicand accepted from JSON: split_square factors by trial division,
-# which stays under 0.1 s at this size and never finishes on 100 digits
+# largest radicand accepted from JSON: split_square divides by trial up to
+# the cube root, 10**4 at this size, and never finishes on 100 digits
 MAX_RADICAND = 10**12
 
 # the only coefficient strings JSON may carry: Fraction alone would also take
@@ -48,13 +49,14 @@ _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def split_square(n: int) -> tuple[int, int]:
-    """Split n > 0 as outside**2 * inside with inside squarefree."""
+    """Split n > 0 as outside**2 * inside with inside squarefree, by trial
+    division while p**3 <= n."""
     if n <= 0:
         raise ValueError("split_square needs n > 0")
     outside = 1
     inside = 1
     p = 2
-    while p * p <= n:
+    while p * p * p <= n:
         if n % p:
             p += 1 if p == 2 else 2
             continue
@@ -65,8 +67,8 @@ def split_square(n: int) -> tuple[int, int]:
         outside *= p ** (e // 2)
         if e & 1:
             inside *= p
-    inside *= n  # leftover factor is 1 or prime
-    return outside, inside
+    r = isqrt(n)       # n < p**3 has no prime factor below p: 1, q, q*q or q*r
+    return (outside * r, inside) if r * r == n else (outside, inside * n)
 
 
 def is_squarefree(n: int) -> bool:
@@ -403,7 +405,7 @@ def split_map(rows: dict) -> tuple[dict[Key, dict[object, list[tuple[object, int
 
 def apply_slots(vs: dict, den_v: int, split) -> tuple[dict[Key, dict], int]:
     """sum_k vec[k] * row_k for a vector vs in slots {key: {k: numerator}}
-    over den_v and a map split by split_map, which is never written, so a
+    over den_v and a map in the form split_map returns, never written, so a
     fixed map is split once for every call.  Returns the sums {key: {index:
     numerator}} over den_v * den_r, zero sums included, for reduce_slots."""
     rows, den_r = split

@@ -21,15 +21,16 @@ read off them (Jordan and Wigner, Z. Phys. 47 (1928) 631).  On the words
 a_I u that SpectralBasis(a, b) borders, a_k and b_k act as fixed creation
 and annihilation matrices, whatever the pairs hold.
 SpectralBasis._build_extraction checks the blade relations of the pair
-blades a_k +- b_k on those matrices, so the image of each blade is
-a product of Pauli strings, itself one: j^w iota^z X^f Z^d in the (f, d)
-bit form of Aaronson and Gottesman (Phys. Rev. A 70 (2004) 052328), where
-X^f sends column c to row c ^ f and Z^d multiplies it by (-1)^|d & c|.  So
-entry (c ^ f, c) of the image of g is the sum over d of (-1)^|d & c| j^w
-g_M for the blades M = (f, d, z), and g_M is j^-w / n times the same sum
-over c.  Each map runs scalars.walsh on lanes of sig.dim positions
-(z n + f) n + d (SpectralBasis._walsh), or, on a lane with few nonzeros
-(see _LANE_OVERHEAD), one scalars.apply_slots of a table read off the same
+blades a_k +- b_k on those matrices, so the image of each blade is a
+product of Pauli strings, itself one: j^w iota^z X^f Z^d in the (f, d) bit
+form of Aaronson and Gottesman (Phys. Rev. A 70 (2004) 052328), where X^f
+sends column c to row c ^ f and Z^d multiplies it by (-1)^|d & c|, three
+ints (f, d, 4 z + w) that _times multiplies.  So entry (c ^ f, c) of the
+image of g is the sum over d of (-1)^|d & c| j^w g_M for the blades
+M = (f, d, z), and g_M is j^-w / n times the same sum over c.  Each map runs
+scalars.walsh on lanes of sig.dim positions (z n + f) n + d
+(SpectralBasis._walsh), or, on a lane with few nonzeros (see
+_LANE_OVERHEAD), one scalars.apply_slots of a table read off the same
 images: no E, no gp and no Scalar.  E is read off the unit table, as the
 preimages of the matrix units; border() builds with gp the arrays the paper
 borders by hand.  tests/test_witt_global.py::TestButterfly checks the Pauli
@@ -66,11 +67,12 @@ from .scalars import (Scalar, _is_int, apply_slots, combine_slots, join_slots,
 _LANE_OVERHEAD = 16
 
 
-def _times(x: list, y: list, flip: int = 0) -> list:
-    """The monomial matrix x y, negated when flip is 2.  Column c of a
-    monomial matrix is (r, w): the entry j^(w & 3) iota^(w >> 2) in row r,
-    iota the centre blade of an odd algebra, which at most one factor holds."""
-    return [(x[r][0], (x[r][1] + w) & 3 ^ flip | (x[r][1] | w) & 4) for r, w in y]
+def _times(x: tuple, y: tuple, flip: int = 0) -> tuple:
+    """The Pauli string x y, negated when flip is 2.  (f, d, w) is
+    j^(w & 3) iota^(w >> 2) X^f Z^d, iota the centre blade of an odd algebra,
+    which at most one factor holds; Z^d X^g = (-1)^|d & g| X^g Z^d."""
+    (f, d, w), (g, e, v) = x, y
+    return f ^ g, d ^ e, (w + v + 2 * (d & g).bit_count()) & 3 ^ flip | (w | v) & 4
 
 
 def _centre(sig: Signature) -> tuple[int, ...]:
@@ -378,23 +380,21 @@ class SpectralBasis:
         onto, hence bijective by dimension: it is the trace map.
 
         Doubling over the generating blades, phi(e_(M ^ p)) = s(M, p)
-        phi(e_M) phi(e_p), gives every image, a monomial matrix (_times).
-        The trace table sends blade M to its image's entries at
-        (t n + r) n + c over den 1.  The images are unitary and tr(phi(e_M)^H
-        phi(e_K)) has scalar part n delta_MK, so the unit table is the
-        conjugate transpose over den n."""
+        phi(e_M) phi(e_p), gives every image, a Pauli string (f, d, w)
+        (_times).  The trace table sends blade M to its image's n entries
+        over den 1, one row in the key of w & 1.  The images are unitary and
+        tr(phi(e_M)^H phi(e_K)) has scalar part n delta_MK, so the unit table
+        is the conjugate transpose over den n."""
         n, sig, sq = self.dim, self.sig, self.sig.squares
-        one, gens = [(i, 0) for i in range(n)], []
+        one, gens = (0, 0, 0), []
         for k, (ak, bk) in enumerate(zip(*self._pairs)):
-            for name, x, minus in (("x", ak + bk, 0), ("y", ak - bk, 2)):
+            for name, op, x, d in (("x", "+", ak + bk, (1 << k) - 1),
+                                   ("y", "-", ak - bk, (2 << k) - 1)):
                 match x.den, [(key, *mv) for key, slot in x.slots.items() for mv in slot.items()]:
-                    case 1, [((1, imag), mask, (1 | -1) as v)]:     # x = j^p e_mask
-                        p, bit = 1 - v + imag, 1 << k
-                        gens.append((f"{name}{k + 1}", mask, [
-                            (i ^ bit, (2 * (i & bit - 1).bit_count() + (i & bit and minus) - p) & 3)
-                            for i in range(n)]))
+                    case 1, [((1, imag), mask, (1 | -1) as v)]:     # x = j^-w e_mask
+                        gens.append((f"{name}{k + 1}", mask, (1 << k, d, v - 1 - imag & 3)))
                     case _:
-                        raise ExtractorUnavailableError(f"pair {k + 1}: a{k + 1} {'+-'[minus > 0]} "
+                        raise ExtractorUnavailableError(f"pair {k + 1}: a{k + 1} {op} "
                                                         f"b{k + 1} is not a unit times one blade")
         for i, (x, mx, px) in enumerate(gens):
             for y, my, py in gens[i:]:
@@ -403,7 +403,7 @@ class SpectralBasis:
                     rel = f"{x}^2 = {s}" if x == y else f"{x} {y} = {'-' * (s < 0)}{y} {x}"
                     raise ExtractorUnavailableError(f"the images of the pair blades break {rel}")
         if sig.m & 1:
-            gens.append(("iota", sig.dim - 1, [(i, 4) for i in range(n)]))
+            gens.append(("iota", sig.dim - 1, (0, 0, 4)))
         images = {0: one}
         for _, p, image in gens:
             images.update({m ^ p: _times(x, image, 1 - _blade_product(m, p, sq)[0])
@@ -411,22 +411,19 @@ class SpectralBasis:
         if not len(images) == 1 << len(gens) == sig.dim:
             raise ExtractorUnavailableError(f"the products of the {len(gens)} pair blades "
                                             f"reach {len(images)} of the {sig.dim} blades")
-        # each image is j^w iota^z X^f Z^d, as a product of the Pauli strings
-        # A_k +- B_k and iota I: f is the row of column 0, w and z its phase,
-        # and bit k of d flips the sign of column 2**k.  Lane position
-        # (z n + f) n + c holds blade (f, c, z) or entry (c ^ f, c) of blade
-        # z; after the stages it sits at z n + f + c sig.dim / n
+        # blade m holds (-1)^|d & c| j^w at (c ^ f, c) of blade z = w >> 2.
+        # Lane position (z n + f) n + c holds blade (f, c, z) or entry
+        # (c ^ f, c) of blade z; after the stages it sits at z n + f + c sig.dim / n
         top, fwd, back = sig.dim - 1, ({}, {}), ({}, {})      # real and j parts
         blades, phases = [0] * sig.dim, [0] * sig.dim
-        for m, image in images.items():
-            for c, (r, w) in enumerate(image):
-                idx, imag, v = ((w >> 2) * top * n + r) * n + c, w & 1, 1 - (w & 2)
-                fwd[imag].setdefault(m, []).append((idx, v))
+        for m, (f, d, w) in images.items():
+            z, imag = w >> 2, w & 1
+            row = fwd[imag][m] = [((z * top * n + (c ^ f)) * n + c,
+                                   1 - (w + 2 * (d & c).bit_count() & 2)) for c in range(n)]
+            for idx, v in row:
                 back[imag].setdefault(idx, []).append((m, -v if imag else v))
-            f, p = image[0]
-            d = sum(1 << k for k in range(n.bit_length() - 1) if image[1 << k][1] != p)
-            pos = ((p >> 2) * n + f) * n + d
-            blades[pos], phases[pos] = m, p & 3
+            pos = (z * n + f) * n + d
+            blades[pos], phases[pos] = m, w & 3
         self._extraction, self._units = (
             ({(1, imag == 1): rows for imag, rows in enumerate(table) if rows}, den)
             for table, den in ((fwd, 1), (back, n)))

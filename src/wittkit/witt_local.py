@@ -15,9 +15,9 @@ inverts: c_{k+1} = (C_k - f_k/alpha_k)/(k-1).
 For m = 4 and m = 8 there is a second, symmetric family: the frame itself
 is a scaled sign-matrix image of a locally dual family, with the sign
 matrices from the omega module.  Putting j on the f1 row of the m = 4 map
-gives signature (2,2) (complex_identification_g22).  No such
-identification exists for m = 3; no_identification_g12 proves that by
-exhaustion.
+gives signature (2,2) (complex_identification_g22).  For m = 3 no +-1 sign
+matrix with rows scaled by lambda sqrt(d), d in {1, 2, 3, 6}, gives one;
+no_identification_g12 proves that by exhaustion.
 """
 
 from __future__ import annotations
@@ -256,7 +256,8 @@ class NegativeSearchReport:
 
 
 def no_identification_g12() -> NegativeSearchReport:
-    """Exhaustive proof that the m=4 identification has no m=3 analogue.
+    """Exhaustive proof that no +-1 sign matrix gives an m=3 analogue of the
+    m=4 identification (the discrete Hartley matrix of order 3 gives one).
 
     Tries every 3x3 sign matrix (entries +-1) and per-row monomial scaling
     lambda*sqrt(d), d in {1,2,3,6}, lambda a positive rational, asking for an

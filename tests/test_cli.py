@@ -335,6 +335,29 @@ class TestVerify:
         assert sorted(reports) == ["negative-g12", "omega", "table1", "witt-local"]
         assert all(r["summary"]["fail"] == 0 and r["checks"] for r in reports.values())
 
+    def test_raising_suite_is_a_fail_row(self, capsys, monkeypatch):
+        # the last entry of every sign matrix negated: the witt-local
+        # constructor raises RuntimeError before any row is checked, which is
+        # one FAIL row naming it, and the other six suites still report
+        omega_module = sys.modules["wittkit.omega"]   # wittkit.omega is the function
+        real = omega_module._real_rows
+
+        def negated(k, minus):
+            rows = real(k, minus)
+            return rows[:-1] + [rows[-1][:-1] + [-rows[-1][-1]]]
+
+        monkeypatch.setattr(omega_module, "_real_rows", negated)
+        code, out, err = run_cli(capsys, ["verify", "--suite", "all", "--samples", "1",
+                                          "--format", "json"])
+        assert (code, err) == (1, "")
+        reports = {r["suite"]: r for r in json.loads(out)["reports"]}
+        assert len(reports) == 7
+        assert reports.pop("witt-local")["checks"] == [{
+            "id": "witt-local-setup", "anchor": "suite set-up", "status": "FAIL",
+            "detail": "RuntimeError: sign-matrix identity failed to close"}]
+        assert reports.pop("omega")["summary"]["fail"] == 27
+        assert all(r["summary"]["fail"] == 0 and r["checks"] for r in reports.values())
+
     def test_seed_flag_recorded(self, capsys):
         code, out, _ = run_cli(
             capsys, ["verify", "--suite", "table1", "--seed", "5",
@@ -424,6 +447,22 @@ class TestIntegerFlags:
     def test_plain_digits_accepted(self, capsys, flag):
         code, out, err = run_cli(capsys, self.FLAGS[flag] + [f"{flag}=02"])
         assert (code, err) == (0, "") and out
+
+
+class TestLargeRadicands:
+    def test_prime_radicand_on_every_g44_blade(self):
+        # d = 999999999989, a prime below MAX_RADICAND, on all 256 blades: a
+        # squarefree check that divides by trial up to sqrt(d) takes about
+        # 50 ms a term, so the run would take over 10 s
+        d = 999999999989
+        payload = {"signature": [1, -1] * 4, "terms": [
+            {"blade": [i for i in range(8) if m >> i & 1], "coeff": [{"d": d, "re": "1"}]}
+            for m in range(256)]}
+        proc = subprocess.run([sys.executable, "-m", "wittkit.cli", "convert", "mv2mat",
+                               "--algebra", "g44"], input=json.dumps(payload).encode(),
+                              capture_output=True, env=TestClosedStdout.ENV, timeout=5)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(proc.stdout)["dim"] == 16
 
 
 class TestClosedStdout:

@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 
 from tests.conftest import bounded_fractions
 from wittkit.errors import NonMonomialError
-from wittkit.scalars import (Scalar, apply_slots, combine_slots, join_slots, json_slots,
-                             key_product, reduce_slots, split_map, split_slots, walsh)
+from wittkit.scalars import (Scalar, apply_slots, combine_slots, is_squarefree, join_slots,
+                             json_slots, key_product, reduce_slots, split_map, split_slots,
+                             split_square, walsh)
 
 fractions = bounded_fractions(9, 9)
 
@@ -91,6 +92,39 @@ class TestConstruction:
     def test_inexact_inputs_rejected(self, make):
         with pytest.raises(TypeError):
             make()
+
+
+def reference_split_square(n):
+    """n = outside**2 * inside, inside squarefree, by trial division of every
+    p with p * p <= n."""
+    outside, inside, p = 1, 1, 2
+    while p * p <= n:
+        while n % (p * p) == 0:
+            n, outside = n // (p * p), outside * p
+        if n % p == 0:
+            n, inside = n // p, inside * p
+        p += 1 if p == 2 else 2
+    return outside, inside * n
+
+
+class TestSplitSquare:
+    # split_square divides only while p**3 <= n: what is left is 1, q, q*q or
+    # q*r, told apart by isqrt.  Squares and products of primes just above the
+    # cube root of MAX_RADICAND (10**4), the bound itself, a prime below it,
+    # and three large factors above it
+    EDGES = [10007 ** 2, 10007 * 10009, 999983 ** 2, 2 * 999983 ** 2, 10 ** 12,
+             9973 ** 2 * 7, 999999999989, 10007 ** 2 * 10009, 10007 * 10009 * 10037]
+
+    @pytest.mark.parametrize("n", EDGES)
+    def test_edges_match_full_trial_division(self, n):
+        want = reference_split_square(n)
+        assert split_square(n) == want
+        assert is_squarefree(n) == (want == (1, n))
+
+    def test_small_values_match_full_trial_division(self):
+        for n in range(1, 5000):
+            want = reference_split_square(n)
+            assert split_square(n) == want and is_squarefree(n) == (want == (1, n)), n
 
 
 class TestArithmetic:

@@ -1060,6 +1060,41 @@ def nonzero(sums):
             for key, out in sums.items() if any(out.values())}
 
 
+def pauli_matrix(n, f, d, w):
+    """j^(w & 3) iota^(w >> 2) X^f Z^d as a dense n x n matrix, from the
+    definition: entry (c ^ f, c) is (-1)^|d & c| j^w, every other entry 0.
+    An entry is the pair (scalar part, iota part) of complex ints."""
+    m = [[(0, 0)] * n for _ in range(n)]
+    for c in range(n):
+        v = (-1) ** (d & c).bit_count() * (1, 1j, -1, -1j)[w & 3]
+        m[c ^ f][c] = (0, v) if w & 4 else (v, 0)
+    return m
+
+
+def dense_product(x, y):
+    """x y for dense matrices of pauli_matrix entries, iota in at most one."""
+    n = len(x)
+    return [[(sum(x[r][k][0] * y[k][c][0] for k in range(n)),
+              sum(x[r][k][0] * y[k][c][1] + x[r][k][1] * y[k][c][0] for k in range(n)))
+             for c in range(n)] for r in range(n)]
+
+
+class TestPauliProduct:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_times_is_the_matrix_product(self, n):
+        # every (f, d, w) pair, the iota bit on at most one factor, both flips
+        strings = [(f, d, w) for f in range(n) for d in range(n) for w in range(8)]
+        dense = {x: pauli_matrix(n, *x) for x in strings}
+        for x in strings:
+            for y in strings:
+                if x[2] & y[2] & 4:
+                    continue
+                want = dense_product(dense[x], dense[y])
+                got, negated = witt_global._times(x, y), witt_global._times(x, y, 2)
+                assert dense[got] == want, (x, y)
+                assert dense[negated] == [[(-a, -b) for a, b in row] for row in want], (x, y)
+
+
 class TestButterfly:
     """The Walsh lanes of every pair basis and the tables of its pairs
     against the tables derived from E, their oracle."""

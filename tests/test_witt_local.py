@@ -260,6 +260,27 @@ class TestNegativeSearch:
         assert rep.ok
         assert 0 < len(calls) <= 150
 
+    @pytest.mark.parametrize("changed", [None, (1, 1)], ids=["hartley", "one-entry-changed"])
+    def test_hartley_identification_outside_the_search(self, changed):
+        # the search covers +-1 sign matrices only.  The discrete Hartley
+        # matrix of order 3, entries cas(2 pi r i / 3) in {1, (-1 +- sqrt3)/2},
+        # with row scales sqrt3, sqrt6/2, sqrt6/2 on the frame e1, f1, f2 of
+        # g(1,2), gives the locally dual family c = (1/3) M^T (s v); an entry
+        # changed breaks the three relations of its column
+        sig = g_1n(2)
+        plus, minus = (Scalar.rational(-1, 2) + Scalar.sqrt(3, Fraction(t, 2)) for t in (1, -1))
+        one = Scalar.of(1)
+        cas = [[one, one, one], [one, plus, minus], [one, minus, plus]]
+        if changed:
+            cas[changed[0]][changed[1]] = minus
+        scales = [Scalar.sqrt(3), Scalar.sqrt(6, Fraction(1, 2)), Scalar.sqrt(6, Fraction(1, 2))]
+        c = [Multivector.combine(sig, [(cas[r][i] * scales[r] * Scalar.rational(1, 3),
+                                        Multivector.generator(sig, r)) for r in range(3)])
+             for i in range(3)]
+        failing = check_local_relations(LocalWitt(3, sig, c))
+        assert failing == (["c1 c2 + c2 c1 = 1", "c2^2 = 0", "c2 c3 + c3 c2 = 1"]
+                           if changed else [])
+
     def test_unit_examples(self):
         rep = no_identification_g12()
         assert ("(c1+c2+c3)/sqrt(3)", 1) in rep.unit_examples
